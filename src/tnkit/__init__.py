@@ -2,12 +2,12 @@
 
 Conventions that hold package-wide:
 
-* Dense tensors are flat complex vectors with the first index fastest.
+* Dense tensors hold one read-only ndarray of any inexact dtype; wherever
+  they meet a flat vector, the first index is the fastest.
 * Many-site state vectors put site 0 on the fastest index (little-endian).
 * Truncation is controlled everywhere by one :class:`TruncationSpec`.
 """
 
-from .backend import numba_enabled, set_numba_enabled
 from .decomp import (
     UNTRUNCATED,
     EigResult,

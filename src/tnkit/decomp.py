@@ -85,15 +85,16 @@ def _as_matrix(m: DenseTensor, op: str) -> np.ndarray:
 def svd(m: DenseTensor) -> SVDResult:
     """Full thin SVD of a matrix; never forms M·M†."""
     arr = _as_matrix(m, "svd")
-    real_input = not np.any(arr.imag)
+    if np.iscomplexobj(arr) and not np.any(arr.imag):
+        arr = arr.real
     try:
-        u, s, vdag = np.linalg.svd(arr.real if real_input else arr, full_matrices=False)
+        u, s, vdag = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
         raise NumericalFailure(f"svd did not converge: {exc}") from exc
     return SVDResult(
-        u=DenseTensor.from_ndarray(u),
-        d=np.ascontiguousarray(s, dtype=np.float64),
-        v_dag=DenseTensor.from_ndarray(vdag),
+        u=DenseTensor._wrap(u),
+        d=s,
+        v_dag=DenseTensor._wrap(vdag),
         discarded_weight=0.0,
     )
 
@@ -130,14 +131,11 @@ def truncated_svd(m: DenseTensor, spec: TruncationSpec) -> SVDResult:
     k = select_rank(full.d, spec)
     if k == full.d.shape[0]:
         return full
-    discarded = float(np.sum(full.d[k:] ** 2))
-    u = full.u.to_ndarray()[:, :k]
-    vdag = full.v_dag.to_ndarray()[:k, :]
     return SVDResult(
-        u=DenseTensor.from_ndarray(u),
-        d=np.ascontiguousarray(full.d[:k]),
-        v_dag=DenseTensor.from_ndarray(vdag),
-        discarded_weight=discarded,
+        u=DenseTensor._wrap(full.u.to_ndarray()[:, :k]),
+        d=full.d[:k],
+        v_dag=DenseTensor._wrap(full.v_dag.to_ndarray()[:k, :]),
+        discarded_weight=float(np.sum(full.d[k:] ** 2)),
     )
 
 
@@ -150,12 +148,13 @@ def eig_hermitian(m: DenseTensor) -> EigResult:
     if float(np.abs(arr - arr.conj().T).max()) > _HERMITIAN_TOL * scale:
         raise NotHermitian("matrix deviates from M == M† beyond 1e-10 (relative)")
     herm = 0.5 * (arr + arr.conj().T)
-    real_input = not np.any(herm.imag)
+    if np.iscomplexobj(herm) and not np.any(herm.imag):
+        herm = herm.real
     try:
-        omega, u = np.linalg.eigh(herm.real if real_input else herm)
+        omega, u = np.linalg.eigh(herm)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalFailure(f"eigh did not converge: {exc}") from exc
-    return EigResult(u=DenseTensor.from_ndarray(u), omega=np.ascontiguousarray(omega))
+    return EigResult(u=DenseTensor._wrap(u), omega=omega)
 
 
 def entanglement_entropy(d, normalize: bool = True) -> float:
@@ -191,4 +190,4 @@ def mera_update(gamma: DenseTensor) -> DenseTensor:
         raise NotSquare(f"environment is {arr.shape}, not square")
     res = svd(gamma)
     w = res.v_dag.to_ndarray().conj().T @ res.u.to_ndarray().conj().T
-    return DenseTensor.from_ndarray(w)
+    return DenseTensor._wrap(w)

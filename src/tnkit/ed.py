@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import eig_hermitian
-from .errors import NoConvergence, TooLarge
+from .errors import NoConvergence, ShapeMismatch, TooLarge
 from .mpo import MPO, mpo_to_dense
 from .tensors import DenseTensor
 
@@ -50,7 +50,7 @@ def mpo_matvec(op: MPO, psi: np.ndarray) -> np.ndarray:
     dim = d**n
     psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
     if psi.size != dim:
-        raise TooLarge(f"vector length {psi.size} != {d}^{n}")
+        raise ShapeMismatch(f"vector length {psi.size} != {d}^{n}")
     x = psi.reshape((d,) * n, order="F")
     # y axes: (link a, out_0..out_{k-1}, in_k..in_{n-1})
     y = op.left_bvec[(slice(None),) + (None,) * n] * x[None]
@@ -68,7 +68,7 @@ def solve_dense(op: MPO, n_states: int = 1) -> EDResult:
     if dim > _DENSE_DIM_CAP:
         raise TooLarge(f"dense route needs dim <= {_DENSE_DIM_CAP}, got {dim}")
     n_states = min(n_states, dim)
-    res = eig_hermitian(DenseTensor.from_ndarray(mpo_to_dense(op)))
+    res = eig_hermitian(DenseTensor._wrap(mpo_to_dense(op)))
     return EDResult(
         energies=res.omega[:n_states].copy(),
         vectors=res.u.to_ndarray()[:, :n_states].copy(),

@@ -95,7 +95,7 @@ def _uniform_mpo(blocks: dict[tuple[int, int], np.ndarray], dim: int, n: int) ->
     w = np.zeros((dim, 2, 2, dim), dtype=np.complex128)
     for (row, col), mat in blocks.items():
         w[row, :, :, col] = mat
-    site = DenseTensor.from_ndarray(w)
+    site = DenseTensor._wrap(w)
     left = np.zeros(dim, dtype=np.complex128)
     left[dim - 1] = 1.0
     right = np.zeros(dim, dtype=np.complex128)

@@ -36,7 +36,7 @@ from .errors import (
     Singular,
     TooLarge,
 )
-from .tensors import DenseTensor, contract, permute, reshape
+from .tensors import DenseTensor, contract, permute, reshape, scale
 
 _DENSE_SITE_CAP = 20  # to_state_vector guard: d**N grows fast
 
@@ -94,11 +94,11 @@ def _scalar(t: DenseTensor) -> complex:
 
 
 def _diag_times_vdag(d: np.ndarray, v_dag: DenseTensor) -> DenseTensor:
-    return DenseTensor.from_ndarray(d[:, None] * v_dag.to_ndarray())
+    return DenseTensor._wrap(d[:, None] * v_dag.to_ndarray())
 
 
 def _u_times_diag(u: DenseTensor, d: np.ndarray) -> DenseTensor:
-    return DenseTensor.from_ndarray(u.to_ndarray() * d[None, :])
+    return DenseTensor._wrap(u.to_ndarray() * d[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +203,11 @@ def random_mps(n_sites: int, phys_dim: int, chi_max: int, rng) -> MPS:
     for i in range(n_sites):
         shape = (dims[i], phys_dim, dims[i + 1])
         data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        sites.append(DenseTensor.from_ndarray(data))
+        sites.append(DenseTensor._wrap(data))
     m = canonicalize(MPS(tuple(sites), center=None, phys_dim=phys_dim), n_sites - 1)
     c = m.sites[m.center]
     nrm = math.sqrt(_scalar(contract(c.conj(), [0, 1, 2], c, [0, 1, 2])).real)
-    scaled = DenseTensor(c.shape, c.data / nrm)
+    scaled = scale(c, 1.0 / nrm)
     return replace(m, sites=m.sites[: m.center] + (scaled,) + m.sites[m.center + 1 :])
 
 
@@ -300,7 +300,7 @@ def gauge_insert(m: MPS, bond: int, x: DenseTensor) -> MPS:
     svals = np.linalg.svd(arr, compute_uv=False)
     if svals[-1] <= 0.0 or svals[0] / svals[-1] > 1e12:
         raise Singular("gauge matrix is singular or too ill-conditioned")
-    xinv = DenseTensor.from_ndarray(np.linalg.inv(arr))
+    xinv = DenseTensor._wrap(np.linalg.inv(arr))
     tensors = list(m.sites)
     tensors[bond] = contract(tensors[bond], [2], x, [0])
     tensors[bond + 1] = contract(xinv, [1], tensors[bond + 1], [0])
@@ -316,7 +316,7 @@ def inner_product(a: MPS, b: MPS) -> complex:
     """Zipper overlap <a|b>, O(N * d * chi^3)."""
     if a.n_sites != b.n_sites or a.phys_dim != b.phys_dim:
         raise ShapeMismatch("states live on different site spaces")
-    env = DenseTensor.from_ndarray(np.ones((1, 1)))  # (bra link, ket link)
+    env = DenseTensor._wrap(np.ones((1, 1)))  # (bra link, ket link)
     for ta, tb in zip(a.sites, b.sites):
         t1 = contract(env, [0], ta.conj(), [0])  # (ket, phys, bra')
         env = contract(t1, [0, 1], tb, [0, 1])  # (bra', ket')

@@ -29,7 +29,7 @@ from .mps import (
     norm_squared,
     product_mps,
 )
-from .tensors import DenseTensor, contract
+from .tensors import DenseTensor, contract, scale
 
 _UP = np.array([1.0, 0.0])
 _DOWN = np.array([0.0, 1.0])
@@ -63,10 +63,10 @@ def bond_gate(model: str, j: float, step: float, mode: str) -> DenseTensor:
     if mode not in ("imaginary", "real"):
         raise ValueError(f"mode must be 'imaginary' or 'real', got {mode!r}")
     h = pair_hamiltonian(model, j)
-    res = eig_hermitian(DenseTensor.from_ndarray(h))
+    res = eig_hermitian(DenseTensor._wrap(h))
     u = res.u.to_ndarray()
     factor = -step if mode == "imaginary" else -1j * step
-    return DenseTensor.from_ndarray((u * np.exp(factor * res.omega)[None, :]) @ u.conj().T)
+    return DenseTensor._wrap((u * np.exp(factor * res.omega)[None, :]) @ u.conj().T)
 
 
 def sweep(
@@ -106,7 +106,7 @@ def _rescale_center(state: MPS) -> MPS:
     nrm = np.sqrt(_center_norm_squared(state))
     c = state.sites[state.center]
     tensors = list(state.sites)
-    tensors[state.center] = DenseTensor(c.shape, c.data / nrm)
+    tensors[state.center] = scale(c, 1.0 / nrm)
     return MPS(tuple(tensors), center=state.center, phys_dim=state.phys_dim)
 
 

@@ -1,19 +1,23 @@
 """Dense tensors and the four primitive operations.
 
-A :class:`DenseTensor` is a value: a shape plus a flat complex vector whose
-elements are linearized first-index-fastest (column-major). For a rank-3 tensor
-of shape ``(w_x, w_y, w_z)`` the element ``(x, y, z)`` (0-based) sits at flat
-position ``x + w_x*(y + w_y*z)`` — all values of ``x`` are enumerated before
-``y`` advances. Everything else in the package (state vectors, fused link
-indices, dense operators) follows the same convention: site/axis 0 is the
-fastest index.
+A :class:`DenseTensor` is a value: one read-only n-dimensional numpy array of
+any memory layout and any inexact dtype. Real input stays real; complex
+arithmetic appears only where a complex operand brings it in.
+
+Flat vectors follow one linearization: first index fastest (column-major).
+For a rank-3 tensor of shape ``(w_x, w_y, w_z)`` the element ``(x, y, z)``
+(0-based) sits at flat position ``x + w_x*(y + w_y*z)`` — all values of ``x``
+are enumerated before ``y`` advances. The convention applies wherever a
+tensor meets a flat vector: the ``DenseTensor(shape, flat)`` constructor,
+``.data``, ``dump``/``load``, the index-fusing rule of :func:`reshape` and the
+package's state vectors, where site/axis 0 is the fastest index.
 
 The four primitives:
 
-* ``reshape``  — metadata-only, O(1), shares the underlying buffer;
-* ``permute``  — eager physical copy into the new linearization;
-* ``contract`` — pairwise contraction by permute + reshape + matrix product
-  (a jitted direct-summation kernel takes over for small operands);
+* ``reshape``  — ``ndarray.reshape(order="F")``: a view when the layout
+  allows, a copy otherwise;
+* ``permute``  — ``transpose``, always a view;
+* ``contract`` — pairwise contraction by ``numpy.tensordot``;
 * ``decompose`` — lives in :mod:`tnkit.decomp` (SVD / Hermitian eig).
 
 ``kron`` and ``direct_sum`` combine operators on product spaces; they are
@@ -28,7 +32,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import backend
 from .errors import (
     ElementCountMismatch,
     ExtentMismatch,
@@ -36,10 +39,6 @@ from .errors import (
     InvalidPermutation,
     RankUnsupported,
 )
-
-# Below this analytic flop count the direct kernel beats permute+BLAS overhead;
-# measured crossover sits between 2^6 and 3^6 flops (see benchmarks/).
-_DIRECT_KERNEL_FLOP_LIMIT = 512
 
 
 def _as_shape(shape: Iterable[int]) -> tuple[int, ...]:
@@ -50,74 +49,81 @@ def _as_shape(shape: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
+def _inexact(a: np.ndarray) -> np.ndarray:
+    """Integer and boolean data becomes float64; inexact dtypes pass through."""
+    return a if a.dtype.kind in "fc" else a.astype(np.float64)
+
+
 class DenseTensor:
-    """Immutable dense tensor with column-major flat storage.
+    """Immutable dense tensor holding one read-only ndarray.
 
     Parameters
     ----------
     shape : sequence of int
         Extent of each index; every extent is at least 1. ``()`` is a scalar.
     data : array-like
-        Flat data of length ``prod(shape)`` in first-index-fastest order.
+        Flat data of length ``prod(shape)`` in first-index-fastest order. It
+        is copied.
     """
 
-    __slots__ = ("_shape", "_data")
+    __slots__ = ("_arr",)
 
     def __init__(self, shape: Sequence[int], data) -> None:
-        self._shape = _as_shape(shape)
-        flat = np.asarray(data, dtype=np.complex128).reshape(-1)
-        if flat.size != self.size:
+        shp = _as_shape(shape)
+        flat = _inexact(np.array(data)).reshape(-1)
+        if flat.size != math.prod(shp):
             raise ElementCountMismatch(
-                f"shape {self._shape} holds {self.size} elements, data has {flat.size}"
+                f"shape {shp} holds {math.prod(shp)} elements, data has {flat.size}"
             )
-        flat = np.ascontiguousarray(flat)
-        flat.setflags(write=False)
-        self._data = flat
+        self._arr = flat.reshape(shp, order="F")
+        self._arr.flags.writeable = False
 
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def _wrap(cls, shape: tuple[int, ...], flat: np.ndarray) -> "DenseTensor":
-        """Internal: adopt an owned complex128 buffer without copying."""
+    def _wrap(cls, arr: np.ndarray) -> "DenseTensor":
+        """Package-internal: adopt an array no one else writes to, without copying."""
         t = cls.__new__(cls)
-        t._shape = shape
-        flat.setflags(write=False)
-        t._data = flat
+        arr.flags.writeable = False
+        t._arr = arr
         return t
 
     @classmethod
     def from_ndarray(cls, arr) -> "DenseTensor":
-        """Build from an n-dimensional array (its axis order is preserved)."""
-        a = np.asarray(arr, dtype=np.complex128)
-        return cls._wrap(a.shape, a.ravel(order="F").copy())
+        """Build from a copy of an n-dimensional array (axis order preserved)."""
+        return cls._wrap(_inexact(np.array(arr)))
 
     @classmethod
     def zeros(cls, shape: Sequence[int]) -> "DenseTensor":
-        shp = _as_shape(shape)
-        return cls._wrap(shp, np.zeros(math.prod(shp), dtype=np.complex128))
+        return cls._wrap(np.zeros(_as_shape(shape)))
 
     @classmethod
     def scalar(cls, value) -> "DenseTensor":
-        return cls._wrap((), np.array([value], dtype=np.complex128))
+        return cls._wrap(_inexact(np.array(value)))
 
     # -- basic properties ----------------------------------------------
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self._shape
+        return self._arr.shape
 
     @property
     def rank(self) -> int:
-        return len(self._shape)
+        return self._arr.ndim
 
     @property
     def size(self) -> int:
-        return math.prod(self._shape)
+        return self._arr.size
 
     @property
     def data(self) -> np.ndarray:
-        """The flat, read-only complex128 buffer (Table-ordered)."""
-        return self._data
+        """Read-only flat vector in first-index-fastest order.
+
+        A view when the array is column-major contiguous, a copy otherwise.
+        """
+        flat = self._arr.reshape(-1, order="F")
+        flat.flags.writeable = False
+        return flat
 
     def __getitem__(self, multi_index) -> complex:
         if np.isscalar(multi_index):
@@ -125,80 +131,77 @@ class DenseTensor:
         idx = tuple(int(i) for i in multi_index)
         if len(idx) != self.rank:
             raise InvalidAxis(f"expected {self.rank} indices, got {len(idx)}")
-        flat = 0
-        weight = 1
-        for i, w in zip(idx, self._shape):
+        for i, w in zip(idx, self.shape):
             if not 0 <= i < w:
-                raise InvalidAxis(f"index {idx} out of bounds for shape {self._shape}")
-            flat += i * weight
-            weight *= w
-        return complex(self._data[flat])
+                raise InvalidAxis(f"index {idx} out of bounds for shape {self.shape}")
+        return self._arr[idx].item()
 
     def to_ndarray(self) -> np.ndarray:
-        """Read-only n-dimensional view of the data (no copy)."""
-        return self._data.reshape(self._shape, order="F")
+        """The read-only n-dimensional array itself (no copy)."""
+        return self._arr
 
     def conj(self) -> "DenseTensor":
-        return DenseTensor._wrap(self._shape, np.conj(self._data))
+        return DenseTensor._wrap(self._arr.conj())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DenseTensor(shape={self._shape})"
+        return f"DenseTensor(shape={self.shape}, dtype={self._arr.dtype})"
 
     # -- debug dump ------------------------------------------------------
 
     def dump(self) -> str:
         """JSON debug dump: {shape, data_re, data_im} in flat linear order."""
+        flat = self.data
         return json.dumps(
             {
-                "shape": list(self._shape),
-                "data_re": self._data.real.tolist(),
-                "data_im": self._data.imag.tolist(),
+                "shape": list(self.shape),
+                "data_re": flat.real.tolist(),
+                "data_im": flat.imag.tolist(),
             }
         )
 
     @classmethod
     def load(cls, text: str) -> "DenseTensor":
+        """Inverse of :meth:`dump`; an all-zero imaginary part loads as real."""
         obj = json.loads(text)
-        flat = np.asarray(obj["data_re"], dtype=np.float64) + 1j * np.asarray(
-            obj["data_im"], dtype=np.float64
-        )
-        return cls(tuple(obj["shape"]), flat)
+        re = np.asarray(obj["data_re"], dtype=np.float64)
+        im = np.asarray(obj["data_im"], dtype=np.float64)
+        return cls(tuple(obj["shape"]), re + 1j * im if np.any(im) else re)
 
 
 def scale(t: DenseTensor, alpha) -> DenseTensor:
     """Multiply every element by the scalar ``alpha``."""
-    return DenseTensor._wrap(t.shape, t.data * complex(alpha))
+    return DenseTensor._wrap(t.to_ndarray() * alpha)
 
 
 def add(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     """Elementwise sum; shapes must match exactly."""
     if a.shape != b.shape:
         raise ExtentMismatch(f"cannot add shapes {a.shape} and {b.shape}")
-    return DenseTensor._wrap(a.shape, a.data + b.data)
+    return DenseTensor._wrap(a.to_ndarray() + b.to_ndarray())
 
 
 def frobenius_norm(t: DenseTensor) -> float:
     """sqrt(sum |t_i|^2) over all elements."""
-    return float(np.linalg.norm(t.data))
+    return float(np.linalg.norm(t.to_ndarray()))
 
 
 def reshape(t: DenseTensor, new_shape: Sequence[int]) -> DenseTensor:
-    """Regroup indices without touching data (O(1), buffer shared).
+    """Regroup indices by the first-index-fastest fuse rule.
 
-    The flat element order is the linearization order, so e.g. a
-    ``(10, 5, 20)`` tensor reshapes to ``(2, 5, 5, 10, 2)`` with the identical
-    data vector.
+    The result holds the flat data vector of ``t`` unchanged, so e.g. a
+    ``(10, 5, 20)`` tensor reshapes to ``(2, 5, 5, 10, 2)``. It is a view when
+    the memory layout allows and a copy otherwise.
     """
     shp = _as_shape(new_shape)
     if math.prod(shp) != t.size:
         raise ElementCountMismatch(
             f"cannot reshape {t.shape} ({t.size} elements) to {shp} ({math.prod(shp)})"
         )
-    return DenseTensor._wrap(shp, t.data)
+    return DenseTensor._wrap(t.to_ndarray().reshape(shp, order="F"))
 
 
 def permute(t: DenseTensor, perm: Sequence[int]) -> DenseTensor:
-    """Reorder indices with an eager physical copy.
+    """Reorder indices (a view, no data moves).
 
     ``out`` satisfies ``out[i_perm[0], i_perm[1], ...] == t[i_0, i_1, ...]``;
     axis ``k`` of the output is axis ``perm[k]`` of the input. For example
@@ -207,8 +210,7 @@ def permute(t: DenseTensor, perm: Sequence[int]) -> DenseTensor:
     p = tuple(int(x) for x in perm)
     if sorted(p) != list(range(t.rank)):
         raise InvalidPermutation(f"{p} is not a permutation of 0..{t.rank - 1}")
-    arr = np.transpose(t.to_ndarray(), p)
-    return DenseTensor._wrap(arr.shape, arr.ravel(order="F"))
+    return DenseTensor._wrap(t.to_ndarray().transpose(p))
 
 
 def _check_axes(t: DenseTensor, axes: Sequence[int], name: str) -> tuple[int, ...]:
@@ -223,6 +225,22 @@ def _check_axes(t: DenseTensor, axes: Sequence[int], name: str) -> tuple[int, ..
     return ax
 
 
+def _paired_axes(
+    a: DenseTensor, axes_a: Sequence[int], b: DenseTensor, axes_b: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Validate the contracted axis pairs of ``a`` and ``b`` and return them."""
+    ax_a = _check_axes(a, axes_a, "axes_a")
+    ax_b = _check_axes(b, axes_b, "axes_b")
+    if len(ax_a) != len(ax_b):
+        raise InvalidAxis(f"axis lists differ in length: {len(ax_a)} vs {len(ax_b)}")
+    for pa, pb in zip(ax_a, ax_b):
+        if a.shape[pa] != b.shape[pb]:
+            raise ExtentMismatch(
+                f"contracted axes {pa},{pb} have extents {a.shape[pa]} != {b.shape[pb]}"
+            )
+    return ax_a, ax_b
+
+
 def contract_flops(
     a: DenseTensor, axes_a: Sequence[int], b: DenseTensor, axes_b: Sequence[int]
 ) -> int:
@@ -233,15 +251,7 @@ def contract_flops(
     tensor over two shared indices of extent chi costs chi**7. This is a
     model, not a wall-time measurement.
     """
-    ax_a = _check_axes(a, axes_a, "axes_a")
-    ax_b = _check_axes(b, axes_b, "axes_b")
-    if len(ax_a) != len(ax_b):
-        raise InvalidAxis(f"axis lists differ in length: {len(ax_a)} vs {len(ax_b)}")
-    for pa, pb in zip(ax_a, ax_b):
-        if a.shape[pa] != b.shape[pb]:
-            raise ExtentMismatch(
-                f"contracted axes {pa},{pb} have extents {a.shape[pa]} != {b.shape[pb]}"
-            )
+    _, ax_b = _paired_axes(a, axes_a, b, axes_b)
     cost = 1
     for i in range(a.rank):
         cost *= a.shape[i]
@@ -260,71 +270,9 @@ def contract(
     extents must match. The result carries the remaining axes of ``a`` (in
     their original order) followed by the remaining axes of ``b``. With empty
     axis lists this is the outer product.
-
-    The reduction runs as permute -> reshape -> matrix product -> reshape;
-    small contractions dispatch to a direct nested-loop kernel (numba) when
-    enabled — both routes agree up to floating-point reassociation.
     """
-    ax_a = _check_axes(a, axes_a, "axes_a")
-    ax_b = _check_axes(b, axes_b, "axes_b")
-    if len(ax_a) != len(ax_b):
-        raise InvalidAxis(f"axis lists differ in length: {len(ax_a)} vs {len(ax_b)}")
-    for pa, pb in zip(ax_a, ax_b):
-        if a.shape[pa] != b.shape[pb]:
-            raise ExtentMismatch(
-                f"contracted axes {pa},{pb} have extents {a.shape[pa]} != {b.shape[pb]}"
-            )
-
-    free_a = tuple(i for i in range(a.rank) if i not in ax_a)
-    free_b = tuple(i for i in range(b.rank) if i not in ax_b)
-    out_shape = tuple(a.shape[i] for i in free_a) + tuple(b.shape[i] for i in free_b)
-
-    if (
-        backend.numba_enabled()
-        and len(ax_a) > 0
-        and contract_flops(a, ax_a, b, ax_b) <= _DIRECT_KERNEL_FLOP_LIMIT
-    ):
-        return _contract_direct(a, ax_a, free_a, b, ax_b, free_b, out_shape)
-
-    m = math.prod(a.shape[i] for i in free_a)
-    k = math.prod(a.shape[i] for i in ax_a)
-    n = math.prod(b.shape[i] for i in free_b)
-    left = permute(a, free_a + ax_a)
-    right = permute(b, ax_b + free_b)
-    prod = reshape(left, (m, k)).to_ndarray() @ reshape(right, (k, n)).to_ndarray()
-    return DenseTensor._wrap(out_shape, prod.ravel(order="F"))
-
-
-def _fortran_strides(shape: tuple[int, ...]) -> list[int]:
-    strides = []
-    w = 1
-    for s in shape:
-        strides.append(w)
-        w *= s
-    return strides
-
-
-def _contract_direct(a, ax_a, free_a, b, ax_b, free_b, out_shape) -> DenseTensor:
-    sa = _fortran_strides(a.shape)
-    sb = _fortran_strides(b.shape)
-    open_extents = np.array(
-        [a.shape[i] for i in free_a] + [b.shape[i] for i in free_b], dtype=np.int64
-    )
-    con_extents = np.array([a.shape[i] for i in ax_a], dtype=np.int64)
-    out = np.zeros(math.prod(out_shape) if out_shape else 1, dtype=np.complex128)
-    backend.contract_direct(
-        a.data,
-        b.data,
-        out,
-        np.array([sa[i] for i in free_a], dtype=np.int64),
-        np.array([sb[i] for i in free_b], dtype=np.int64),
-        np.array([sa[i] for i in ax_a], dtype=np.int64),
-        np.array([sb[i] for i in ax_b], dtype=np.int64),
-        open_extents,
-        con_extents,
-        len(free_a),
-    )
-    return DenseTensor._wrap(out_shape, out)
+    ax_a, ax_b = _paired_axes(a, axes_a, b, axes_b)
+    return DenseTensor._wrap(np.tensordot(a.to_ndarray(), b.to_ndarray(), axes=(ax_a, ax_b)))
 
 
 def kron(a: DenseTensor, b: DenseTensor) -> DenseTensor:
@@ -340,7 +288,7 @@ def kron(a: DenseTensor, b: DenseTensor) -> DenseTensor:
         raise RankUnsupported(
             f"kron defined for two vectors or two matrices, got ranks {a.rank}, {b.rank}"
         )
-    return DenseTensor.from_ndarray(np.kron(a.to_ndarray(), b.to_ndarray()))
+    return DenseTensor._wrap(np.kron(a.to_ndarray(), b.to_ndarray()))
 
 
 def direct_sum(a: DenseTensor, b: DenseTensor) -> DenseTensor:
@@ -351,7 +299,7 @@ def direct_sum(a: DenseTensor, b: DenseTensor) -> DenseTensor:
         )
     ra, ca = a.shape
     rb, cb = b.shape
-    out = np.zeros((ra + rb, ca + cb), dtype=np.complex128)
+    out = np.zeros((ra + rb, ca + cb), dtype=np.result_type(a.to_ndarray(), b.to_ndarray()))
     out[:ra, :ca] = a.to_ndarray()
     out[ra:, ca:] = b.to_ndarray()
-    return DenseTensor.from_ndarray(out)
+    return DenseTensor._wrap(out)

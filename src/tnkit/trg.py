@@ -22,8 +22,8 @@ the exact partition function of a 2^(k+1)-spin periodic patch; odd k
 corresponds to the axis-aligned L x L torus with L = 2^((k+1)/2), which is
 what the brute-force reference below enumerates.
 
-Internals run in real float64 (the weights are positive) and return to the
-complex tensor type only at the API boundary.
+All tensors stay real float64: the weights are positive, so no complex
+arithmetic ever enters.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import bond_sum_histogram
 from .decomp import TruncationSpec, truncated_svd
 from .errors import BadBeta, NumericalFailure, TooLarge
 from .tensors import DenseTensor
@@ -55,7 +54,7 @@ def ising_plaquette_tensor(beta: float, j: float = 1.0) -> DenseTensor:
     s = np.array([1.0, -1.0])
     pair_sum = np.add.outer(s, s)  # [u, d] -> su + sd, and likewise for l, r
     t = np.exp(beta * j * pair_sum[:, None, :, None] * pair_sum[None, :, None, :])
-    return DenseTensor.from_ndarray(t.astype(np.complex128))
+    return DenseTensor._wrap(t)
 
 
 @dataclass(frozen=True)
@@ -78,22 +77,20 @@ class TRGState:
 
 def initial_state(beta: float, j: float = 1.0) -> TRGState:
     """Normalized starting network for the given temperature and coupling."""
-    raw = ising_plaquette_tensor(beta, j).to_ndarray().real
+    raw = ising_plaquette_tensor(beta, j).to_ndarray()
     c = float(np.abs(raw).max())
     return TRGState(
-        tensor=DenseTensor.from_ndarray((raw / c).astype(np.complex128)),
+        tensor=DenseTensor._wrap(raw / c),
         log_norm_per_site=math.log(c) / 2.0,
         step=0,
     )
 
 
 def _split(mat: np.ndarray, spec: TruncationSpec) -> tuple[np.ndarray, np.ndarray]:
-    """SVD split with sqrt(d) absorbed into both halves (real output)."""
-    res = truncated_svd(DenseTensor.from_ndarray(mat), spec)
+    """SVD split with sqrt(d) absorbed into both halves."""
+    res = truncated_svd(DenseTensor._wrap(mat), spec)
     root = np.sqrt(res.d)
-    left = (res.u.to_ndarray() * root[None, :]).real
-    right = (root[:, None] * res.v_dag.to_ndarray()).real
-    return left, right
+    return res.u.to_ndarray() * root[None, :], root[:, None] * res.v_dag.to_ndarray()
 
 
 def trg_step(state: TRGState, spec: TruncationSpec) -> TRGState:
@@ -109,7 +106,7 @@ def trg_step(state: TRGState, spec: TruncationSpec) -> TRGState:
     produces the coarse tensor; u/d inherit the A-split link, l/r the
     B-split link, so the result is again a valid (u,l,d,r) network tensor.
     """
-    arr = state.tensor.to_ndarray().real
+    arr = state.tensor.to_ndarray()
     cu, cl, cd, cr = arr.shape
     m1 = arr.transpose(2, 1, 0, 3).reshape(cd * cl, cu * cr)
     s1, s2 = _split(m1, spec)
@@ -132,7 +129,7 @@ def trg_step(state: TRGState, spec: TruncationSpec) -> TRGState:
         raise NumericalFailure("coarse tensor vanished; cannot renormalize")
     spt_new = 2 * state.sites_per_tensor
     return TRGState(
-        tensor=DenseTensor.from_ndarray((new / c).astype(np.complex128)),
+        tensor=DenseTensor._wrap(new / c),
         log_norm_per_site=state.log_norm_per_site + math.log(c) / spt_new,
         step=state.step + 1,
     )
@@ -140,8 +137,7 @@ def trg_step(state: TRGState, spec: TruncationSpec) -> TRGState:
 
 def close_torus(state: TRGState) -> float:
     """ln(Z) per spin of the one-tensor torus closure of the current network."""
-    arr = state.tensor.to_ndarray().real
-    tr = float(np.einsum("abab->", arr))
+    tr = float(np.einsum("abab->", state.tensor.to_ndarray()))
     if tr <= 0.0:
         raise NumericalFailure(f"non-positive torus trace {tr}")
     return state.log_norm_per_site + math.log(tr) / state.sites_per_tensor
@@ -206,21 +202,21 @@ def brute_force_lnz(beta: float, j: float, lx: int, ly: int) -> float:
     n = lx * ly
     if n > _BRUTE_SPIN_CAP:
         raise TooLarge(f"{n} spins exceeds the enumeration cap {_BRUTE_SPIN_CAP}")
-    bonds_i: list[int] = []
-    bonds_j: list[int] = []
+    bonds: list[tuple[int, int]] = []
     for y in range(ly):
         for x in range(lx):
             site = x + lx * y
             if lx > 1:
-                bonds_i.append(site)
-                bonds_j.append((x + 1) % lx + lx * y)
+                bonds.append((site, (x + 1) % lx + lx * y))
             if ly > 1:
-                bonds_i.append(site)
-                bonds_j.append(x + lx * ((y + 1) % ly))
-    counts = bond_sum_histogram(
-        np.array(bonds_i, dtype=np.int64), np.array(bonds_j, dtype=np.int64), n
-    )
-    n_bonds = len(bonds_i)
+                bonds.append((site, x + lx * ((y + 1) % ly)))
+    n_bonds = len(bonds)
+    # bit k of a configuration is spin k (0 -> +1), so s_a s_b = 1 - 2 (b_a xor b_b)
+    configs = np.arange(1 << n)
+    total = np.zeros_like(configs)
+    for a, b in bonds:
+        total += 1 - 2 * (((configs >> a) ^ (configs >> b)) & 1)
+    counts = np.bincount(total + n_bonds, minlength=2 * n_bonds + 1)
     totals = np.arange(-n_bonds, n_bonds + 1, dtype=np.float64)
     keep = counts > 0
     logs = beta * j * totals[keep] + np.log(counts[keep].astype(np.float64))

@@ -13,7 +13,7 @@ from tnkit import (
     solve_dense,
     solve_iterative,
 )
-from tnkit.errors import NoConvergence, TooLarge
+from tnkit.errors import NoConvergence, ShapeMismatch, TooLarge
 
 rng = np.random.default_rng(808)
 
@@ -64,6 +64,12 @@ def test_mpo_matvec_agrees_with_dense_matrix():
     op = build_heisenberg(n, j=-1.0)
     psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     np.testing.assert_allclose(mpo_matvec(op, psi), h @ psi, atol=1e-10)
+
+
+def test_mpo_matvec_rejects_a_wrong_length_vector():
+    # a shape error (CLI exit 2 path), not a resource limit (exit 4)
+    with pytest.raises(ShapeMismatch):
+        mpo_matvec(build_heisenberg(4, j=-1.0), np.ones(2**4 + 1))
 
 
 def test_iterative_matches_dense_across_models():

@@ -1,5 +1,7 @@
 """Plaquette coarse-graining against enumeration and the analytic solution."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
@@ -62,6 +64,12 @@ def test_brute_force_hand_checks():
     # 2x2 torus: 8 (doubled) bonds
     z22 = 2 * np.exp(8 * k) + 12 + 2 * np.exp(-8 * k)
     assert np.isclose(brute_force_lnz(beta, j, 2, 2), np.log(z22), atol=1e-12)
+    # 3x3 torus: a plain sum over all 512 spin configurations
+    z33 = 0.0
+    for spins in itertools.product((1, -1), repeat=9):
+        s = np.reshape(spins, (3, 3))
+        z33 += np.exp(k * np.sum(s * np.roll(s, 1, 0) + s * np.roll(s, 1, 1)))
+    assert np.isclose(brute_force_lnz(beta, j, 3, 3), np.log(z33), atol=1e-12)
 
 
 def test_brute_force_enumeration_cap():
