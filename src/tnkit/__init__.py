@@ -58,7 +58,6 @@ from .mpo import (
     build_heisenberg,
     build_ising_nn,
     build_ising_nnn,
-    dense_product_operator,
     mpo_expectation,
     mpo_to_dense,
     two_site_matrix,

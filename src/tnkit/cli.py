@@ -263,6 +263,8 @@ def parse_config(text: str) -> dict:
         cfg["model"] = _parse_model(raw["model"])
         if command in ("tebd", "corr") and cfg["model"]["model"] not in ("ising_nn", "heisenberg"):
             raise ValidationError("model.model: sweeps need nearest-neighbor terms only (ising_nn, heisenberg)")
+        if command == "corr" and cfg["algorithm"]["fit_range"][1] >= cfg["model"]["n"] // 2:
+            raise ValidationError("algorithm.fit_range: x_max must stay below n/2 (mid-chain window)")
     elif "model" in raw:
         cfg["model"] = _parse_model(raw["model"])
     return cfg
@@ -411,8 +413,6 @@ def _run_corr(cfg: dict):
     )
     report = correlation_length(rep.state)
     x_min, x_max = alg["fit_range"]
-    if x_max >= model["n"] // 2:
-        raise ValidationError("algorithm.fit_range: x_max must stay below n/2 (mid-chain window)")
     sz = DenseTensor.from_ndarray(SZ)
     i0 = model["n"] // 2 - (x_max + 1) // 2
     xs = list(range(x_min, x_max + 1))

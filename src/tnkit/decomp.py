@@ -85,8 +85,6 @@ def _as_matrix(m: DenseTensor, op: str) -> np.ndarray:
 def svd(m: DenseTensor) -> SVDResult:
     """Full thin SVD of a matrix; never forms M·M†."""
     arr = _as_matrix(m, "svd")
-    if np.iscomplexobj(arr) and not np.any(arr.imag):
-        arr = arr.real
     try:
         u, s, vdag = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
@@ -148,8 +146,6 @@ def eig_hermitian(m: DenseTensor) -> EigResult:
     if float(np.abs(arr - arr.conj().T).max()) > _HERMITIAN_TOL * scale:
         raise NotHermitian("matrix deviates from M == M† beyond 1e-10 (relative)")
     herm = 0.5 * (arr + arr.conj().T)
-    if np.iscomplexobj(herm) and not np.any(herm.imag):
-        herm = herm.real
     try:
         omega, u = np.linalg.eigh(herm)
     except np.linalg.LinAlgError as exc:  # pragma: no cover

@@ -12,7 +12,8 @@ Two routes with very different cost profiles:
   states.
 
 Both return energies in ascending order and the matching column
-eigenvectors in the package's little-endian basis.
+eigenvectors in the package's little-endian basis. Dtypes follow numpy
+promotion: arithmetic is complex only if the MPO or the input vector is.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def mpo_matvec(op: MPO, psi: np.ndarray) -> np.ndarray:
     n = op.n_sites
     d = op.phys_dim
     dim = d**n
-    psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
+    psi = np.asarray(psi).reshape(-1)
     if psi.size != dim:
         raise ShapeMismatch(f"vector length {psi.size} != {d}^{n}")
     x = psi.reshape((d,) * n, order="F")
@@ -90,8 +91,9 @@ def solve_iterative(
     than one copy per starting vector). Deterministic for a fixed ``seed``.
     Rank loss inside a block — an exhausted invariant subspace — is repaired
     by injecting fresh random directions orthogonal to everything built so
-    far. Raises NoConvergence if the residuals have not dropped below
-    ``tol`` after ``max_iter`` matvecs.
+    far. Random directions are real (generic for complex Hermitian H too).
+    Raises NoConvergence if the residuals have not dropped below ``tol``
+    after ``max_iter`` matvecs.
     """
     dim = op.phys_dim**op.n_sites
     if dim > _ITER_DIM_CAP:
@@ -99,7 +101,7 @@ def solve_iterative(
     if n_states > dim:
         raise TooLarge(f"asked for {n_states} states in a {dim}-dim space")
     rng = np.random.default_rng(seed)
-    p = min(n_states, dim)
+    p = n_states
 
     def orthogonalize(w: np.ndarray, against: np.ndarray) -> np.ndarray:
         for _ in range(2):
@@ -108,11 +110,11 @@ def solve_iterative(
 
     def fresh_columns(against: np.ndarray, count: int) -> np.ndarray:
         if count <= 0:
-            return np.zeros((dim, 0), dtype=np.complex128)
+            return np.zeros((dim, 0))
         cols = []
         for _ in range(count):
             for _attempt in range(50):
-                v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                v = rng.standard_normal(dim)
                 v = orthogonalize(v[:, None], against).ravel()
                 for c in cols:
                     v -= np.vdot(c, v) * c
@@ -124,7 +126,7 @@ def solve_iterative(
                 raise NoConvergence("could not generate a fresh Krylov direction")
         return np.stack(cols, axis=1)
 
-    basis = fresh_columns(np.zeros((dim, 0), dtype=np.complex128), p)
+    basis = fresh_columns(np.zeros((dim, 0)), p)
     sizes = [p]  # block widths; the last may shrink near dim
     a_blocks: list[np.ndarray] = []
     b_blocks: list[np.ndarray] = []  # b_blocks[j] couples block j and j+1
@@ -141,7 +143,7 @@ def solve_iterative(
         # projected block-tridiagonal matrix and its Ritz pairs
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         total = offsets[-1]
-        tri = np.zeros((total, total), dtype=np.complex128)
+        tri = np.zeros((total, total), dtype=np.result_type(*a_blocks, *b_blocks))
         for jj, ab in enumerate(a_blocks):
             tri[offsets[jj] : offsets[jj + 1], offsets[jj] : offsets[jj + 1]] = ab
         for jj, bb in enumerate(b_blocks):

@@ -13,6 +13,10 @@ chain, the all-up product state at energy -(N-1)J/4).
 Dense conversions target the package-wide little-endian basis: site 0 is the
 fastest index of the 2^N-dimensional space, so a product of single-site
 operators densifies as ``kron(op_last, ..., kron(op_1, op_0))``.
+
+Dtypes follow numpy promotion: every builder here returns a real float64
+MPO (the Heisenberg exchange is written with S+ and S-), and an MPO is
+complex only when a complex block such as ``SY`` goes into it.
 """
 
 from __future__ import annotations
@@ -25,13 +29,13 @@ import numpy as np
 from .errors import BadXi, ExtentMismatch, ShapeMismatch, TooFewSites, TooLarge
 from .tensors import DenseTensor, contract, permute, reshape
 
-# spin-1/2 operator library (factor 1/2 included)
-ID2 = np.eye(2, dtype=np.complex128)
-SX = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-SY = 0.5 * np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-SZ = 0.5 * np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-SP = SX + 1j * SY  # raising
-SM = SX - 1j * SY  # lowering
+# spin-1/2 operator library (factor 1/2 included); only SY is complex
+ID2 = np.eye(2)
+SX = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]])
+SY = 0.5 * np.array([[0.0, -1.0j], [1.0j, 0.0]])
+SZ = 0.5 * np.array([[1.0, 0.0], [0.0, -1.0]])
+SP = np.array([[0.0, 1.0], [0.0, 0.0]])  # raising, SX + i SY
+SM = np.array([[0.0, 0.0], [1.0, 0.0]])  # lowering, SX - i SY
 
 _DENSE_SITE_CAP = 12  # mpo_to_dense builds a 2^N x 2^N matrix
 
@@ -43,14 +47,6 @@ def two_site_matrix(op_left: np.ndarray, op_right: np.ndarray) -> np.ndarray:
     sits in the *inner* Kronecker slot.
     """
     return np.kron(np.asarray(op_right), np.asarray(op_left))
-
-
-def dense_product_operator(ops) -> np.ndarray:
-    """Dense matrix of a tensor product of per-site operators (site 0 fastest)."""
-    out = np.asarray(ops[0], dtype=np.complex128)
-    for op in ops[1:]:
-        out = np.kron(np.asarray(op, dtype=np.complex128), out)
-    return out
 
 
 @dataclass(frozen=True)
@@ -89,16 +85,16 @@ class MPO:
 
 
 def _uniform_mpo(blocks: dict[tuple[int, int], np.ndarray], dim: int, n: int) -> MPO:
-    """Assemble a translation-invariant MPO from a block matrix of operators."""
+    """Assemble a translation-invariant MPO from a block matrix (promoted dtype)."""
     if n < 2:
         raise TooFewSites(f"need at least 2 sites, got {n}")
-    w = np.zeros((dim, 2, 2, dim), dtype=np.complex128)
+    w = np.zeros((dim, 2, 2, dim), dtype=np.result_type(*blocks.values()))
     for (row, col), mat in blocks.items():
         w[row, :, :, col] = mat
     site = DenseTensor._wrap(w)
-    left = np.zeros(dim, dtype=np.complex128)
+    left = np.zeros(dim)
     left[dim - 1] = 1.0
-    right = np.zeros(dim, dtype=np.complex128)
+    right = np.zeros(dim)
     right[0] = 1.0
     return MPO(sites=(site,) * n, left_bvec=left, right_bvec=right, phys_dim=2)
 
@@ -152,18 +148,19 @@ def build_exp_decay(n: int, xi: float, j: float = 1.0) -> MPO:
 
 
 def build_heisenberg(n: int, j: float = 1.0) -> MPO:
-    """H = -J sum_i S_i . S_{i+1} (bond dimension 5).
+    """H = -J sum_i S_i . S_{i+1} (bond dimension 5, real).
 
-    With j < 0 this is the antiferromagnet; e.g. two sites at j = -1 have
-    ground energy -3/4 (the singlet).
+    The exchange is written as SxSx + SySy = (S+S- + S-S+) / 2, so the
+    tensors stay real. With j < 0 this is the antiferromagnet; e.g. two
+    sites at j = -1 have ground energy -3/4 (the singlet).
     """
     blocks = {
         (0, 0): ID2,
-        (1, 0): SX,
-        (2, 0): SY,
+        (1, 0): SP,
+        (2, 0): SM,
         (3, 0): SZ,
-        (4, 1): -j * SX,
-        (4, 2): -j * SY,
+        (4, 1): -0.5 * j * SM,
+        (4, 2): -0.5 * j * SP,
         (4, 3): -j * SZ,
         (4, 4): ID2,
     }

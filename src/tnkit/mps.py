@@ -36,7 +36,7 @@ from .errors import (
     Singular,
     TooLarge,
 )
-from .tensors import DenseTensor, contract, permute, reshape, scale
+from .tensors import DenseTensor, _inexact, contract, permute, reshape, scale
 
 _DENSE_SITE_CAP = 20  # to_state_vector guard: d**N grows fast
 
@@ -122,7 +122,7 @@ def mps_from_state_vector(
     """
     if phys_dim < 2:
         raise BadLength(f"physical dimension must be >= 2, got {phys_dim}")
-    flat = np.asarray(psi, dtype=np.complex128).reshape(-1)
+    flat = _inexact(np.asarray(psi)).reshape(-1)
     n = round(math.log(flat.size, phys_dim)) if flat.size > 1 else 1
     if phys_dim**n != flat.size:
         raise BadLength(f"length {flat.size} is not a power of d={phys_dim}")
@@ -167,10 +167,10 @@ def to_state_vector(m: MPS) -> np.ndarray:
 
 def product_state_vector(site_vectors) -> np.ndarray:
     """Dense vector of a product state from per-site kets (site 0 fastest)."""
-    out = np.asarray(site_vectors[0], dtype=np.complex128).reshape(-1)
+    out = _inexact(np.asarray(site_vectors[0])).reshape(-1)
     for v in site_vectors[1:]:
         # earlier sites vary fastest, so the new site becomes the slow index
-        out = np.kron(np.asarray(v, dtype=np.complex128).reshape(-1), out)
+        out = np.kron(_inexact(np.asarray(v)).reshape(-1), out)
     return out
 
 
@@ -183,7 +183,7 @@ def product_mps(site_vectors, norm_tol: float = 1e-8) -> MPS:
     """
     sites = []
     for i, v in enumerate(site_vectors):
-        ket = np.asarray(v, dtype=np.complex128).reshape(-1)
+        ket = np.asarray(v).reshape(-1)
         nrm = float(np.linalg.norm(ket))
         if abs(nrm - 1.0) > norm_tol:
             raise NotNormalized(f"site {i} ket has norm {nrm}")

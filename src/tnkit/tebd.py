@@ -22,7 +22,7 @@ import numpy as np
 
 from .decomp import UNTRUNCATED, TruncationSpec, eig_hermitian
 from .errors import ShapeMismatch, UnsupportedModel
-from .mpo import MPO, SX, SY, SZ, build_heisenberg, build_ising_nn, mpo_expectation, two_site_matrix
+from .mpo import MPO, SM, SP, SZ, build_heisenberg, build_ising_nn, mpo_expectation, two_site_matrix
 from .mps import (
     MPS,
     apply_two_site_gate,
@@ -37,12 +37,12 @@ _PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
 
 def pair_hamiltonian(model: str, j: float = 1.0) -> np.ndarray:
-    """(4, 4) two-site term of a nearest-neighbor model (left site fastest)."""
+    """(4, 4) real two-site term of a nearest-neighbor model (left site fastest)."""
     if model == "ising_nn":
         return -j * two_site_matrix(SZ, SZ)
     if model == "heisenberg":
         return -j * (
-            two_site_matrix(SX, SX) + two_site_matrix(SY, SY) + two_site_matrix(SZ, SZ)
+            0.5 * (two_site_matrix(SP, SM) + two_site_matrix(SM, SP)) + two_site_matrix(SZ, SZ)
         )
     if model in ("ising_nnn", "exp_decay"):
         raise UnsupportedModel(f"{model!r} has terms beyond nearest neighbors")
@@ -59,7 +59,7 @@ def model_mpo(model: str, n_sites: int, j: float = 1.0) -> MPO:
 
 
 def bond_gate(model: str, j: float, step: float, mode: str) -> DenseTensor:
-    """exp(-step*h) or exp(-i*step*h) of the pair term, via its eigenbasis."""
+    """Real exp(-step*h) or complex exp(-i*step*h) of the pair term, via its eigenbasis."""
     if mode not in ("imaginary", "real"):
         raise ValueError(f"mode must be 'imaginary' or 'real', got {mode!r}")
     h = pair_hamiltonian(model, j)

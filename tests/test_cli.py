@@ -59,6 +59,12 @@ def test_model_restrictions_per_command():
         parse_config(json.dumps(bad))
     with pytest.raises(ValidationError, match="model"):
         parse_config(json.dumps({"command": "ed"}))  # model is required
+    # corr's fit window must end below n/2; caught at parse time, before any sweep
+    corr = {"command": "corr", "model": {"model": "ising_nn", "n": 8}, "algorithm": {"fit_range": [1, 4]}}
+    with pytest.raises(ValidationError, match="fit_range"):
+        parse_config(json.dumps(corr))
+    corr["algorithm"]["fit_range"] = [1, 3]
+    assert parse_config(json.dumps(corr))["algorithm"]["fit_range"] == [1, 3]
 
 
 def test_run_ed_record_contents():

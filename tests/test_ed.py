@@ -3,13 +3,21 @@
 import numpy as np
 import pytest
 
-from conftest import dense_hamiltonian
+from conftest import SX as REF_SX
+from conftest import SY as REF_SY
+from conftest import dense_hamiltonian, kron_site
 from tnkit import (
+    ID2,
+    MPO,
+    SX,
+    SY,
+    DenseTensor,
     build_exp_decay,
     build_heisenberg,
     build_ising_nn,
     build_ising_nnn,
     mpo_matvec,
+    mpo_to_dense,
     solve_dense,
     solve_iterative,
 )
@@ -72,18 +80,46 @@ def test_mpo_matvec_rejects_a_wrong_length_vector():
         mpo_matvec(build_heisenberg(4, j=-1.0), np.ones(2**4 + 1))
 
 
+def xx_dm_mpo(n, j, dm):
+    """H = sum_i J Sx_i Sx_{i+1} + D (Sx_i Sy_{i+1} - Sy_i Sx_{i+1}): complex Hermitian."""
+    w = np.zeros((4, 2, 2, 4), dtype=complex)
+    w[0, :, :, 0] = w[3, :, :, 3] = ID2
+    w[1, :, :, 0] = SX  # pending partners land on the right-hand site
+    w[2, :, :, 0] = SY
+    w[3, :, :, 1] = j * SX - dm * SY
+    w[3, :, :, 2] = dm * SX
+    site = DenseTensor.from_ndarray(w)
+    return MPO((site,) * n, left_bvec=np.eye(4)[3], right_bvec=np.eye(4)[0], phys_dim=2)
+
+
+def xx_dm_dense(n, j, dm):
+    def pair(a, b, i):
+        return kron_site(a, i, n) @ kron_site(b, i + 1, n)
+
+    return sum(
+        j * pair(REF_SX, REF_SX, i) + dm * (pair(REF_SX, REF_SY, i) - pair(REF_SY, REF_SX, i))
+        for i in range(n - 1)
+    )
+
+
 def test_iterative_matches_dense_across_models():
+    xx_dm = xx_dm_mpo(6, j=1.0, dm=0.7)
+    h_xx_dm = xx_dm_dense(6, j=1.0, dm=0.7)
+    assert np.abs(h_xx_dm.imag).max() > 0.1  # complex in the computational basis
+    np.testing.assert_allclose(mpo_to_dense(xx_dm), h_xx_dm, atol=1e-14)
     cases = [
         (build_ising_nn(6, j=1.0), 2),
         (build_ising_nnn(6, j1=1.0, j2=0.5), 2),
         (build_heisenberg(6, j=-1.0), 2),
         (build_exp_decay(6, xi=1.5, j=1.0), 2),
+        (xx_dm, 2),
     ]
     for op, k in cases:
         ref = solve_dense(op, n_states=k)
         got = solve_iterative(op, n_states=k)
         np.testing.assert_allclose(got.energies, ref.energies, atol=1e-8)
         assert got.n_matvecs > 0
+    assert np.iscomplexobj(solve_iterative(xx_dm, n_states=2).vectors)  # the complex path ran
 
 
 def test_iterative_resolves_degenerate_triplet():

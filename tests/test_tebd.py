@@ -14,9 +14,12 @@ from tnkit import (
     find_ground_state,
     initial_product_state,
     measure_energy,
+    model_mpo,
+    mpo_matvec,
     mps_from_state_vector,
     pair_hamiltonian,
     solve_dense,
+    solve_iterative,
     to_state_vector,
 )
 from tnkit.errors import UnsupportedModel
@@ -145,6 +148,26 @@ def test_real_time_trotter_error_scales_with_dt():
     # halving dt must shrink the error by at least a factor of two
     assert errs[0] / errs[1] > 2.0
     assert errs[1] / errs[2] > 2.0
+
+
+def test_real_models_stay_real_and_only_real_time_turns_complex():
+    # dtypes follow numpy promotion: the Ising and Heisenberg chains are real,
+    # so only the -1j*dt of the real-time gate brings complex numbers in
+    def dtypes(tensors):
+        return {t.to_ndarray().dtype for t in tensors}
+
+    f64, c128 = np.dtype(np.float64), np.dtype(np.complex128)
+    for model in ("ising_nn", "heisenberg"):
+        assert dtypes(model_mpo(model, 6, j=-1.0).sites) == {f64}
+        assert dtypes(initial_product_state(model, 6).sites) == {f64}
+        assert dtypes([bond_gate(model, -1.0, 0.1, "imaginary")]) == {f64}
+        assert dtypes([bond_gate(model, -1.0, 0.1, "real")]) == {c128}
+        rep = find_ground_state(model, 4, j=-1.0, spec=TruncationSpec(chi_max=4), schedule=(0.1,))
+        assert dtypes(rep.state.sites) == {f64}
+        quench = evolve_real_time(initial_product_state(model, 4), model, j=-1.0, dt=0.05, n_steps=2)
+        assert dtypes(quench.state.sites) == {c128}
+        assert solve_iterative(model_mpo(model, 6, j=-1.0), n_states=2).vectors.dtype == f64
+    assert mpo_matvec(build_ising_nn(6, j=1.0), rng.standard_normal(2**6)).dtype == f64
 
 
 def test_measure_energy_normalizes():
