@@ -5,11 +5,15 @@ Two routes with very different cost profiles:
 * :func:`solve_dense` materializes the full matrix and calls the dense
   Hermitian eigensolver — exact reference values, capped at 4096 basis
   states.
-* :func:`solve_iterative` runs a Lanczos iteration with full
-  reorthogonalization. The operator is never densified: each matvec threads
-  the MPO link through the state tensor one site at a time, so the cost per
-  multiply is O(N * 2^N * D^2 * d) instead of O(4^N). Capped at 2^20 basis
-  states.
+* :func:`solve_iterative` runs block Lanczos as one Rayleigh–Ritz loop:
+  each block of matvecs extends one orthonormal basis, and the Ritz pairs
+  come from the full projected matrix QᴴHQ. The operator is never
+  densified: each matvec threads the MPO link through the state tensor one
+  site at a time, so the cost per multiply is O(N * 2^N * D^2 * d) instead
+  of O(4^N). Capped at 2^20 basis states. The basis is one array of
+  ``(max_iter + n_states) x 2^N`` elements, reserved once; resident memory
+  grows only with the rows used, and a reservation the machine cannot make
+  raises MemoryError.
 
 Both return energies in ascending order and the matching column
 eigenvectors in the package's little-endian basis. Dtypes follow numpy
@@ -88,12 +92,14 @@ def solve_iterative(
 
     The block size equals ``n_states``, so degenerate levels are resolved up
     to that multiplicity (a single-vector iteration provably cannot see more
-    than one copy per starting vector). Deterministic for a fixed ``seed``.
-    Rank loss inside a block — an exhausted invariant subspace — is repaired
-    by injecting fresh random directions orthogonal to everything built so
-    far. Random directions are real (generic for complex Hermitian H too).
-    Raises NoConvergence if the residuals have not dropped below ``tol``
-    after ``max_iter`` matvecs.
+    than one copy per starting vector). Each block of matvecs extends one
+    orthonormal basis, and the Ritz pairs come from the full projected matrix
+    QᴴHQ (Rayleigh–Ritz), so no eigenvalue estimate can fall below the
+    spectrum. Rank loss inside a block — an exhausted invariant subspace — is
+    repaired with random directions orthogonal to everything built so far.
+    Random directions are real (generic for complex Hermitian H too).
+    Deterministic for a fixed ``seed``. Raises NoConvergence if the residuals
+    have not dropped below ``tol`` after ``max_iter`` matvecs.
     """
     dim = op.phys_dim**op.n_sites
     if dim > _ITER_DIM_CAP:
@@ -102,90 +108,67 @@ def solve_iterative(
         raise TooLarge(f"asked for {n_states} states in a {dim}-dim space")
     rng = np.random.default_rng(seed)
     p = n_states
+    dtype = np.result_type(
+        np.float64, op.left_bvec, op.right_bvec, *(t.to_ndarray() for t in op.sites)
+    )
+    # basis vectors are rows; the pages of rows never written are never mapped
+    q = np.empty((min(dim, max_iter + p), dim), dtype=dtype)
+    proj = np.zeros((q.shape[0], q.shape[0]), dtype=dtype)
 
-    def orthogonalize(w: np.ndarray, against: np.ndarray) -> np.ndarray:
-        for _ in range(2):
-            w = w - against @ (against.conj().T @ w)
-        return w
+    def extend(w: np.ndarray, k: int, count: int) -> None:
+        """Store ``count`` rows orthonormal to ``q[:k]`` in ``q[k : k + count]``.
 
-    def fresh_columns(against: np.ndarray, count: int) -> np.ndarray:
-        if count <= 0:
-            return np.zeros((dim, 0))
-        cols = []
-        for _ in range(count):
-            for _attempt in range(50):
-                v = rng.standard_normal(dim)
-                v = orthogonalize(v[:, None], against).ravel()
-                for c in cols:
-                    v -= np.vdot(c, v) * c
-                nrm = np.linalg.norm(v)
-                if nrm > 1e-8:
-                    cols.append(v / nrm)
-                    break
+        The rows of ``w`` are projected out of the basis and orthonormalized
+        by QR. A pivot below 1/sqrt(2) of its row's norm before the projection
+        means cancellation, which amplifies the rounding left along the basis,
+        so the normalized rows are projected again (Daniel, Gragg, Kaufman
+        and Stewart, Math. Comp. 30, 772 (1976)). Rows with nothing left are
+        dropped, and the shortfall is drawn at random.
+        """
+        end = k + count
+        for _attempt in range(50):
+            if k == end:
+                return
+            if len(w) == 0:
+                w = rng.standard_normal((end - k, dim))
+            size = np.linalg.norm(w, axis=1)
+            w = w - (w @ q[:k].conj().T) @ q[:k]
+            f, r = np.linalg.qr(w.T)
+            pivot = np.abs(np.diagonal(r))
+            live = pivot > 1e-13 * size
+            if np.all(live) and np.all(pivot >= np.sqrt(0.5) * size):
+                n_new = min(len(w), end - k)
+                q[k : k + n_new] = f.T[:n_new]
+                k += n_new
+                w = w[:0]
             else:
-                raise NoConvergence("could not generate a fresh Krylov direction")
-        return np.stack(cols, axis=1)
+                w = f.T[live]
+        raise NoConvergence("could not extend the Krylov basis")
 
-    basis = fresh_columns(np.zeros((dim, 0)), p)
-    sizes = [p]  # block widths; the last may shrink near dim
-    a_blocks: list[np.ndarray] = []
-    b_blocks: list[np.ndarray] = []  # b_blocks[j] couples block j and j+1
-    n_matvecs = 0
-
+    extend(rng.standard_normal((p, dim)), 0, p)
+    start, k, n_matvecs = 0, p, 0
     while True:
-        pj = sizes[-1]
-        x = basis[:, -pj:]
-        w = np.stack([mpo_matvec(op, x[:, i]) for i in range(pj)], axis=1)
-        n_matvecs += pj
-        a_blocks.append(x.conj().T @ w)
-        w = orthogonalize(w, basis)
+        w = np.stack([mpo_matvec(op, v) for v in q[start:k]])
+        n_matvecs += k - start
+        c = w @ q[:k].conj().T  # first reorthogonalization pass
+        w -= c @ q[:k]
+        proj[start:k, :k] = c.conj()  # rows of QᴴHQ; eigh reads the lower triangle
+        theta, s = np.linalg.eigh(proj[:k, :k])
 
-        # projected block-tridiagonal matrix and its Ritz pairs
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        total = offsets[-1]
-        tri = np.zeros((total, total), dtype=np.result_type(*a_blocks, *b_blocks))
-        for jj, ab in enumerate(a_blocks):
-            tri[offsets[jj] : offsets[jj + 1], offsets[jj] : offsets[jj + 1]] = ab
-        for jj, bb in enumerate(b_blocks):
-            tri[offsets[jj + 1] : offsets[jj + 2], offsets[jj] : offsets[jj + 1]] = bb
-            tri[offsets[jj] : offsets[jj + 1], offsets[jj + 1] : offsets[jj + 2]] = (
-                bb.conj().T
-            )
-        theta, s = np.linalg.eigh(tri)
-        scale = max(1.0, float(np.abs(theta).max()))
-
-        # next-block candidate: orthonormal span of the new residual block,
-        # with dead directions (an exhausted invariant subspace) replaced by
-        # fresh random ones so degenerate copies can still surface
-        p_next = min(p, dim - total)
-        q, r = np.linalg.qr(w)
-        live = np.abs(np.diag(r)) > 1e-13 * scale
-        if not np.all(live) and p_next > 0:
-            kept = q[:, live]
-            refill = fresh_columns(
-                np.concatenate([basis, kept], axis=1),
-                max(0, min(p_next, pj) - int(live.sum())),
-            )
-            q = np.concatenate([kept, refill], axis=1)
-        q = q[:, :p_next] if p_next < q.shape[1] else q
-        b = q.conj().T @ w  # exact coupling: col(w) lies in span(q) (+ basis)
-
-        if total >= n_states:
-            # true residual norms: |H v - theta v| = |w s_bottom| = |b s_bottom|
-            resid = np.linalg.norm(b @ s[-pj:, :n_states], axis=0)
-            if np.all(resid <= tol * np.maximum(1.0, np.abs(theta[:n_states]))):
-                break
+        # true residual norms: |H y - theta y| = |s_block^T w| for Ritz vectors y
+        resid = np.linalg.norm(s[start:k, :p].T @ w, axis=1)
+        if np.all(resid <= tol * np.maximum(1.0, np.abs(theta[:p]))):
+            break
+        p_next = min(k - start, dim - k)
         if p_next == 0:
             break  # basis spans the whole space; the projection is exact
         if n_matvecs >= max_iter:
             raise NoConvergence(
                 f"block Lanczos did not reach tol={tol} within {max_iter} matvecs"
             )
-        b_blocks.append(b)
-        basis = np.concatenate([basis, q], axis=1)
-        sizes.append(q.shape[1])
+        extend(w, k, p_next)
+        start, k = k, k + p_next
 
-    k = min(n_states, theta.shape[0])
-    vectors = basis[:, : theta.shape[0]] @ s[:, :k]
+    vectors = q[:k].T @ s[:, :p]
     vectors /= np.linalg.norm(vectors, axis=0, keepdims=True)
-    return EDResult(energies=theta[:k].copy(), vectors=vectors, n_matvecs=n_matvecs)
+    return EDResult(energies=theta[:p].copy(), vectors=vectors, n_matvecs=n_matvecs)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decomp import UNTRUNCATED, TruncationSpec, entanglement_entropy, truncated_svd
+from .decomp import UNTRUNCATED, SVDResult, TruncationSpec, entanglement_entropy, truncated_svd
 from .errors import (
     BadLength,
     BadOrder,
@@ -93,12 +93,18 @@ def _scalar(t: DenseTensor) -> complex:
     return complex(t.data[0])
 
 
-def _diag_times_vdag(d: np.ndarray, v_dag: DenseTensor) -> DenseTensor:
-    return DenseTensor._wrap(d[:, None] * v_dag.to_ndarray())
+def _split(
+    mat: DenseTensor, spec: TruncationSpec, absorb: str
+) -> tuple[DenseTensor, DenseTensor, SVDResult]:
+    """Truncated SVD ``mat ~ left . right`` with the singular values absorbed
+    into the ``absorb`` ("left" or "right") factor.
 
-
-def _u_times_diag(u: DenseTensor, d: np.ndarray) -> DenseTensor:
-    return DenseTensor._wrap(u.to_ndarray() * d[None, :])
+    The SVD result is returned too, for its spectrum and discarded weight.
+    """
+    res = truncated_svd(mat, spec)
+    if absorb == "right":
+        return res.u, DenseTensor._wrap(res.d[:, None] * res.v_dag.to_ndarray()), res
+    return DenseTensor._wrap(res.u.to_ndarray() * res.d[None, :]), res.v_dag, res
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +145,9 @@ def mps_from_state_vector(
     rest = d ** (n - 1)
     m = DenseTensor((d, rest), flat)
     for i in range(n - 1):
-        res = truncated_svd(m, spec)
-        k = res.d.shape[0]
-        sites.append(reshape(res.u, (lind, d, k)))
-        dv = _diag_times_vdag(res.d, res.v_dag)
+        u, dv, _ = _split(m, spec, "right")
+        k = u.shape[1]
+        sites.append(reshape(u, (lind, d, k)))
         if i == n - 2:
             sites.append(reshape(dv, (k, d, 1)))
         else:
@@ -216,41 +221,35 @@ def random_mps(n_sites: int, phys_dim: int, chi_max: int, rng) -> MPS:
 # ---------------------------------------------------------------------------
 
 
-def _shift_right(tensors: list[DenseTensor], c: int, spec: TruncationSpec) -> float:
-    """Left-normalize site c, absorbing D·V† into site c+1."""
-    t = tensors[c]
-    l, d, r = t.shape
-    res = truncated_svd(reshape(t, (l * d, r)), spec)
-    k = res.d.shape[0]
-    tensors[c] = reshape(res.u, (l, d, k))
-    dv = _diag_times_vdag(res.d, res.v_dag)
+def _shift_right(tensors: list[DenseTensor], c: int, spec: TruncationSpec) -> np.ndarray:
+    """Left-normalize site c, absorbing D·V† into site c+1; returns the kept spectrum."""
+    l, d, r = tensors[c].shape
+    u, dv, res = _split(reshape(tensors[c], (l * d, r)), spec, "right")
+    tensors[c] = reshape(u, (l, d, u.shape[1]))
     tensors[c + 1] = contract(dv, [1], tensors[c + 1], [0])
-    return res.discarded_weight
+    return res.d
 
 
-def _shift_left(tensors: list[DenseTensor], c: int, spec: TruncationSpec) -> float:
+def _shift_left(tensors: list[DenseTensor], c: int, spec: TruncationSpec) -> None:
     """Right-normalize site c, absorbing U·D into site c-1."""
-    t = tensors[c]
-    l, d, r = t.shape
-    res = truncated_svd(reshape(t, (l, d * r)), spec)
-    k = res.d.shape[0]
-    tensors[c] = reshape(res.v_dag, (k, d, r))
-    ud = _u_times_diag(res.u, res.d)
+    l, d, r = tensors[c].shape
+    ud, vdag, _ = _split(reshape(tensors[c], (l, d * r)), spec, "left")
+    tensors[c] = reshape(vdag, (vdag.shape[0], d, r))
     tensors[c - 1] = contract(tensors[c - 1], [2], ud, [0])
-    return res.discarded_weight
 
 
 def move_center(m: MPS, target: int, spec: TruncationSpec = UNTRUNCATED) -> MPS:
     """Move the orthogonality center to ``target`` by successive SVDs.
 
-    Requires a state whose recorded center is trustworthy; states with
-    ``center=None`` must go through :func:`canonicalize` instead (measurement
-    helpers do this automatically).
+    A state with ``center=None`` is canonicalized instead, and a state whose
+    center is already ``target`` is returned as it is.
     """
     if not 0 <= target < m.n_sites:
         raise ValueError(f"target {target} out of range")
     if m.center is None:
         return canonicalize(m, target, spec)
+    if m.center == target:
+        return m
     tensors = list(m.sites)
     for c in range(m.center, target):
         _shift_right(tensors, c, spec)
@@ -273,14 +272,6 @@ def canonicalize(m: MPS, target: int, spec: TruncationSpec = UNTRUNCATED) -> MPS
     for c in range(m.n_sites - 1, target, -1):
         _shift_left(tensors, c, spec)
     return MPS(tuple(tensors), center=target, phys_dim=m.phys_dim)
-
-
-def _ensure_center(m: MPS, site: int) -> MPS:
-    if m.center is None:
-        return canonicalize(m, site)
-    if m.center != site:
-        return move_center(m, site)
-    return m
 
 
 def gauge_insert(m: MPS, bond: int, x: DenseTensor) -> MPS:
@@ -333,7 +324,7 @@ def expect_local(m: MPS, op: DenseTensor, site: int) -> complex:
         raise ValueError(f"site {site} out of range")
     if op.rank != 2 or op.shape != (m.phys_dim, m.phys_dim):
         raise ShapeMismatch(f"operator must be ({m.phys_dim}, {m.phys_dim})")
-    mc = _ensure_center(m, site)
+    mc = move_center(m, site)
     a = mc.sites[site]
     t1 = permute(contract(op, [1], a, [1]), (1, 0, 2))  # (l, phys', r)
     num = _scalar(contract(a.conj(), [0, 1, 2], t1, [0, 1, 2]))
@@ -351,7 +342,7 @@ def expect_two_site(m: MPS, op_i: DenseTensor, i: int, op_j: DenseTensor, j: int
     for name, op in (("op_i", op_i), ("op_j", op_j)):
         if op.rank != 2 or op.shape != (d, d):
             raise ShapeMismatch(f"{name} must be ({d}, {d})")
-    mc = _ensure_center(m, i)
+    mc = move_center(m, i)
     a = mc.sites[i]
     t1 = permute(contract(op_i, [1], a, [1]), (1, 0, 2))  # (l, phys', r)
     env = contract(a.conj(), [0, 1], t1, [0, 1])  # (bra r, ket r)
@@ -383,45 +374,51 @@ def apply_two_site_gate(
     """
     if not 0 <= site < m.n_sites - 1:
         raise ValueError(f"gate needs sites ({site}, {site + 1}) in range")
-    d = m.phys_dim
+    g4 = _gate_tensor(gate, m.phys_dim, direction)
+    tensors = list(move_center(m, site if direction == "right" else site + 1).sites)
+    disc = _gate_pair(tensors, g4, site, spec, direction)
+    center = site + 1 if direction == "right" else site
+    return MPS(tuple(tensors), center=center, phys_dim=m.phys_dim), disc
+
+
+def _gate_tensor(gate: DenseTensor, d: int, direction: str) -> DenseTensor:
+    """Check a (d^2, d^2) gate and a sweep direction; the gate as (si', sj', si, sj)."""
     if gate.rank != 2 or gate.shape != (d * d, d * d):
         raise ShapeMismatch(f"gate must be ({d * d}, {d * d}), got {gate.shape}")
     if direction not in ("right", "left"):
         raise ValueError(f"direction must be 'right' or 'left', got {direction!r}")
-    mc = _ensure_center(m, site if direction == "right" else site + 1)
-    a, b = mc.sites[site], mc.sites[site + 1]
-    l, r = a.shape[0], b.shape[2]
+    return reshape(gate, (d, d, d, d))
+
+
+def _gate_pair(
+    tensors: list[DenseTensor], g4: DenseTensor, site: int, spec: TruncationSpec, direction: str
+) -> float:
+    """Gate sites (site, site+1) of ``tensors`` in place; returns the discarded weight.
+
+    The center must already be on the pair; the split leaves it on the
+    ``direction`` side.
+    """
+    a, b = tensors[site], tensors[site + 1]
+    l, d, r = a.shape[0], a.shape[1], b.shape[2]
     theta = contract(a, [2], b, [0])  # (l, si, sj, r)
-    g4 = reshape(gate, (d, d, d, d))  # (si', sj', si, sj)
     theta = permute(contract(g4, [2, 3], theta, [1, 2]), (2, 0, 1, 3))
-    res = truncated_svd(reshape(theta, (l * d, d * r)), spec)
+    left, right, res = _split(reshape(theta, (l * d, d * r)), spec, direction)
     k = res.d.shape[0]
-    tensors = list(mc.sites)
-    if direction == "right":
-        tensors[site] = reshape(res.u, (l, d, k))
-        tensors[site + 1] = reshape(_diag_times_vdag(res.d, res.v_dag), (k, d, r))
-        center = site + 1
-    else:
-        tensors[site] = reshape(_u_times_diag(res.u, res.d), (l, d, k))
-        tensors[site + 1] = reshape(res.v_dag, (k, d, r))
-        center = site
-    return (
-        MPS(tuple(tensors), center=center, phys_dim=m.phys_dim),
-        res.discarded_weight,
-    )
+    tensors[site] = reshape(left, (l, d, k))
+    tensors[site + 1] = reshape(right, (k, d, r))
+    return res.discarded_weight
 
 
 def bond_entropies(m: MPS, normalize: bool = True) -> list[float]:
-    """Entanglement entropy across each of the N-1 internal links."""
-    out = []
-    state = m
-    for b in range(m.n_sites - 1):
-        state = _ensure_center(state, b)
-        t = state.sites[b]
-        l, d, r = t.shape
-        res = truncated_svd(reshape(t, (l * d, r)), UNTRUNCATED)
-        out.append(entanglement_entropy(res.d, normalize=normalize))
-    return out
+    """Entanglement entropy across each of the N-1 internal links.
+
+    Each spectrum comes from the SVD that moves the center one bond right.
+    """
+    tensors = list(move_center(m, 0).sites)
+    return [
+        entanglement_entropy(_shift_right(tensors, b, UNTRUNCATED), normalize=normalize)
+        for b in range(m.n_sites - 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +450,7 @@ def correlation_length(m: MPS) -> CorrelationReport:
     diagonalized. A square bulk tensor is required; for a chi=1 (product)
     state the report is flagged zero-range instead of raising.
     """
-    mc = _ensure_center(m, m.n_sites - 1)
+    mc = move_center(m, m.n_sites - 1)
     mid = m.n_sites // 2
     # prefer the mid-chain tensor; fall back to the nearest square one
     order = sorted(range(m.n_sites), key=lambda s: (abs(s - mid), s))

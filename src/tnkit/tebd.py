@@ -23,12 +23,7 @@ import numpy as np
 from .decomp import UNTRUNCATED, TruncationSpec, eig_hermitian
 from .errors import ShapeMismatch, UnsupportedModel
 from .mpo import MPO, SM, SP, SZ, build_heisenberg, build_ising_nn, mpo_expectation, two_site_matrix
-from .mps import (
-    MPS,
-    apply_two_site_gate,
-    norm_squared,
-    product_mps,
-)
+from .mps import MPS, _gate_pair, _gate_tensor, move_center, norm_squared, product_mps
 from .tensors import DenseTensor, contract, scale
 
 _UP = np.array([1.0, 0.0])
@@ -75,17 +70,21 @@ def sweep(
     spec: TruncationSpec = UNTRUNCATED,
     direction: str = "right",
 ) -> tuple[MPS, float]:
-    """Apply one gate per bond in sweep order; returns max discarded weight."""
-    if direction not in ("right", "left"):
-        raise ValueError(f"direction must be 'right' or 'left', got {direction!r}")
-    bonds = range(state.n_sites - 1)
-    if direction == "left":
-        bonds = reversed(bonds)
+    """Apply one gate per bond in sweep order; returns max discarded weight.
+
+    Equal to successive :func:`~tnkit.mps.apply_two_site_gate` calls: the
+    center moves to the first bond once, every bond is updated in place on a
+    private site list, and one MPS is built at the end.
+    """
+    g4 = _gate_tensor(gate, state.phys_dim, direction)
+    n = state.n_sites
+    bonds = range(n - 1) if direction == "right" else range(n - 2, -1, -1)
+    first, last = (0, n - 1) if direction == "right" else (n - 1, 0)
+    tensors = list(move_center(state, first).sites)
     worst = 0.0
     for b in bonds:
-        state, disc = apply_two_site_gate(state, gate, b, spec, direction)
-        worst = max(worst, disc)
-    return state, worst
+        worst = max(worst, _gate_pair(tensors, g4, b, spec, direction))
+    return MPS(tuple(tensors), center=last, phys_dim=state.phys_dim), worst
 
 
 def measure_energy(state: MPS, h: MPO) -> float:

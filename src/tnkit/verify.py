@@ -8,7 +8,7 @@ and compares the library result at a fixed tolerance. The functions return a
 (``python3 -m tnkit.verify``).
 
 Checks are grouped into suites: ``core`` (decomposition/contraction layer),
-``mps``, ``tebd``, ``trg``, and ``all``.
+``mps``, ``tebd``, ``trg``, ``ed``, and ``all``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .decomp import (
     svd,
     truncated_svd,
 )
-from .ed import solve_dense
+from .ed import solve_dense, solve_iterative
 from .mpo import (
     SZ,
     build_exp_decay,
@@ -233,6 +233,20 @@ def check_mpo_kron_oracle() -> CriterionResult:
     return _result("mpo_kron_oracle", t0, ok, f"4 models, n<=8: max|dev|={worst:.2e}, exp-decay spots {spot:.2e}")
 
 
+def check_ed_iterative() -> CriterionResult:
+    """Block Lanczos on degenerate spectra vs Kronecker-sum eigenvalues."""
+    t0 = time.time()
+    cases = [(build_ising_nnn(7, 1.0, 0.5), ("ising_nnn", 7, {"j1": 1.0, "j2": 0.5}), k, 5) for k in (3, 4)]
+    cases += [(build_heisenberg(6, 1.0), ("heisenberg", 6, {"j": 1.0}), 3, seed) for seed in range(6)]
+    cases.append((build_heisenberg(8, -1.0), ("heisenberg", 8, {"j": -1.0}), 3, 7))
+    worst = 0.0
+    for op, (model, n, kw), k, seed in cases:
+        ref = np.linalg.eigvalsh(_oracle_hamiltonian(model, n, **kw))[:k]
+        got = solve_iterative(op, n_states=k, seed=seed).energies
+        worst = max(worst, float(np.max(np.abs(got - ref))))
+    return _result("ed_iterative", t0, worst < 1e-9, f"{len(cases)} degenerate cases: max|dE|={worst:.2e}")
+
+
 def check_tebd_heisenberg_energy() -> CriterionResult:
     """Imaginary-time ground state of the N=10 antiferromagnet vs dense ED."""
     t0 = time.time()
@@ -404,6 +418,7 @@ CHECKS = {
     "correlation_length": check_correlation_length_fit,
     "mera_optimality": check_mera_trace_optimality,
     "contraction_oracle": check_contraction_oracle,
+    "ed_iterative": check_ed_iterative,
 }
 
 SUITES = {
@@ -411,6 +426,7 @@ SUITES = {
     "mps": ["mps_roundtrip", "gauge_invariance", "mpo_kron_oracle"],
     "tebd": ["tebd_ground_energy", "trotter_order", "correlation_length"],
     "trg": ["trg_torus_exactness"],
+    "ed": ["ed_iterative"],
     "all": list(CHECKS),
 }
 

@@ -67,5 +67,9 @@ def test_contraction_oracle(capsys):
     _run("contraction_oracle", capsys)
 
 
+def test_ed_iterative(capsys):
+    _run("ed_iterative", capsys)
+
+
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])

@@ -134,6 +134,22 @@ def test_iterative_resolves_degenerate_triplet():
     )
 
 
+@pytest.mark.parametrize(
+    "op, n_states, seed",
+    [(build_ising_nnn(7, j1=1.0, j2=0.5), k, 5) for k in (3, 4)]
+    + [(build_heisenberg(6, j=1.0), 3, seed) for seed in range(6)],
+)
+def test_iterative_stays_variational_on_degenerate_spectra(op, n_states, seed):
+    # degenerate multiplets make block residuals nearly dependent; a basis
+    # that loses orthogonality there yields energies far below the spectrum
+    ref = solve_dense(op, n_states=n_states).energies
+    got = solve_iterative(op, n_states=n_states, seed=seed)
+    np.testing.assert_allclose(got.energies, ref, atol=1e-9, rtol=0)
+    assert np.all(got.energies >= ref - 1e-10)
+    v = got.vectors
+    np.testing.assert_allclose(v.conj().T @ v, np.eye(n_states), atol=1e-10)
+
+
 def test_iterative_vectors_satisfy_eigenvalue_equation():
     op = build_ising_nnn(7, j1=0.8, j2=0.3)
     got = solve_iterative(op, n_states=2)

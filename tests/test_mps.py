@@ -17,6 +17,7 @@ from tnkit import (
     canonicalize,
     connected_correlation,
     correlation_length,
+    entanglement_entropy,
     expect_local,
     expect_two_site,
     fit_exponential_decay,
@@ -104,6 +105,7 @@ def test_move_center_preserves_the_state(rng):
         m = move_center(m, target)
         assert m.center == target
         np.testing.assert_allclose(to_state_vector(m), psi, atol=1e-10)
+    assert move_center(m, 2) is m  # already there: no SVD, no new state
 
 
 def test_canonicalize_left_right_isometries(rng):
@@ -213,6 +215,18 @@ def test_bond_entropies_of_ghz():
     vec[0] = vec[-1] = 1 / np.sqrt(2)
     m = mps_from_state_vector(vec, 2)
     np.testing.assert_allclose(bond_entropies(m), np.ones(5), atol=1e-12)
+
+
+def test_bond_entropies_match_dense_schmidt_spectra(rng):
+    n = 6
+    psi = random_state(rng, n)
+    m = move_center(mps_from_state_vector(psi, 2), 3)
+    # bond b cuts sites 0..b (the fast index) from b+1..n-1
+    ref = [
+        entanglement_entropy(np.linalg.svd(psi.reshape(2 ** (b + 1), -1, order="F"), compute_uv=False))
+        for b in range(n - 1)
+    ]
+    np.testing.assert_allclose(bond_entropies(m), ref, atol=1e-12)
 
 
 def test_correlation_length_of_hand_built_uniform_mps():

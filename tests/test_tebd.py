@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from conftest import dense_hamiltonian
 from tnkit import (
     TruncationSpec,
+    apply_two_site_gate,
     bond_gate,
     build_heisenberg,
     build_ising_nn,
@@ -20,6 +21,7 @@ from tnkit import (
     pair_hamiltonian,
     solve_dense,
     solve_iterative,
+    sweep,
     to_state_vector,
 )
 from tnkit.errors import UnsupportedModel
@@ -73,6 +75,26 @@ def test_initial_states():
     np.testing.assert_allclose(neel, want)
     plus = to_state_vector(initial_product_state("ising_nn", 3))
     np.testing.assert_allclose(plus, np.full(8, 2.0**-1.5), atol=1e-14)
+
+
+@pytest.mark.parametrize("direction", ["right", "left"])
+def test_sweep_equals_successive_gate_applications(direction):
+    n = 8
+    psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    state = mps_from_state_vector(psi / np.linalg.norm(psi), 2)
+    gate = bond_gate("heisenberg", -1.0, 0.3, "real")
+    spec = TruncationSpec(chi_max=4)
+    got, worst = sweep(state, gate, spec, direction)
+
+    ref, ref_worst = state, 0.0
+    bonds = range(n - 1) if direction == "right" else reversed(range(n - 1))
+    for b in bonds:
+        ref, disc = apply_two_site_gate(ref, gate, b, spec, direction)
+        ref_worst = max(ref_worst, disc)
+    assert ref_worst > 0.0  # the spec truncates
+    assert worst == pytest.approx(ref_worst, rel=1e-12, abs=0.0)
+    assert got.center == ref.center
+    np.testing.assert_allclose(to_state_vector(got), to_state_vector(ref), atol=1e-12)
 
 
 def test_ising_ferromagnet_converges_to_aligned_energy():
