@@ -5,7 +5,8 @@ experiment is a single archivable file; the only flags are ``--config`` plus
 ``--output``/``--seed`` overrides. Every run emits one ResultRecord — command
 echo, fully resolved config (defaults filled in), a metrics map, wall time,
 and the library version — written atomically (temp file + rename), or streamed
-to stdout when the output path is ``-``.
+to stdout when the output path is ``-``. JSON records are strict: non-finite
+floats (an infinite correlation length) are written as ``null``.
 
 Exit codes: 0 success (including TEBD runs that merely failed to converge —
 the flag is data), 1 usage, 2 config validation, 3 numerical failure,
@@ -21,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -344,8 +346,10 @@ def _run_trg(cfg: dict):
     alg = cfg["algorithm"]
     spec = TruncationSpec(chi_max=alg["chi_max"], cutoff=alg["cutoff"])
     rows = []
+    max_weights = []
     for beta in alg["beta_grid"]:
         rep = free_energy_per_site(beta, alg["j"], steps=alg["steps"], spec=spec)
+        max_weights.append(max(max(w) for w in rep.discarded_weights))
         rows.append(
             {
                 "beta": beta,
@@ -360,6 +364,7 @@ def _run_trg(cfg: dict):
         "beta_grid": alg["beta_grid"],
         "lnz_per_site": [r["lnz_per_site"] for r in rows],
         "f": [r["f"] for r in rows],
+        "max_discarded_weight": max_weights,
     }
     return metrics, rows, ("beta", "j", "steps", "chi_max", "lnz_per_site", "f")
 
@@ -471,7 +476,7 @@ def run(cfg: dict) -> dict:
     }
     out = cfg["output"]
     if out["format"] == "json":
-        _emit(json.dumps(record, indent=2, sort_keys=True) + "\n", out["path"])
+        _emit(json.dumps(_finite_or_null(record), indent=2, sort_keys=True, allow_nan=False) + "\n", out["path"])
     else:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(columns), lineterminator="\n")
@@ -479,6 +484,21 @@ def run(cfg: dict) -> dict:
         writer.writerows(rows)
         _emit(buf.getvalue(), out["path"])
     return record
+
+
+def _finite_or_null(value):
+    """Copy of a record with every non-finite float replaced by None.
+
+    JSON has no infinity or NaN; correlation lengths are legitimately
+    infinite, and they are written as null.
+    """
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 def _emit(text: str, path: str) -> None:

@@ -8,12 +8,29 @@ faces share one spin index, so the tensors tile a 45-degree-rotated square
 lattice with the usual rule: r joins the right neighbor's l, u joins the
 upper neighbor's d.
 
+The network runs in the Z2 parity basis. The starting tensor is rotated by
+the Hadamard matrix H = [[1, 1], [1, -1]]/sqrt(2) on all four legs, so index 0
+is the spin-flip-even and index 1 the odd combination of the two spin states.
+H is symmetric and H^2 = 1, so every bond between two rotated legs (and the
+self-traced legs of the torus closure) still carries the identity: Z and the
+torus trace are unchanged. Since the weights are invariant under flipping all
+spins, the rotated tensor vanishes unless the parities of its four legs add
+up to even; the odd entries are set to exactly zero.
+
 One coarsening step splits every tensor by SVD — (d,l)|(u,r) on one
 sublattice, (u,l)|(d,r) on the other, absorbing sqrt of the singular values
 into both halves — and contracts the four corner pieces around every other
 plaquette into a new tensor. The new legs are the SVD link indices and point
 along the diagonals, so the coarse network is again a square lattice of the
 same kind with half as many tensors (each covering twice the spins).
+
+Because the tensor is parity-even, each split matrix is block-diagonal once
+its rows and columns are grouped by parity. Each step therefore computes the
+SVDs of the even and the odd block, merges the two spectra in descending
+order and cuts the merged spectrum with ``decomp.select_rank``: the kept
+values, the cutoff and the degeneracy rule are those of the full SVD, at
+about a quarter of its cost. Each kept link inherits its block's parity, so
+the coarse tensor is parity-even again and its odd entries stay exactly zero.
 
 Running tensors are kept normalized to unit max-entry; the peeled-off scale
 factors accumulate directly into ln(Z) per spin. Closing the network as a
@@ -22,8 +39,7 @@ the exact partition function of a 2^(k+1)-spin periodic patch; odd k
 corresponds to the axis-aligned L x L torus with L = 2^((k+1)/2), which is
 what the brute-force reference below enumerates.
 
-All tensors stay real float64: the weights are positive, so no complex
-arithmetic ever enters.
+All tensors stay real float64; no complex arithmetic ever enters.
 """
 
 from __future__ import annotations
@@ -33,11 +49,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import TruncationSpec, truncated_svd
+from .decomp import TruncationSpec, select_rank, svd
 from .errors import BadBeta, NumericalFailure, TooLarge
 from .tensors import DenseTensor
 
 _BRUTE_SPIN_CAP = 20
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+_SPIN_PARITY = np.array([0, 1], dtype=np.int8)  # of the Hadamard-rotated spin index
+
+
+def _plaquette_exponent(beta: float, j: float) -> np.ndarray:
+    """bJ(su+sd)(sl+sr) over the 16 corner-spin configurations of a face."""
+    if not (beta > 0.0) or not math.isfinite(beta):
+        raise BadBeta(f"inverse temperature must be positive and finite, got {beta}")
+    if not math.isfinite(j):
+        raise BadBeta(f"coupling must be finite, got {j}")
+    s = np.array([1.0, -1.0])
+    pair_sum = np.add.outer(s, s)  # [u, d] -> su + sd, and likewise for l, r
+    return beta * j * pair_sum[:, None, :, None] * pair_sum[None, :, None, :]
 
 
 def ising_plaquette_tensor(beta: float, j: float = 1.0) -> DenseTensor:
@@ -47,28 +76,30 @@ def ising_plaquette_tensor(beta: float, j: float = 1.0) -> DenseTensor:
     boundary-bond terms su*sl + sl*sd + sd*sr + sr*su, which makes the
     invariance under cyclic leg rotation explicit.
     """
-    if not (beta > 0.0) or not math.isfinite(beta):
-        raise BadBeta(f"inverse temperature must be positive and finite, got {beta}")
-    if not math.isfinite(j):
-        raise BadBeta(f"coupling must be finite, got {j}")
-    s = np.array([1.0, -1.0])
-    pair_sum = np.add.outer(s, s)  # [u, d] -> su + sd, and likewise for l, r
-    t = np.exp(beta * j * pair_sum[:, None, :, None] * pair_sum[None, :, None, :])
-    return DenseTensor._wrap(t)
+    return DenseTensor._wrap(np.exp(_plaquette_exponent(beta, j)))
 
 
 @dataclass(frozen=True)
 class TRGState:
-    """Coarse tensor plus the scale bookkeeping.
+    """Coarse tensor plus the scale and parity bookkeeping.
 
-    tensor : current rank-4 tensor, normalized to unit max entry.
+    tensor : current rank-4 tensor in the parity basis, normalized to unit
+        max entry; exactly zero wherever its four leg parities add up to odd.
     log_norm_per_site : accumulated ln of peeled scale factors, per spin.
     step : number of coarsening steps taken so far.
+    parity_ud, parity_lr : Z2 parity (0 even, 1 odd) of each index of the
+        u/d legs and of the l/r legs.
+    discarded_weight : absolute weight (sum of dropped lambda^2) cut from the
+        A split and the B split by the step that made this tensor, in units
+        of the normalized tensor it split; (0, 0) for the starting tensor.
     """
 
     tensor: DenseTensor
     log_norm_per_site: float
     step: int
+    parity_ud: np.ndarray
+    parity_lr: np.ndarray
+    discarded_weight: tuple[float, float] = (0.0, 0.0)
 
     @property
     def sites_per_tensor(self) -> int:
@@ -76,21 +107,59 @@ class TRGState:
 
 
 def initial_state(beta: float, j: float = 1.0) -> TRGState:
-    """Normalized starting network for the given temperature and coupling."""
-    raw = ising_plaquette_tensor(beta, j).to_ndarray()
-    c = float(np.abs(raw).max())
+    """Normalized starting network, in the parity basis.
+
+    The largest exponent 4b|J| is taken out before exponentiating, so the
+    weights stay finite at any beta; it goes straight into the log norm.
+    """
+    expo = _plaquette_exponent(beta, j)
+    peak = float(expo.max())
+    h = _HADAMARD
+    rotated = np.einsum("ia,jb,kc,ld,abcd->ijkl", h, h, h, h, np.exp(expo - peak))
+    rotated[np.indices(rotated.shape).sum(axis=0) % 2 == 1] = 0.0  # index 1 is odd on every leg
+    c = float(np.abs(rotated).max())
     return TRGState(
-        tensor=DenseTensor._wrap(raw / c),
-        log_norm_per_site=math.log(c) / 2.0,
+        tensor=DenseTensor._wrap(rotated / c),
+        log_norm_per_site=(peak + math.log(c)) / 2.0,
         step=0,
+        parity_ud=_SPIN_PARITY,
+        parity_lr=_SPIN_PARITY,
     )
 
 
-def _split(mat: np.ndarray, spec: TruncationSpec) -> tuple[np.ndarray, np.ndarray]:
-    """SVD split with sqrt(d) absorbed into both halves."""
-    res = truncated_svd(DenseTensor._wrap(mat), spec)
-    root = np.sqrt(res.d)
-    return res.u.to_ndarray() * root[None, :], root[:, None] * res.v_dag.to_ndarray()
+def _split(
+    mat: np.ndarray, parity: np.ndarray, spec: TruncationSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Truncated SVD split of a parity-block-diagonal square matrix.
+
+    ``parity`` labels the rows and, identically, the columns; ``mat`` is zero
+    between rows and columns of different parity. Returns the left piece
+    U sqrt(d), the right piece sqrt(d) V†, the parity of each kept link, and
+    the absolute discarded weight.
+    """
+    sectors = []
+    for p in (0, 1):
+        idx = np.flatnonzero(parity == p)
+        if idx.size:
+            sectors.append((p, idx, svd(DenseTensor._wrap(mat[np.ix_(idx, idx)]))))
+    d = np.concatenate([res.d for _, _, res in sectors])
+    order = np.argsort(-d, kind="stable")
+    k = select_rank(d[order], spec)
+    kept = order[:k]
+    left = np.zeros((mat.shape[0], k))
+    right = np.zeros((k, mat.shape[1]))
+    link_parity = np.empty(k, dtype=np.int8)
+    offset = 0
+    for p, idx, res in sectors:
+        n = res.d.shape[0]
+        slot = np.flatnonzero((kept >= offset) & (kept < offset + n))
+        local = kept[slot] - offset
+        root = np.sqrt(res.d[local])
+        left[np.ix_(idx, slot)] = res.u.to_ndarray()[:, local] * root[None, :]
+        right[np.ix_(slot, idx)] = root[:, None] * res.v_dag.to_ndarray()[local, :]
+        link_parity[slot] = p
+        offset += n
+    return left, right, link_parity, float(np.sum(d[order[k:]] ** 2))
 
 
 def trg_step(state: TRGState, spec: TruncationSpec) -> TRGState:
@@ -105,16 +174,19 @@ def trg_step(state: TRGState, spec: TruncationSpec) -> TRGState:
 
     produces the coarse tensor; u/d inherit the A-split link, l/r the
     B-split link, so the result is again a valid (u,l,d,r) network tensor.
+    Both splits pair one u/d leg with one l/r leg on each side, so one
+    parity vector labels the rows and the columns of both split matrices.
     """
     arr = state.tensor.to_ndarray()
     cu, cl, cd, cr = arr.shape
+    pair_parity = (state.parity_ud[:, None] ^ state.parity_lr[None, :]).ravel()
     m1 = arr.transpose(2, 1, 0, 3).reshape(cd * cl, cu * cr)
-    s1, s2 = _split(m1, spec)
+    s1, s2, p_ud, w1 = _split(m1, pair_parity, spec)
     k1 = s1.shape[1]
     s1 = s1.reshape(cd, cl, k1)
     s2 = s2.reshape(k1, cu, cr)
     m2 = arr.reshape(cu * cl, cd * cr)
-    s3, s4 = _split(m2, spec)
+    s3, s4, p_lr, w2 = _split(m2, pair_parity, spec)
     k2 = s3.shape[1]
     s3 = s3.reshape(cu, cl, k2)
     s4 = s4.reshape(k2, cd, cr)
@@ -132,6 +204,9 @@ def trg_step(state: TRGState, spec: TruncationSpec) -> TRGState:
         tensor=DenseTensor._wrap(new / c),
         log_norm_per_site=state.log_norm_per_site + math.log(c) / spt_new,
         step=state.step + 1,
+        parity_ud=p_ud,
+        parity_lr=p_lr,
+        discarded_weight=(w1, w2),
     )
 
 
@@ -150,6 +225,8 @@ class TRGReport:
     lnz_per_site : ln of the partition function per spin at closure.
     f : free energy per spin, -lnz_per_site / beta.
     chi_history : (A-split rank, B-split rank) per step.
+    discarded_weights : (A-split, B-split) absolute discarded weight per step,
+        each in units of the normalized tensor that step split.
     """
 
     beta: float
@@ -158,6 +235,7 @@ class TRGReport:
     lnz_per_site: float
     f: float
     chi_history: tuple[tuple[int, int], ...]
+    discarded_weights: tuple[tuple[float, float], ...]
 
 
 def free_energy_per_site(
@@ -174,10 +252,12 @@ def free_energy_per_site(
     """
     state = initial_state(beta, j)
     chis: list[tuple[int, int]] = []
+    weights: list[tuple[float, float]] = []
     for _ in range(steps):
         state = trg_step(state, spec)
         t = state.tensor
         chis.append((t.shape[0], t.shape[1]))
+        weights.append(state.discarded_weight)
     lnz = close_torus(state)
     return TRGReport(
         beta=beta,
@@ -186,6 +266,7 @@ def free_energy_per_site(
         lnz_per_site=lnz,
         f=-lnz / beta,
         chi_history=tuple(chis),
+        discarded_weights=tuple(weights),
     )
 
 

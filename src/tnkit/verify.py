@@ -48,7 +48,7 @@ from .mps import (
 )
 from .tebd import evolve_real_time, find_ground_state
 from .tensors import DenseTensor, contract, contract_flops
-from .trg import TRGState, brute_force_lnz, close_torus, free_energy_per_site, initial_state, trg_step
+from .trg import brute_force_lnz, close_torus, free_energy_per_site, initial_state, trg_step
 
 
 @dataclass(frozen=True)

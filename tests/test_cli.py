@@ -1,12 +1,15 @@
 """Config parsing, experiment execution, output files, and exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from tnkit import cli
 from tnkit.cli import load_record, main, parse_config, run
 from tnkit.errors import ParseError, ValidationError
+from tnkit.mps import CorrelationReport
 
 ED_CFG = {"command": "ed", "model": {"model": "heisenberg", "n": 4, "j": -1.0}}
 
@@ -202,6 +205,36 @@ def test_corr_command_round_trip(tmp_path):
     assert [int(r["x"]) for r in rows] == list(range(1, 9))
     vals = [abs(float(r["connected_szsz"])) for r in rows]
     assert vals == sorted(vals, reverse=True)  # correlations decay with distance
+
+
+def test_trg_record_reports_the_truncation_per_beta():
+    cfg = {"command": "trg", "algorithm": {"beta_grid": [0.2, 0.44], "steps": 2, "chi_max": 64, "cutoff": 0.0}}
+    assert run(parse_config(json.dumps(cfg)))["metrics"]["max_discarded_weight"] == [0.0, 0.0]
+    cfg["algorithm"].update(steps=6, chi_max=8)
+    weights = run(parse_config(json.dumps(cfg)))["metrics"]["max_discarded_weight"]
+    assert len(weights) == 2 and weights[1] > 0.0
+
+
+def test_json_records_are_strict_and_write_infinite_lengths_as_null(tmp_path, monkeypatch):
+    # a degenerate leading transfer-matrix pair and a non-decaying fit both give xi = inf
+    monkeypatch.setattr(cli, "correlation_length", lambda m: CorrelationReport(xi=math.inf, transfer_eigs=np.ones(2)))
+    monkeypatch.setattr(cli, "fit_exponential_decay", lambda xs, cs: (math.inf, 0.0))
+    out = tmp_path / "c.json"
+    cfg = {
+        "command": "corr",
+        "model": {"model": "ising_nn", "n": 8},
+        "algorithm": {"chi_max": 4, "fit_range": [1, 3]},
+        "output": {"path": str(out), "format": "json"},
+    }
+    assert main(["--config", write_cfg(tmp_path, cfg)]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    rec = json.loads(out.read_text(), parse_constant=reject)
+    assert rec["metrics"]["xi_transfer"] is None
+    assert rec["metrics"]["xi_fit"] is None
+    assert np.isfinite(rec["metrics"]["energy"])
 
 
 def test_verify_command_runs_a_suite(tmp_path, capsys):

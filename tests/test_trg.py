@@ -1,12 +1,13 @@
 """Plaquette coarse-graining against enumeration and the analytic solution."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from tnkit import TruncationSpec
+from tnkit import UNTRUNCATED, DenseTensor, TruncationSpec, truncated_svd
 from tnkit.errors import BadBeta, TooLarge
 from tnkit.trg import (
     brute_force_lnz,
@@ -18,6 +19,34 @@ from tnkit.trg import (
 )
 
 EXACT = TruncationSpec(cutoff=1e-24)  # keep everything except true zeros
+
+
+def spin_basis_lnz(beta, j, steps, spec):
+    """Reference TRG without parity blocks: one full truncated SVD per split.
+
+    Returns (ln Z per spin, chi_history) of the same coarsening written in
+    the spin basis, as in the docstring of ``trg_step``.
+    """
+
+    def split(mat):
+        res = truncated_svd(DenseTensor._wrap(mat), spec)
+        root = np.sqrt(res.d)
+        return res.u.to_ndarray() * root, root[:, None] * res.v_dag.to_ndarray()
+
+    t = ising_plaquette_tensor(beta, j).to_ndarray()
+    log_norm, chis = np.log(np.abs(t).max()) / 2, []
+    t = t / np.abs(t).max()
+    for step in range(steps):
+        cu, cl, cd, cr = t.shape
+        s1, s2 = split(t.transpose(2, 1, 0, 3).reshape(cd * cl, cu * cr))
+        s3, s4 = split(t.reshape(cu * cl, cd * cr))
+        k1, k2 = s1.shape[1], s3.shape[1]
+        pieces = (s2.reshape(k1, cu, cr), s4.reshape(k2, cd, cr), s1.reshape(cd, cl, k1), s3.reshape(cu, cl, k2))
+        t = np.einsum("dab,lae,ceu,cbr->uldr", *pieces, optimize=True)
+        log_norm += np.log(np.abs(t).max()) / 2 ** (step + 2)
+        t = t / np.abs(t).max()
+        chis.append((k1, k2))
+    return log_norm + np.log(np.einsum("abab->", t)) / 2 ** (steps + 1), tuple(chis)
 
 
 def onsager_lnz_per_site(beta, j=1.0):
@@ -86,13 +115,59 @@ def test_closing_before_any_steps_gives_the_two_spin_ring():
 
 def test_untruncated_steps_reproduce_small_tori_exactly():
     # odd step counts close to square tori: 1 step -> 2x2, 3 steps -> 4x4
-    for beta in (0.2, 0.44, 0.8):
-        state = initial_state(beta)
+    for beta, j in itertools.product((0.2, 0.44, 0.8), (1.0, -1.0)):
+        state = initial_state(beta, j)
         state = trg_step(state, EXACT)
         assert state.step == 1
-        np.testing.assert_allclose(close_torus(state), brute_force_lnz(beta, 1.0, 2, 2) / 4.0, atol=1e-10)
+        np.testing.assert_allclose(close_torus(state), brute_force_lnz(beta, j, 2, 2) / 4.0, atol=1e-10)
         state = trg_step(trg_step(state, EXACT), EXACT)
-        np.testing.assert_allclose(close_torus(state), brute_force_lnz(beta, 1.0, 4, 4) / 16.0, atol=1e-10)
+        np.testing.assert_allclose(close_torus(state), brute_force_lnz(beta, j, 4, 4) / 16.0, atol=1e-10)
+
+
+def test_large_beta_does_not_overflow():
+    # exp(4 beta |J|) is inf for beta |J| above ~177; it is peeled off first
+    for j in (1.0, -1.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = trg_step(initial_state(200.0, j), EXACT)
+            np.testing.assert_allclose(close_torus(state), brute_force_lnz(200.0, j, 2, 2) / 4.0, atol=1e-10)
+            rep = free_energy_per_site(200.0, j, steps=3, spec=EXACT)
+        np.testing.assert_allclose(rep.lnz_per_site, brute_force_lnz(200.0, j, 4, 4) / 16.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("j", [1.0, -0.7])
+@pytest.mark.parametrize("chi", [8, 32])
+@pytest.mark.parametrize("beta", [0.2, 0.44, 0.8])
+def test_parity_blocks_match_the_spin_basis_reference(beta, chi, j):
+    spec = TruncationSpec(chi_max=chi, cutoff=1e-12)
+    rep = free_energy_per_site(beta, j, steps=6, spec=spec)
+    lnz, chis = spin_basis_lnz(beta, j, 6, spec)
+    assert rep.chi_history == chis
+    assert abs(rep.lnz_per_site - lnz) < 1e-12
+
+
+def test_coarse_tensors_vanish_off_the_even_sectors():
+    state = initial_state(0.44, -0.7)
+    for _ in range(6):
+        t = state.tensor.to_ndarray()
+        p_ud, p_lr = state.parity_ud, state.parity_lr
+        assert t.shape == (p_ud.size, p_lr.size, p_ud.size, p_lr.size)
+        odd = p_ud[:, None, None, None] ^ p_lr[None, :, None, None] ^ p_ud[None, None, :, None] ^ p_lr[None, None, None, :]
+        assert np.all(t[odd == 1] == 0.0)
+        assert np.any(t[odd == 0] != 0.0)
+        state = trg_step(state, TruncationSpec(chi_max=8, cutoff=1e-12))
+
+
+def test_discarded_weight_per_step():
+    assert free_energy_per_site(0.44, 1.0, steps=2, spec=UNTRUNCATED).discarded_weights == ((0.0, 0.0),) * 2
+    # EXACT drops only the rounding-level values of rank-deficient split matrices
+    exact = free_energy_per_site(0.44, 1.0, steps=3, spec=EXACT)
+    assert len(exact.discarded_weights) == 3
+    assert max(max(pair) for pair in exact.discarded_weights) < 1e-28
+    cut = free_energy_per_site(0.44, 1.0, steps=6, spec=TruncationSpec(chi_max=8, cutoff=1e-12))
+    assert len(cut.discarded_weights) == 6
+    assert all(w >= 0.0 for pair in cut.discarded_weights for w in pair)
+    assert max(max(pair) for pair in cut.discarded_weights) > 0.0
 
 
 def test_report_metadata():
