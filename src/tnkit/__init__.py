@@ -2,8 +2,12 @@
 
 Conventions that hold package-wide:
 
-* Dense tensors hold one read-only ndarray of any inexact dtype; wherever
-  they meet a flat vector, the first index is the fastest.
+* MPS and MPO site tensors, gates and SVD/eig factors are read-only numpy
+  arrays of any inexact dtype, and the algorithms call numpy on them
+  directly. :class:`DenseTensor` with ``reshape``, ``permute``, ``contract``
+  and ``contract_flops`` is the validated tutorial API of the four basic
+  operations. Wherever a tensor meets a flat vector, the first index is the
+  fastest.
 * Many-site state vectors put site 0 on the fastest index (little-endian).
 * Truncation is controlled everywhere by one :class:`TruncationSpec`.
 """
@@ -100,15 +104,10 @@ from .tebd import (
 )
 from .tensors import (
     DenseTensor,
-    add,
     contract,
     contract_flops,
-    direct_sum,
-    frobenius_norm,
-    kron,
     permute,
     reshape,
-    scale,
 )
 from .trg import (
     TRGReport,

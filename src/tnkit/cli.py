@@ -52,7 +52,6 @@ from .mps import (
     random_mps,
 )
 from .tebd import evolve_real_time, find_ground_state, initial_product_state
-from .tensors import DenseTensor
 from .trg import free_energy_per_site
 from .verify import SUITES, run_suite
 
@@ -418,10 +417,9 @@ def _run_corr(cfg: dict):
     )
     report = correlation_length(rep.state)
     x_min, x_max = alg["fit_range"]
-    sz = DenseTensor.from_ndarray(SZ)
     i0 = model["n"] // 2 - (x_max + 1) // 2
     xs = list(range(x_min, x_max + 1))
-    cs = [connected_correlation(rep.state, sz, i0, i0 + x) for x in xs]
+    cs = [connected_correlation(rep.state, SZ, i0, i0 + x) for x in xs]
     xi_fit, log_amp = fit_exponential_decay(np.array(xs), np.array(cs))
     metrics = {
         "converged": bool(rep.converged),

@@ -1,7 +1,8 @@
 """Matrix decompositions, truncation, and entanglement measures.
 
 SVD and Hermitian eigendecomposition are the workhorses behind every MPS/TRG
-routine here. Both are computed by LAPACK; the SVD is *never* obtained by
+routine here. They take matrices as numpy arrays, return their factors as
+read-only ndarrays, and are computed by LAPACK; the SVD is *never* obtained by
 forming M·M† (that squares the condition number and loses half the digits of
 the small singular values — the M·M† route survives only as a test oracle).
 
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZero, NotHermitian, NotSquare, NumericalFailure, RankUnsupported
-from .tensors import DenseTensor
 
 _ZERO_CLAMP = 1e-14  # relative to the largest singular value
 _HERMITIAN_TOL = 1e-10
@@ -58,43 +58,41 @@ class SVDResult:
     """M = U diag(d) V† with d sorted in descending order.
 
     ``u`` is (a, k) with orthonormal columns, ``v_dag`` is (k, b) with
-    orthonormal rows, and ``discarded_weight`` is the absolute dropped weight
-    sum of lambda^2 over the values not kept (0 for a full SVD).
+    orthonormal rows (both read-only), and ``discarded_weight`` is the
+    absolute dropped weight sum of lambda^2 over the values not kept (0 for a
+    full SVD).
     """
 
-    u: DenseTensor
+    u: np.ndarray
     d: np.ndarray
-    v_dag: DenseTensor
+    v_dag: np.ndarray
     discarded_weight: float
 
 
 @dataclass(frozen=True)
 class EigResult:
-    """M = U diag(omega) U† with omega real and ascending."""
+    """M = U diag(omega) U† with omega real and ascending; ``u`` is read-only."""
 
-    u: DenseTensor
+    u: np.ndarray
     omega: np.ndarray
 
 
-def _as_matrix(m: DenseTensor, op: str) -> np.ndarray:
-    if m.rank != 2:
-        raise RankUnsupported(f"{op} needs a rank-2 tensor, got rank {m.rank}")
-    return m.to_ndarray()
+def _as_matrix(m, op: str) -> np.ndarray:
+    arr = np.asarray(m)
+    if arr.ndim != 2:
+        raise RankUnsupported(f"{op} needs a rank-2 tensor, got rank {arr.ndim}")
+    return arr
 
 
-def svd(m: DenseTensor) -> SVDResult:
+def svd(m) -> SVDResult:
     """Full thin SVD of a matrix; never forms M·M†."""
     arr = _as_matrix(m, "svd")
     try:
         u, s, vdag = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
         raise NumericalFailure(f"svd did not converge: {exc}") from exc
-    return SVDResult(
-        u=DenseTensor._wrap(u),
-        d=s,
-        v_dag=DenseTensor._wrap(vdag),
-        discarded_weight=0.0,
-    )
+    u.flags.writeable = vdag.flags.writeable = False
+    return SVDResult(u=u, d=s, v_dag=vdag, discarded_weight=0.0)
 
 
 def select_rank(d: np.ndarray, spec: TruncationSpec) -> int:
@@ -118,7 +116,7 @@ def select_rank(d: np.ndarray, spec: TruncationSpec) -> int:
     return k
 
 
-def truncated_svd(m: DenseTensor, spec: TruncationSpec) -> SVDResult:
+def truncated_svd(m, spec: TruncationSpec) -> SVDResult:
     """SVD keeping the largest values allowed by ``spec``.
 
     With ``chi_max >= min(a, b)`` and ``cutoff == 0`` this reproduces
@@ -130,14 +128,14 @@ def truncated_svd(m: DenseTensor, spec: TruncationSpec) -> SVDResult:
     if k == full.d.shape[0]:
         return full
     return SVDResult(
-        u=DenseTensor._wrap(full.u.to_ndarray()[:, :k]),
+        u=full.u[:, :k],
         d=full.d[:k],
-        v_dag=DenseTensor._wrap(full.v_dag.to_ndarray()[:k, :]),
+        v_dag=full.v_dag[:k, :],
         discarded_weight=float(np.sum(full.d[k:] ** 2)),
     )
 
 
-def eig_hermitian(m: DenseTensor) -> EigResult:
+def eig_hermitian(m) -> EigResult:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
     arr = _as_matrix(m, "eig_hermitian")
     if arr.shape[0] != arr.shape[1]:
@@ -150,7 +148,8 @@ def eig_hermitian(m: DenseTensor) -> EigResult:
         omega, u = np.linalg.eigh(herm)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalFailure(f"eigh did not converge: {exc}") from exc
-    return EigResult(u=DenseTensor._wrap(u), omega=omega)
+    u.flags.writeable = False
+    return EigResult(u=u, omega=omega)
 
 
 def entanglement_entropy(d, normalize: bool = True) -> float:
@@ -175,7 +174,7 @@ def entanglement_entropy(d, normalize: bool = True) -> float:
     return float(-(nz * np.log2(nz)).sum() + 0.0)  # +0.0 avoids returning -0.0
 
 
-def mera_update(gamma: DenseTensor) -> DenseTensor:
+def mera_update(gamma) -> np.ndarray:
     """Unitary W maximizing Re Tr(W Gamma), namely W = V U†.
 
     With Gamma = U D V†, the optimum satisfies Tr(W Gamma) = sum_i d_i (the
@@ -184,6 +183,5 @@ def mera_update(gamma: DenseTensor) -> DenseTensor:
     arr = _as_matrix(gamma, "mera_update")
     if arr.shape[0] != arr.shape[1]:
         raise NotSquare(f"environment is {arr.shape}, not square")
-    res = svd(gamma)
-    w = res.v_dag.to_ndarray().conj().T @ res.u.to_ndarray().conj().T
-    return DenseTensor._wrap(w)
+    res = svd(arr)
+    return res.v_dag.conj().T @ res.u.conj().T

@@ -29,7 +29,6 @@ import numpy as np
 from .decomp import eig_hermitian
 from .errors import NoConvergence, ShapeMismatch, TooLarge
 from .mpo import MPO, mpo_to_dense
-from .tensors import DenseTensor
 
 _DENSE_DIM_CAP = 4096
 _ITER_DIM_CAP = 2**20
@@ -60,7 +59,7 @@ def mpo_matvec(op: MPO, psi: np.ndarray) -> np.ndarray:
     # y axes: (link a, out_0..out_{k-1}, in_k..in_{n-1})
     y = op.left_bvec[(slice(None),) + (None,) * n] * x[None]
     for k in range(n):
-        w = op.sites[k].to_ndarray()  # (a, out, in, b)
+        w = op.sites[k]  # (a, out, in, b)
         z = np.tensordot(y, w, axes=([0, 1 + k], [0, 2]))
         y = np.moveaxis(z, [-1, -2], [0, 1 + k])
     out = np.tensordot(op.right_bvec, y, axes=([0], [0]))
@@ -73,10 +72,10 @@ def solve_dense(op: MPO, n_states: int = 1) -> EDResult:
     if dim > _DENSE_DIM_CAP:
         raise TooLarge(f"dense route needs dim <= {_DENSE_DIM_CAP}, got {dim}")
     n_states = min(n_states, dim)
-    res = eig_hermitian(DenseTensor._wrap(mpo_to_dense(op)))
+    res = eig_hermitian(mpo_to_dense(op))
     return EDResult(
         energies=res.omega[:n_states].copy(),
-        vectors=res.u.to_ndarray()[:, :n_states].copy(),
+        vectors=res.u[:, :n_states].copy(),
         n_matvecs=0,
     )
 
@@ -109,7 +108,7 @@ def solve_iterative(
     rng = np.random.default_rng(seed)
     p = n_states
     dtype = np.result_type(
-        np.float64, op.left_bvec, op.right_bvec, *(t.to_ndarray() for t in op.sites)
+        np.float64, op.left_bvec, op.right_bvec, *op.sites
     )
     # basis vectors are rows; the pages of rows never written are never mapped
     q = np.empty((min(dim, max_iter + p), dim), dtype=dtype)

@@ -1,10 +1,11 @@
 """Matrix product operators for 1D spin-1/2 chains.
 
-Site tensors are rank-4 with axes ``(left link, phys out, phys in, right
-link)``. An operator is stored as one tensor per site plus two boundary
-vectors; the translation-invariant builders below use the same bulk tensor
-everywhere, with the boundary vectors selecting the standard triangular
-block structure's last row on the left and first column on the right.
+Site tensors are rank-4 read-only numpy arrays with axes ``(left link, phys
+out, phys in, right link)``, contracted with numpy directly. An operator is
+stored as one tensor per site plus two boundary vectors; the
+translation-invariant builders below use the same bulk tensor everywhere,
+with the boundary vectors selecting the standard triangular block
+structure's last row on the left and first column on the right.
 
 Hamiltonian sign convention: every builder produces ``H = -J * sum(...)`` of
 spin-product terms, so positive couplings favor alignment (for the Ising
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadXi, ExtentMismatch, ShapeMismatch, TooFewSites, TooLarge
-from .tensors import DenseTensor, contract, permute, reshape
+from .tensors import _read_only
 
 # spin-1/2 operator library (factor 1/2 included); only SY is complex
 ID2 = np.eye(2)
@@ -53,23 +54,25 @@ def two_site_matrix(op_left: np.ndarray, op_right: np.ndarray) -> np.ndarray:
 class MPO:
     """Immutable matrix product operator.
 
-    sites : rank-4 tensors, axes (left, phys out, phys in, right).
+    sites : rank-4 arrays, axes (left, phys out, phys in, right), each
+        stored as a read-only view of the array passed in.
     left_bvec / right_bvec : boundary vectors contracted onto the first
         site's left link and the last site's right link.
     phys_dim : shared physical extent.
     """
 
-    sites: tuple[DenseTensor, ...]
+    sites: tuple[np.ndarray, ...]
     left_bvec: np.ndarray
     right_bvec: np.ndarray
     phys_dim: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sites", tuple(_read_only(t) for t in self.sites))
         if len(self.sites) < 2:
             raise TooFewSites("an MPO needs at least two sites")
         for i, t in enumerate(self.sites):
-            if t.rank != 4:
-                raise ShapeMismatch(f"site {i} has rank {t.rank}, expected 4")
+            if t.ndim != 4:
+                raise ShapeMismatch(f"site {i} has rank {t.ndim}, expected 4")
             if t.shape[1] != self.phys_dim or t.shape[2] != self.phys_dim:
                 raise ShapeMismatch(f"site {i} physical extents != {self.phys_dim}")
             if i + 1 < len(self.sites) and t.shape[3] != self.sites[i + 1].shape[0]:
@@ -91,12 +94,11 @@ def _uniform_mpo(blocks: dict[tuple[int, int], np.ndarray], dim: int, n: int) ->
     w = np.zeros((dim, 2, 2, dim), dtype=np.result_type(*blocks.values()))
     for (row, col), mat in blocks.items():
         w[row, :, :, col] = mat
-    site = DenseTensor._wrap(w)
     left = np.zeros(dim)
     left[dim - 1] = 1.0
     right = np.zeros(dim)
     right[0] = 1.0
-    return MPO(sites=(site,) * n, left_bvec=left, right_bvec=right, phys_dim=2)
+    return MPO(sites=(w,) * n, left_bvec=left, right_bvec=right, phys_dim=2)
 
 
 def build_ising_nn(n: int, j: float = 1.0) -> MPO:
@@ -176,15 +178,14 @@ def mpo_to_dense(op: MPO) -> np.ndarray:
     if n > _DENSE_SITE_CAP:
         raise TooLarge(f"refusing to densify {n} sites (cap {_DENSE_SITE_CAP})")
     d = op.phys_dim
-    acc = DenseTensor.from_ndarray(op.left_bvec.reshape(1, 1, -1))
+    acc = op.left_bvec.reshape(1, 1, -1)
     dim = 1
     for t in op.sites:
-        step = contract(acc, [2], t, [0])  # (out, in, o, i, link)
-        step = permute(step, (0, 2, 1, 3, 4))  # (out, o, in, i, link)
+        step = np.tensordot(acc, t, axes=([2], [0]))  # (out, in, o, i, link)
+        step = step.transpose(0, 2, 1, 3, 4)  # (out, o, in, i, link)
         dim *= d
-        acc = reshape(step, (dim, dim, step.shape[4]))
-    vec = DenseTensor.from_ndarray(op.right_bvec)
-    return contract(acc, [2], vec, [0]).to_ndarray()
+        acc = step.reshape(dim, dim, step.shape[4], order="F")
+    return np.tensordot(acc, op.right_bvec, axes=([2], [0]))
 
 
 def mpo_expectation(state, op: MPO) -> complex:
@@ -196,12 +197,11 @@ def mpo_expectation(state, op: MPO) -> complex:
     """
     if state.n_sites != op.n_sites or state.phys_dim != op.phys_dim:
         raise ShapeMismatch("state and operator live on different site spaces")
-    env = DenseTensor.from_ndarray(op.left_bvec.reshape(1, -1, 1))  # (bra, a, ket)
+    env = op.left_bvec.reshape(1, -1, 1)  # (bra, a, ket)
     for a, w in zip(state.sites, op.sites):
-        t1 = contract(env, [2], a, [0])  # (bra, a, phys in, ket')
-        t2 = contract(t1, [1, 2], w, [0, 2])  # (bra, ket', o, b)
-        t3 = contract(t2, [0, 2], a.conj(), [0, 1])  # (ket', b, bra')
-        env = permute(t3, (2, 1, 0))
-    vec = DenseTensor.from_ndarray(op.right_bvec)
-    out = contract(env, [1], vec, [0])  # (bra, ket) both extent 1
-    return complex(out.data[0])
+        t1 = np.tensordot(env, a, axes=([2], [0]))  # (bra, a, phys in, ket')
+        t2 = np.tensordot(t1, w, axes=([1, 2], [0, 2]))  # (bra, ket', o, b)
+        t3 = np.tensordot(t2, a.conj(), axes=([0, 2], [0, 1]))  # (ket', b, bra')
+        env = t3.transpose(2, 1, 0)
+    out = np.tensordot(env, op.right_bvec, axes=([1], [0]))  # (bra, ket) both extent 1
+    return complex(out.item())

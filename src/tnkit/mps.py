@@ -1,20 +1,24 @@
 """Matrix product states: construction, gauge moves, and measurements.
 
-Site tensors are rank-3 with axes ``(left link, physical, right link)``; both
-chain ends carry dummy links of extent 1. A state built from a vector is in
-mixed-canonical form: every site left of the orthogonality ``center`` is a
-left isometry, every site right of it a right isometry, so local measurements
-reduce to a three-tensor contraction at the center.
+Site tensors are rank-3 read-only numpy arrays with axes ``(left link,
+physical, right link)``; both chain ends carry dummy links of extent 1. The
+algorithms below call numpy on them directly. A state built from a vector is
+in mixed-canonical form: every site left of the orthogonality ``center`` is a
+left isometry, every site right of it a right isometry, so local
+measurements reduce to a three-tensor contraction at the center.
 
 Flat state vectors use the package-wide linearization: site 0 is the fastest
 index, i.e. ``psi[s0 + d*(s1 + d*(s2 + ...))]``. Construction peels one site
 per SVD: reshape to ``(chi_prev * d, rest)``, factor, keep U as the site,
 push ``D·V†`` rightward; the finished state has its center on the last site.
 
-Operations never mutate: each returns a fresh :class:`MPS`. ``gauge_insert``
+Operations never mutate: each returns a fresh :class:`MPS`, and every site
+an :class:`MPS` holds is a read-only view. Operators and gates are passed in
+as arrays and shape-checked once, where they enter. ``gauge_insert``
 deliberately breaks canonical structure (it is a test hook for gauge
-invariance), so the state it returns carries ``center=None`` and measurements
-on it re-canonicalize first.
+invariance), so the state it returns carries ``center=None`` and
+measurements on it re-canonicalize first. ``mps_to_json`` writes each site
+in :meth:`~tnkit.tensors.DenseTensor.dump` form.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .errors import (
     Singular,
     TooLarge,
 )
-from .tensors import DenseTensor, _inexact, contract, permute, reshape, scale
+from .tensors import DenseTensor, _inexact, _read_only
 
 _DENSE_SITE_CAP = 20  # to_state_vector guard: d**N grows fast
 
@@ -45,22 +49,25 @@ _DENSE_SITE_CAP = 20  # to_state_vector guard: d**N grows fast
 class MPS:
     """Immutable matrix product state.
 
-    sites : tuple of rank-3 tensors, axes (left, physical, right).
+    sites : tuple of rank-3 arrays, axes (left, physical, right). Each is
+        stored as a read-only view; the array passed in is neither copied
+        nor frozen.
     center : index of the orthogonality center, or None when the gauge has
         been deliberately broken and no canonical structure can be assumed.
     phys_dim : shared physical extent d of every site.
     """
 
-    sites: tuple[DenseTensor, ...]
+    sites: tuple[np.ndarray, ...]
     center: int | None
     phys_dim: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sites", tuple(_read_only(t) for t in self.sites))
         if not self.sites:
             raise BadLength("an MPS needs at least one site")
         for i, t in enumerate(self.sites):
-            if t.rank != 3:
-                raise ShapeMismatch(f"site {i} has rank {t.rank}, expected 3")
+            if t.ndim != 3:
+                raise ShapeMismatch(f"site {i} has rank {t.ndim}, expected 3")
             if t.shape[1] != self.phys_dim:
                 raise ShapeMismatch(
                     f"site {i} physical extent {t.shape[1]} != {self.phys_dim}"
@@ -87,15 +94,13 @@ class MPS:
         return math.sqrt(max(norm_squared(self), 0.0))
 
 
-def _scalar(t: DenseTensor) -> complex:
-    if t.size != 1:
-        raise ShapeMismatch(f"expected a scalar result, got shape {t.shape}")
-    return complex(t.data[0])
+def _scalar(t: np.ndarray) -> complex:
+    return complex(t.item())
 
 
 def _split(
-    mat: DenseTensor, spec: TruncationSpec, absorb: str
-) -> tuple[DenseTensor, DenseTensor, SVDResult]:
+    mat: np.ndarray, spec: TruncationSpec, absorb: str
+) -> tuple[np.ndarray, np.ndarray, SVDResult]:
     """Truncated SVD ``mat ~ left . right`` with the singular values absorbed
     into the ``absorb`` ("left" or "right") factor.
 
@@ -103,8 +108,8 @@ def _split(
     """
     res = truncated_svd(mat, spec)
     if absorb == "right":
-        return res.u, DenseTensor._wrap(res.d[:, None] * res.v_dag.to_ndarray()), res
-    return DenseTensor._wrap(res.u.to_ndarray() * res.d[None, :]), res.v_dag, res
+        return res.u, res.d[:, None] * res.v_dag, res
+    return res.u * res.d[None, :], res.v_dag, res
 
 
 # ---------------------------------------------------------------------------
@@ -128,32 +133,32 @@ def mps_from_state_vector(
     """
     if phys_dim < 2:
         raise BadLength(f"physical dimension must be >= 2, got {phys_dim}")
-    flat = _inexact(np.asarray(psi)).reshape(-1)
+    flat = _inexact(np.array(psi)).reshape(-1)
     n = round(math.log(flat.size, phys_dim)) if flat.size > 1 else 1
     if phys_dim**n != flat.size:
         raise BadLength(f"length {flat.size} is not a power of d={phys_dim}")
     nrm = float(np.linalg.norm(flat))
-    if abs(nrm - 1.0) > norm_tol:
+    if not abs(nrm - 1.0) <= norm_tol:  # NaN fails this too
         raise NotNormalized(f"|psi| = {nrm}, expected 1 within {norm_tol}")
 
     d = phys_dim
     if n == 1:
-        return MPS(sites=(DenseTensor((1, d, 1), flat),), center=0, phys_dim=d)
+        return MPS(sites=(flat.reshape(1, d, 1),), center=0, phys_dim=d)
 
-    sites: list[DenseTensor] = []
+    sites: list[np.ndarray] = []
     lind = 1
     rest = d ** (n - 1)
-    m = DenseTensor((d, rest), flat)
+    m = flat.reshape(d, rest, order="F")
     for i in range(n - 1):
         u, dv, _ = _split(m, spec, "right")
         k = u.shape[1]
-        sites.append(reshape(u, (lind, d, k)))
+        sites.append(u.reshape(lind, d, k, order="F"))
         if i == n - 2:
-            sites.append(reshape(dv, (k, d, 1)))
+            sites.append(dv.reshape(k, d, 1, order="F"))
         else:
             lind = k
             rest //= d
-            m = reshape(dv, (k * d, rest))
+            m = dv.reshape(k * d, rest, order="F")
     return MPS(sites=tuple(sites), center=n - 1, phys_dim=d)
 
 
@@ -164,10 +169,10 @@ def to_state_vector(m: MPS) -> np.ndarray:
     acc = m.sites[0]  # (1, d, chi)
     dim = m.phys_dim
     for t in m.sites[1:]:
-        acc = contract(acc, [2], t, [0])  # (1, fused, d, chi)
+        acc = np.tensordot(acc, t, axes=([2], [0]))  # (1, fused, d, chi)
         dim *= m.phys_dim
-        acc = reshape(acc, (1, dim, acc.shape[3]))
-    return acc.data.copy()
+        acc = acc.reshape(1, dim, acc.shape[3], order="F")
+    return acc.flatten(order="F")
 
 
 def product_state_vector(site_vectors) -> np.ndarray:
@@ -188,11 +193,11 @@ def product_mps(site_vectors, norm_tol: float = 1e-8) -> MPS:
     """
     sites = []
     for i, v in enumerate(site_vectors):
-        ket = np.asarray(v).reshape(-1)
+        ket = _inexact(np.array(v)).reshape(-1)
         nrm = float(np.linalg.norm(ket))
-        if abs(nrm - 1.0) > norm_tol:
+        if not abs(nrm - 1.0) <= norm_tol:  # NaN fails this too
             raise NotNormalized(f"site {i} ket has norm {nrm}")
-        sites.append(DenseTensor((1, ket.size, 1), ket))
+        sites.append(ket.reshape(1, ket.size, 1))
     if not sites:
         raise BadLength("a product state needs at least one site")
     return MPS(tuple(sites), center=len(sites) - 1, phys_dim=sites[0].shape[1])
@@ -208,11 +213,11 @@ def random_mps(n_sites: int, phys_dim: int, chi_max: int, rng) -> MPS:
     for i in range(n_sites):
         shape = (dims[i], phys_dim, dims[i + 1])
         data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        sites.append(DenseTensor._wrap(data))
+        sites.append(data)
     m = canonicalize(MPS(tuple(sites), center=None, phys_dim=phys_dim), n_sites - 1)
     c = m.sites[m.center]
-    nrm = math.sqrt(_scalar(contract(c.conj(), [0, 1, 2], c, [0, 1, 2])).real)
-    scaled = scale(c, 1.0 / nrm)
+    nrm = math.sqrt(_scalar(np.tensordot(c.conj(), c, axes=([0, 1, 2], [0, 1, 2]))).real)
+    scaled = c * (1.0 / nrm)
     return replace(m, sites=m.sites[: m.center] + (scaled,) + m.sites[m.center + 1 :])
 
 
@@ -221,21 +226,21 @@ def random_mps(n_sites: int, phys_dim: int, chi_max: int, rng) -> MPS:
 # ---------------------------------------------------------------------------
 
 
-def _shift_right(tensors: list[DenseTensor], c: int, spec: TruncationSpec) -> np.ndarray:
+def _shift_right(tensors: list[np.ndarray], c: int, spec: TruncationSpec) -> np.ndarray:
     """Left-normalize site c, absorbing D·V† into site c+1; returns the kept spectrum."""
     l, d, r = tensors[c].shape
-    u, dv, res = _split(reshape(tensors[c], (l * d, r)), spec, "right")
-    tensors[c] = reshape(u, (l, d, u.shape[1]))
-    tensors[c + 1] = contract(dv, [1], tensors[c + 1], [0])
+    u, dv, res = _split(tensors[c].reshape(l * d, r, order="F"), spec, "right")
+    tensors[c] = u.reshape(l, d, u.shape[1], order="F")
+    tensors[c + 1] = np.tensordot(dv, tensors[c + 1], axes=([1], [0]))
     return res.d
 
 
-def _shift_left(tensors: list[DenseTensor], c: int, spec: TruncationSpec) -> None:
+def _shift_left(tensors: list[np.ndarray], c: int, spec: TruncationSpec) -> None:
     """Right-normalize site c, absorbing U·D into site c-1."""
     l, d, r = tensors[c].shape
-    ud, vdag, _ = _split(reshape(tensors[c], (l, d * r)), spec, "left")
-    tensors[c] = reshape(vdag, (vdag.shape[0], d, r))
-    tensors[c - 1] = contract(tensors[c - 1], [2], ud, [0])
+    ud, vdag, _ = _split(tensors[c].reshape(l, d * r, order="F"), spec, "left")
+    tensors[c] = vdag.reshape(vdag.shape[0], d, r, order="F")
+    tensors[c - 1] = np.tensordot(tensors[c - 1], ud, axes=([2], [0]))
 
 
 def move_center(m: MPS, target: int, spec: TruncationSpec = UNTRUNCATED) -> MPS:
@@ -274,7 +279,7 @@ def canonicalize(m: MPS, target: int, spec: TruncationSpec = UNTRUNCATED) -> MPS
     return MPS(tuple(tensors), center=target, phys_dim=m.phys_dim)
 
 
-def gauge_insert(m: MPS, bond: int, x: DenseTensor) -> MPS:
+def gauge_insert(m: MPS, bond: int, x) -> MPS:
     """Insert X·X^-1 on an internal link (gauge transformation).
 
     ``bond`` b joins sites b and b+1; ``x`` must be a square matrix matching
@@ -285,16 +290,15 @@ def gauge_insert(m: MPS, bond: int, x: DenseTensor) -> MPS:
     if not 0 <= bond < m.n_sites - 1:
         raise ValueError(f"bond {bond} out of range")
     chi = m.sites[bond].shape[2]
-    if x.rank != 2 or x.shape != (chi, chi):
+    x = np.asarray(x)
+    if x.shape != (chi, chi):
         raise ShapeMismatch(f"gauge matrix must be ({chi}, {chi}), got {x.shape}")
-    arr = x.to_ndarray()
-    svals = np.linalg.svd(arr, compute_uv=False)
+    svals = np.linalg.svd(x, compute_uv=False)
     if svals[-1] <= 0.0 or svals[0] / svals[-1] > 1e12:
         raise Singular("gauge matrix is singular or too ill-conditioned")
-    xinv = DenseTensor._wrap(np.linalg.inv(arr))
     tensors = list(m.sites)
-    tensors[bond] = contract(tensors[bond], [2], x, [0])
-    tensors[bond + 1] = contract(xinv, [1], tensors[bond + 1], [0])
+    tensors[bond] = np.tensordot(tensors[bond], x, axes=([2], [0]))
+    tensors[bond + 1] = np.tensordot(np.linalg.inv(x), tensors[bond + 1], axes=([1], [0]))
     return MPS(tuple(tensors), center=None, phys_dim=m.phys_dim)
 
 
@@ -307,10 +311,10 @@ def inner_product(a: MPS, b: MPS) -> complex:
     """Zipper overlap <a|b>, O(N * d * chi^3)."""
     if a.n_sites != b.n_sites or a.phys_dim != b.phys_dim:
         raise ShapeMismatch("states live on different site spaces")
-    env = DenseTensor._wrap(np.ones((1, 1)))  # (bra link, ket link)
+    env = np.ones((1, 1))  # (bra link, ket link)
     for ta, tb in zip(a.sites, b.sites):
-        t1 = contract(env, [0], ta.conj(), [0])  # (ket, phys, bra')
-        env = contract(t1, [0, 1], tb, [0, 1])  # (bra', ket')
+        t1 = np.tensordot(env, ta.conj(), axes=([0], [0]))  # (ket, phys, bra')
+        env = np.tensordot(t1, tb, axes=([0, 1], [0, 1]))  # (bra', ket')
     return _scalar(env)
 
 
@@ -318,48 +322,50 @@ def norm_squared(m: MPS) -> float:
     return inner_product(m, m).real
 
 
-def expect_local(m: MPS, op: DenseTensor, site: int) -> complex:
+def expect_local(m: MPS, op, site: int) -> complex:
     """<psi| O_site |psi> / <psi|psi> via the center three-tensor contraction."""
     if not 0 <= site < m.n_sites:
         raise ValueError(f"site {site} out of range")
-    if op.rank != 2 or op.shape != (m.phys_dim, m.phys_dim):
+    op = np.asarray(op)
+    if op.shape != (m.phys_dim, m.phys_dim):
         raise ShapeMismatch(f"operator must be ({m.phys_dim}, {m.phys_dim})")
     mc = move_center(m, site)
     a = mc.sites[site]
-    t1 = permute(contract(op, [1], a, [1]), (1, 0, 2))  # (l, phys', r)
-    num = _scalar(contract(a.conj(), [0, 1, 2], t1, [0, 1, 2]))
-    den = _scalar(contract(a.conj(), [0, 1, 2], a, [0, 1, 2])).real
+    t1 = np.tensordot(op, a, axes=([1], [1])).transpose(1, 0, 2)  # (l, phys', r)
+    num = _scalar(np.tensordot(a.conj(), t1, axes=([0, 1, 2], [0, 1, 2])))
+    den = _scalar(np.tensordot(a.conj(), a, axes=([0, 1, 2], [0, 1, 2]))).real
     return num / den
 
 
-def expect_two_site(m: MPS, op_i: DenseTensor, i: int, op_j: DenseTensor, j: int) -> complex:
+def expect_two_site(m: MPS, op_i, i: int, op_j, j: int) -> complex:
     """Normalized <O_i O_j> for i < j, zippered between the two sites."""
     if not (0 <= i < m.n_sites and 0 <= j < m.n_sites):
         raise ValueError(f"sites ({i}, {j}) out of range")
     if i >= j:
         raise BadOrder(f"need i < j, got i={i}, j={j}")
     d = m.phys_dim
+    op_i, op_j = np.asarray(op_i), np.asarray(op_j)
     for name, op in (("op_i", op_i), ("op_j", op_j)):
-        if op.rank != 2 or op.shape != (d, d):
+        if op.shape != (d, d):
             raise ShapeMismatch(f"{name} must be ({d}, {d})")
     mc = move_center(m, i)
     a = mc.sites[i]
-    t1 = permute(contract(op_i, [1], a, [1]), (1, 0, 2))  # (l, phys', r)
-    env = contract(a.conj(), [0, 1], t1, [0, 1])  # (bra r, ket r)
+    t1 = np.tensordot(op_i, a, axes=([1], [1])).transpose(1, 0, 2)  # (l, phys', r)
+    env = np.tensordot(a.conj(), t1, axes=([0, 1], [0, 1]))  # (bra r, ket r)
     for k in range(i + 1, j):
-        t = contract(env, [1], mc.sites[k], [0])  # (bra, phys, ket)
-        env = contract(mc.sites[k].conj(), [0, 1], t, [0, 1])
+        t = np.tensordot(env, mc.sites[k], axes=([1], [0]))  # (bra, phys, ket)
+        env = np.tensordot(mc.sites[k].conj(), t, axes=([0, 1], [0, 1]))
     aj = mc.sites[j]
-    t = contract(env, [1], aj, [0])  # (bra, phys, ket r)
-    t2 = permute(contract(op_j, [1], t, [1]), (1, 0, 2))  # (bra, phys', ket r)
-    num = _scalar(contract(aj.conj(), [0, 1, 2], t2, [0, 1, 2]))
-    den = _scalar(contract(a.conj(), [0, 1, 2], a, [0, 1, 2])).real
+    t = np.tensordot(env, aj, axes=([1], [0]))  # (bra, phys, ket r)
+    t2 = np.tensordot(op_j, t, axes=([1], [1])).transpose(1, 0, 2)  # (bra, phys', ket r)
+    num = _scalar(np.tensordot(aj.conj(), t2, axes=([0, 1, 2], [0, 1, 2])))
+    den = _scalar(np.tensordot(a.conj(), a, axes=([0, 1, 2], [0, 1, 2]))).real
     return num / den
 
 
 def apply_two_site_gate(
     m: MPS,
-    gate: DenseTensor,
+    gate,
     site: int,
     spec: TruncationSpec = UNTRUNCATED,
     direction: str = "right",
@@ -381,17 +387,18 @@ def apply_two_site_gate(
     return MPS(tuple(tensors), center=center, phys_dim=m.phys_dim), disc
 
 
-def _gate_tensor(gate: DenseTensor, d: int, direction: str) -> DenseTensor:
+def _gate_tensor(gate, d: int, direction: str) -> np.ndarray:
     """Check a (d^2, d^2) gate and a sweep direction; the gate as (si', sj', si, sj)."""
-    if gate.rank != 2 or gate.shape != (d * d, d * d):
+    gate = np.asarray(gate)
+    if gate.shape != (d * d, d * d):
         raise ShapeMismatch(f"gate must be ({d * d}, {d * d}), got {gate.shape}")
     if direction not in ("right", "left"):
         raise ValueError(f"direction must be 'right' or 'left', got {direction!r}")
-    return reshape(gate, (d, d, d, d))
+    return gate.reshape(d, d, d, d, order="F")
 
 
 def _gate_pair(
-    tensors: list[DenseTensor], g4: DenseTensor, site: int, spec: TruncationSpec, direction: str
+    tensors: list[np.ndarray], g4: np.ndarray, site: int, spec: TruncationSpec, direction: str
 ) -> float:
     """Gate sites (site, site+1) of ``tensors`` in place; returns the discarded weight.
 
@@ -400,12 +407,12 @@ def _gate_pair(
     """
     a, b = tensors[site], tensors[site + 1]
     l, d, r = a.shape[0], a.shape[1], b.shape[2]
-    theta = contract(a, [2], b, [0])  # (l, si, sj, r)
-    theta = permute(contract(g4, [2, 3], theta, [1, 2]), (2, 0, 1, 3))
-    left, right, res = _split(reshape(theta, (l * d, d * r)), spec, direction)
+    theta = np.tensordot(a, b, axes=([2], [0]))  # (l, si, sj, r)
+    theta = np.tensordot(g4, theta, axes=([2, 3], [1, 2])).transpose(2, 0, 1, 3)
+    left, right, res = _split(theta.reshape(l * d, d * r, order="F"), spec, direction)
     k = res.d.shape[0]
-    tensors[site] = reshape(left, (l, d, k))
-    tensors[site + 1] = reshape(right, (k, d, r))
+    tensors[site] = left.reshape(l, d, k, order="F")
+    tensors[site + 1] = right.reshape(k, d, r, order="F")
     return res.discarded_weight
 
 
@@ -463,9 +470,9 @@ def correlation_length(m: MPS) -> CorrelationReport:
     chi = a.shape[0]
     if chi == 1:
         return CorrelationReport(xi=0.0, transfer_eigs=np.array([1.0 + 0.0j]))
-    t = contract(a.conj(), [1], a, [1])  # (bra l, bra r, ket l, ket r)
-    e = permute(t, (0, 2, 1, 3))  # (bra l, ket l, bra r, ket r)
-    mat = reshape(e, (chi * chi, chi * chi)).to_ndarray()
+    t = np.tensordot(a.conj(), a, axes=([1], [1]))  # (bra l, bra r, ket l, ket r)
+    e = t.transpose(0, 2, 1, 3)  # (bra l, ket l, bra r, ket r)
+    mat = e.reshape(chi * chi, chi * chi, order="F")
     eigs = np.linalg.eigvals(mat)
     eigs = eigs[np.argsort(-np.abs(eigs))]
     mags = np.abs(eigs)
@@ -481,7 +488,7 @@ def correlation_length(m: MPS) -> CorrelationReport:
     return CorrelationReport(xi=xi, transfer_eigs=eigs)
 
 
-def connected_correlation(m: MPS, op: DenseTensor, i: int, j: int) -> float:
+def connected_correlation(m: MPS, op, i: int, j: int) -> float:
     """<O_i O_j> - <O_i><O_j> (real part)."""
     raw = expect_two_site(m, op, i, op, j).real
     return raw - expect_local(m, op, i).real * expect_local(m, op, j).real
@@ -526,12 +533,12 @@ def mps_to_json(m: MPS) -> str:
         {
             "phys_dim": m.phys_dim,
             "center": m.center,
-            "sites": [json.loads(t.dump()) for t in m.sites],
+            "sites": [json.loads(DenseTensor.from_ndarray(t).dump()) for t in m.sites],
         }
     )
 
 
 def mps_from_json(text: str) -> MPS:
     obj = json.loads(text)
-    sites = tuple(DenseTensor.load(json.dumps(site)) for site in obj["sites"])
+    sites = tuple(DenseTensor.load(json.dumps(site)).to_ndarray() for site in obj["sites"])
     return MPS(sites=sites, center=obj["center"], phys_dim=int(obj["phys_dim"]))

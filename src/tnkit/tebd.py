@@ -24,7 +24,6 @@ from .decomp import UNTRUNCATED, TruncationSpec, eig_hermitian
 from .errors import ShapeMismatch, UnsupportedModel
 from .mpo import MPO, SM, SP, SZ, build_heisenberg, build_ising_nn, mpo_expectation, two_site_matrix
 from .mps import MPS, _gate_pair, _gate_tensor, move_center, norm_squared, product_mps
-from .tensors import DenseTensor, contract, scale
 
 _UP = np.array([1.0, 0.0])
 _DOWN = np.array([0.0, 1.0])
@@ -53,20 +52,23 @@ def model_mpo(model: str, n_sites: int, j: float = 1.0) -> MPO:
     raise UnsupportedModel(f"no sweepable MPO for model {model!r}")
 
 
-def bond_gate(model: str, j: float, step: float, mode: str) -> DenseTensor:
-    """Real exp(-step*h) or complex exp(-i*step*h) of the pair term, via its eigenbasis."""
+def bond_gate(model: str, j: float, step: float, mode: str) -> np.ndarray:
+    """Real exp(-step*h) or complex exp(-i*step*h) of the pair term, via its eigenbasis.
+
+    The (4, 4) gate is returned read-only.
+    """
     if mode not in ("imaginary", "real"):
         raise ValueError(f"mode must be 'imaginary' or 'real', got {mode!r}")
-    h = pair_hamiltonian(model, j)
-    res = eig_hermitian(DenseTensor._wrap(h))
-    u = res.u.to_ndarray()
+    res = eig_hermitian(pair_hamiltonian(model, j))
     factor = -step if mode == "imaginary" else -1j * step
-    return DenseTensor._wrap((u * np.exp(factor * res.omega)[None, :]) @ u.conj().T)
+    gate = (res.u * np.exp(factor * res.omega)[None, :]) @ res.u.conj().T
+    gate.flags.writeable = False
+    return gate
 
 
 def sweep(
     state: MPS,
-    gate: DenseTensor,
+    gate,
     spec: TruncationSpec = UNTRUNCATED,
     direction: str = "right",
 ) -> tuple[MPS, float]:
@@ -98,14 +100,14 @@ def _center_norm_squared(state: MPS) -> float:
     if state.center is None:
         return norm_squared(state)  # no trustworthy gauge; full zipper
     c = state.sites[state.center]
-    return float(contract(c.conj(), [0, 1, 2], c, [0, 1, 2]).data[0].real)
+    return float(np.tensordot(c.conj(), c, axes=([0, 1, 2], [0, 1, 2])).real)
 
 
 def _rescale_center(state: MPS) -> MPS:
     nrm = np.sqrt(_center_norm_squared(state))
     c = state.sites[state.center]
     tensors = list(state.sites)
-    tensors[state.center] = scale(c, 1.0 / nrm)
+    tensors[state.center] = c * (1.0 / nrm)
     return MPS(tuple(tensors), center=state.center, phys_dim=state.phys_dim)
 
 

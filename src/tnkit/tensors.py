@@ -1,8 +1,11 @@
-"""Dense tensors and the four primitive operations.
+"""Dense tensors and the four primitive operations: the tutorial API.
 
 A :class:`DenseTensor` is a value: one read-only n-dimensional numpy array of
 any memory layout and any inexact dtype. Real input stays real; complex
-arithmetic appears only where a complex operand brings it in.
+arithmetic appears only where a complex operand brings it in. The functions
+here validate every index they are given, which is what a reader working
+through the four operations wants; the algorithm modules do not go through
+them but hold read-only ndarrays and call numpy directly.
 
 Flat vectors follow one linearization: first index fastest (column-major).
 For a rank-3 tensor of shape ``(w_x, w_y, w_z)`` the element ``(x, y, z)``
@@ -19,9 +22,6 @@ The four primitives:
 * ``permute``  — ``transpose``, always a view;
 * ``contract`` — pairwise contraction by ``numpy.tensordot``;
 * ``decompose`` — lives in :mod:`tnkit.decomp` (SVD / Hermitian eig).
-
-``kron`` and ``direct_sum`` combine operators on product spaces; they are
-defined on matrices only.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .errors import (
     ExtentMismatch,
     InvalidAxis,
     InvalidPermutation,
-    RankUnsupported,
 )
 
 
@@ -52,6 +51,13 @@ def _as_shape(shape: Iterable[int]) -> tuple[int, ...]:
 def _inexact(a: np.ndarray) -> np.ndarray:
     """Integer and boolean data becomes float64; inexact dtypes pass through."""
     return a if a.dtype.kind in "fc" else a.astype(np.float64)
+
+
+def _read_only(a) -> np.ndarray:
+    """A read-only view of ``a`` (made inexact); ``a`` itself stays writeable."""
+    view = _inexact(np.asarray(a)).view()
+    view.flags.writeable = False
+    return view
 
 
 class DenseTensor:
@@ -96,10 +102,6 @@ class DenseTensor:
     @classmethod
     def zeros(cls, shape: Sequence[int]) -> "DenseTensor":
         return cls._wrap(np.zeros(_as_shape(shape)))
-
-    @classmethod
-    def scalar(cls, value) -> "DenseTensor":
-        return cls._wrap(_inexact(np.array(value)))
 
     # -- basic properties ----------------------------------------------
 
@@ -166,23 +168,6 @@ class DenseTensor:
         re = np.asarray(obj["data_re"], dtype=np.float64)
         im = np.asarray(obj["data_im"], dtype=np.float64)
         return cls(tuple(obj["shape"]), re + 1j * im if np.any(im) else re)
-
-
-def scale(t: DenseTensor, alpha) -> DenseTensor:
-    """Multiply every element by the scalar ``alpha``."""
-    return DenseTensor._wrap(t.to_ndarray() * alpha)
-
-
-def add(a: DenseTensor, b: DenseTensor) -> DenseTensor:
-    """Elementwise sum; shapes must match exactly."""
-    if a.shape != b.shape:
-        raise ExtentMismatch(f"cannot add shapes {a.shape} and {b.shape}")
-    return DenseTensor._wrap(a.to_ndarray() + b.to_ndarray())
-
-
-def frobenius_norm(t: DenseTensor) -> float:
-    """sqrt(sum |t_i|^2) over all elements."""
-    return float(np.linalg.norm(t.to_ndarray()))
 
 
 def reshape(t: DenseTensor, new_shape: Sequence[int]) -> DenseTensor:
@@ -273,33 +258,3 @@ def contract(
     """
     ax_a, ax_b = _paired_axes(a, axes_a, b, axes_b)
     return DenseTensor._wrap(np.tensordot(a.to_ndarray(), b.to_ndarray(), axes=(ax_a, ax_b)))
-
-
-def kron(a: DenseTensor, b: DenseTensor) -> DenseTensor:
-    """Kronecker product of two matrices (or two vectors).
-
-    For matrices the result has the familiar block structure
-    ``[[a00*B, a01*B, ...], [a10*B, ...], ...]``; its row index runs over
-    ``(i_a, i_b)`` with the *second* factor's index fastest, so the product of
-    single-site basis vectors enumerates pair states in the order
-    (00, 01, 10, 11).
-    """
-    if a.rank != b.rank or a.rank not in (1, 2):
-        raise RankUnsupported(
-            f"kron defined for two vectors or two matrices, got ranks {a.rank}, {b.rank}"
-        )
-    return DenseTensor._wrap(np.kron(a.to_ndarray(), b.to_ndarray()))
-
-
-def direct_sum(a: DenseTensor, b: DenseTensor) -> DenseTensor:
-    """Block-diagonal direct sum of two matrices: diag(A, B)."""
-    if a.rank != 2 or b.rank != 2:
-        raise RankUnsupported(
-            f"direct_sum defined for matrices, got ranks {a.rank}, {b.rank}"
-        )
-    ra, ca = a.shape
-    rb, cb = b.shape
-    out = np.zeros((ra + rb, ca + cb), dtype=np.result_type(a.to_ndarray(), b.to_ndarray()))
-    out[:ra, :ca] = a.to_ndarray()
-    out[ra:, ca:] = b.to_ndarray()
-    return DenseTensor._wrap(out)

@@ -39,7 +39,10 @@ the exact partition function of a 2^(k+1)-spin periodic patch; odd k
 corresponds to the axis-aligned L x L torus with L = 2^((k+1)/2), which is
 what the brute-force reference below enumerates.
 
-All tensors stay real float64; no complex arithmetic ever enters.
+All tensors are plain real float64 numpy arrays; no complex arithmetic ever
+enters. A step refuses with TooLarge, before it contracts, when the largest
+array it would build holds more than 100^4 elements (800 MB), the size of a
+step at bond dimension 100.
 """
 
 from __future__ import annotations
@@ -51,9 +54,9 @@ import numpy as np
 
 from .decomp import TruncationSpec, select_rank, svd
 from .errors import BadBeta, NumericalFailure, TooLarge
-from .tensors import DenseTensor
 
 _BRUTE_SPIN_CAP = 20
+_STEP_ELEMENT_CAP = 100**4
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 _SPIN_PARITY = np.array([0, 1], dtype=np.int8)  # of the Hadamard-rotated spin index
 
@@ -69,14 +72,14 @@ def _plaquette_exponent(beta: float, j: float) -> np.ndarray:
     return beta * j * pair_sum[:, None, :, None] * pair_sum[None, :, None, :]
 
 
-def ising_plaquette_tensor(beta: float, j: float = 1.0) -> DenseTensor:
+def ising_plaquette_tensor(beta: float, j: float = 1.0) -> np.ndarray:
     """Boltzmann weight of one face: T[u,l,d,r] = exp(bJ(su+sd)(sl+sr)).
 
     Index 0 is spin +1, index 1 is spin -1. The exponent regroups the four
     boundary-bond terms su*sl + sl*sd + sd*sr + sr*su, which makes the
     invariance under cyclic leg rotation explicit.
     """
-    return DenseTensor._wrap(np.exp(_plaquette_exponent(beta, j)))
+    return np.exp(_plaquette_exponent(beta, j))
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,7 @@ class TRGState:
         of the normalized tensor it split; (0, 0) for the starting tensor.
     """
 
-    tensor: DenseTensor
+    tensor: np.ndarray
     log_norm_per_site: float
     step: int
     parity_ud: np.ndarray
@@ -119,7 +122,7 @@ def initial_state(beta: float, j: float = 1.0) -> TRGState:
     rotated[np.indices(rotated.shape).sum(axis=0) % 2 == 1] = 0.0  # index 1 is odd on every leg
     c = float(np.abs(rotated).max())
     return TRGState(
-        tensor=DenseTensor._wrap(rotated / c),
+        tensor=rotated / c,
         log_norm_per_site=(peak + math.log(c)) / 2.0,
         step=0,
         parity_ud=_SPIN_PARITY,
@@ -141,7 +144,7 @@ def _split(
     for p in (0, 1):
         idx = np.flatnonzero(parity == p)
         if idx.size:
-            sectors.append((p, idx, svd(DenseTensor._wrap(mat[np.ix_(idx, idx)]))))
+            sectors.append((p, idx, svd(mat[np.ix_(idx, idx)])))
     d = np.concatenate([res.d for _, _, res in sectors])
     order = np.argsort(-d, kind="stable")
     k = select_rank(d[order], spec)
@@ -155,8 +158,8 @@ def _split(
         slot = np.flatnonzero((kept >= offset) & (kept < offset + n))
         local = kept[slot] - offset
         root = np.sqrt(res.d[local])
-        left[np.ix_(idx, slot)] = res.u.to_ndarray()[:, local] * root[None, :]
-        right[np.ix_(slot, idx)] = root[:, None] * res.v_dag.to_ndarray()[local, :]
+        left[np.ix_(idx, slot)] = res.u[:, local] * root[None, :]
+        right[np.ix_(slot, idx)] = root[:, None] * res.v_dag[local, :]
         link_parity[slot] = p
         offset += n
     return left, right, link_parity, float(np.sum(d[order[k:]] ** 2))
@@ -176,18 +179,22 @@ def trg_step(state: TRGState, spec: TruncationSpec) -> TRGState:
     B-split link, so the result is again a valid (u,l,d,r) network tensor.
     Both splits pair one u/d leg with one l/r leg on each side, so one
     parity vector labels the rows and the columns of both split matrices.
+    Raises TooLarge, before contracting, if the largest array the step
+    builds would hold more than 100^4 elements.
     """
-    arr = state.tensor.to_ndarray()
+    arr = state.tensor
     cu, cl, cd, cr = arr.shape
     pair_parity = (state.parity_ud[:, None] ^ state.parity_lr[None, :]).ravel()
-    m1 = arr.transpose(2, 1, 0, 3).reshape(cd * cl, cu * cr)
-    s1, s2, p_ud, w1 = _split(m1, pair_parity, spec)
+    # no name holds a split matrix, so each is freed before the contraction below
+    s1, s2, p_ud, w1 = _split(arr.transpose(2, 1, 0, 3).reshape(cd * cl, cu * cr), pair_parity, spec)
     k1 = s1.shape[1]
     s1 = s1.reshape(cd, cl, k1)
     s2 = s2.reshape(k1, cu, cr)
-    m2 = arr.reshape(cu * cl, cd * cr)
-    s3, s4, p_lr, w2 = _split(m2, pair_parity, spec)
+    s3, s4, p_lr, w2 = _split(arr.reshape(cu * cl, cd * cr), pair_parity, spec)
     k2 = s3.shape[1]
+    largest = k1 * k2 * max(cr * cr, cl * cl, k1 * k2)  # of p1, p2 and new below
+    if largest > _STEP_ELEMENT_CAP:
+        raise TooLarge(f"TRG step would build {largest} elements (cap {_STEP_ELEMENT_CAP})")
     s3 = s3.reshape(cu, cl, k2)
     s4 = s4.reshape(k2, cd, cr)
 
@@ -201,7 +208,7 @@ def trg_step(state: TRGState, spec: TruncationSpec) -> TRGState:
         raise NumericalFailure("coarse tensor vanished; cannot renormalize")
     spt_new = 2 * state.sites_per_tensor
     return TRGState(
-        tensor=DenseTensor._wrap(new / c),
+        tensor=new / c,
         log_norm_per_site=state.log_norm_per_site + math.log(c) / spt_new,
         step=state.step + 1,
         parity_ud=p_ud,
@@ -212,7 +219,7 @@ def trg_step(state: TRGState, spec: TruncationSpec) -> TRGState:
 
 def close_torus(state: TRGState) -> float:
     """ln(Z) per spin of the one-tensor torus closure of the current network."""
-    tr = float(np.einsum("abab->", state.tensor.to_ndarray()))
+    tr = float(np.einsum("abab->", state.tensor))
     if tr <= 0.0:
         raise NumericalFailure(f"non-positive torus trace {tr}")
     return state.log_norm_per_site + math.log(tr) / state.sites_per_tensor

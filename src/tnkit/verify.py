@@ -154,7 +154,7 @@ def check_svd_entanglement_examples() -> CriterionResult:
         (bell, (rt2, rt2), 1.0),
         (singlet, (rt2, rt2), 1.0),
     ):
-        res = svd(DenseTensor.from_ndarray(psi.reshape(2, 2, order="F")))
+        res = svd(psi.reshape(2, 2, order="F"))
         errs.append(float(np.max(np.abs(res.d - np.asarray(lam_ref)))))
         errs.append(abs(entanglement_entropy(res.d) - s_ref))
     worst = max(errs)
@@ -170,11 +170,10 @@ def check_truncation_identity() -> CriterionResult:
         a, b = rng.integers(2, 9, size=2)
         m = rng.standard_normal((a, b)) + 1j * rng.standard_normal((a, b))
         m /= np.linalg.norm(m)
-        tens = DenseTensor.from_ndarray(m)
-        full = svd(tens)
+        full = svd(m)
         for k in range(1, len(full.d) + 1):
-            cut = truncated_svd(tens, TruncationSpec(chi_max=k))
-            approx = cut.u.to_ndarray() @ np.diag(cut.d) @ cut.v_dag.to_ndarray()
+            cut = truncated_svd(m, TruncationSpec(chi_max=k))
+            approx = cut.u @ np.diag(cut.d) @ cut.v_dag
             lhs = np.linalg.norm(m - approx) ** 2
             delta = float(np.sum(np.asarray(cut.d) ** 2))
             worst = max(worst, abs(lhs - (1.0 - delta)), abs(lhs - cut.discarded_weight))
@@ -185,23 +184,21 @@ def check_gauge_invariance() -> CriterionResult:
     """Random well-conditioned bond gauges leave every expectation unchanged."""
     t0 = time.time()
     rng = np.random.default_rng(17)
-    sz = DenseTensor.from_ndarray(SZ)
-    sx = DenseTensor.from_ndarray(_SX)
     worst = 0.0
     worst_cond = 0.0
     for _ in range(5):
         m = random_mps(8, 2, 6, rng)
-        ref_local = [expect_local(m, sz, s) for s in (0, 3, 7)]
-        ref_pair = [expect_two_site(m, sz, 1, sz, 5), expect_two_site(m, sx, 2, sx, 6)]
+        ref_local = [expect_local(m, SZ, s) for s in (0, 3, 7)]
+        ref_pair = [expect_two_site(m, SZ, 1, SZ, 5), expect_two_site(m, _SX, 2, _SX, 6)]
         for bond in range(m.n_sites - 1):
             chi = m.sites[bond].shape[2]
             x = np.eye(chi) + 0.3 * (rng.standard_normal((chi, chi)) + 1j * rng.standard_normal((chi, chi)))
             if np.linalg.cond(x) >= 1e3:  # pragma: no cover - essentially never at this scale
                 continue
             worst_cond = max(worst_cond, float(np.linalg.cond(x)))
-            g = gauge_insert(m, bond, DenseTensor.from_ndarray(x))
-            new_local = [expect_local(g, sz, s) for s in (0, 3, 7)]
-            new_pair = [expect_two_site(g, sz, 1, sz, 5), expect_two_site(g, sx, 2, sx, 6)]
+            g = gauge_insert(m, bond, x)
+            new_local = [expect_local(g, SZ, s) for s in (0, 3, 7)]
+            new_pair = [expect_two_site(g, SZ, 1, SZ, 5), expect_two_site(g, _SX, 2, _SX, 6)]
             worst = max(worst, float(np.max(np.abs(np.array(ref_local + ref_pair) - np.array(new_local + new_pair)))))
     return _result(
         "gauge_invariance", t0, worst < 1e-8, f"5 states x 7 bonds (cond<={worst_cond:.1f}): max|shift|={worst:.2e}"
@@ -322,10 +319,9 @@ def check_correlation_length_fit() -> CriterionResult:
         max_sweeps_per_tau=5000,
     )
     report = correlation_length(rep.state)
-    sz = DenseTensor.from_ndarray(SZ)
     i0 = n // 2 - 5
     xs = np.arange(1, 11)
-    cs = [connected_correlation(rep.state, sz, i0, i0 + int(x)) for x in xs]
+    cs = [connected_correlation(rep.state, SZ, i0, i0 + int(x)) for x in xs]
     xi_fit, _ = fit_exponential_decay(xs, cs)
     rel = abs(xi_fit - report.xi) / report.xi
     ok = rel < 0.05 and rep.converged
@@ -342,8 +338,7 @@ def check_mera_trace_optimality() -> CriterionResult:
     margin = np.inf
     for _ in range(20):
         gamma = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        gt = DenseTensor.from_ndarray(gamma)
-        w = mera_update(gt).to_ndarray()
+        w = mera_update(gamma)
         best = np.real(np.trace(w @ gamma))
         z = rng.standard_normal((1000, d, d)) + 1j * rng.standard_normal((1000, d, d))
         rivals = []

@@ -171,6 +171,9 @@ def test_exit_codes(tmp_path):
     # 4: problem too large for the dense route
     p4 = write_cfg(tmp_path, {"command": "ed", "model": {"model": "ising_nn", "n": 24}}, "big.json")
     assert main(["--config", p4]) == 4
+    # 4: a TRG step at chi 256 would build 256^4 elements; refused before it allocates
+    trg_cfg = {"command": "trg", "algorithm": {"beta_grid": [0.44], "chi_max": 256, "cutoff": 0.0, "steps": 3}}
+    assert main(["--config", write_cfg(tmp_path, trg_cfg, "trg_big.json")]) == 4
 
 
 def test_unconverged_tebd_is_data_not_an_error(tmp_path):

@@ -11,7 +11,6 @@ from tnkit import (
     MPO,
     SX,
     SY,
-    DenseTensor,
     build_exp_decay,
     build_heisenberg,
     build_ising_nn,
@@ -88,8 +87,7 @@ def xx_dm_mpo(n, j, dm):
     w[2, :, :, 0] = SY
     w[3, :, :, 1] = j * SX - dm * SY
     w[3, :, :, 2] = dm * SX
-    site = DenseTensor.from_ndarray(w)
-    return MPO((site,) * n, left_bvec=np.eye(4)[3], right_bvec=np.eye(4)[0], phys_dim=2)
+    return MPO((w,) * n, left_bvec=np.eye(4)[3], right_bvec=np.eye(4)[0], phys_dim=2)
 
 
 def xx_dm_dense(n, j, dm):

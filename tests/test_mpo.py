@@ -13,7 +13,6 @@ from tnkit import (
     mpo_to_dense,
     mps_from_state_vector,
     product_mps,
-    scale,
     two_site_matrix,
 )
 from tnkit.errors import BadXi, TooFewSites
@@ -101,7 +100,7 @@ def test_expectation_is_a_raw_quadratic_form():
     m = mps_from_state_vector(psi, 2)
     doubled = mps_from_state_vector(psi, 2)
     scaled = type(doubled)(
-        sites=(scale(doubled.sites[0], 2.0), doubled.sites[1]),
+        sites=(doubled.sites[0] * 2.0, doubled.sites[1]),
         center=doubled.center,
         phys_dim=2,
     )

@@ -10,13 +10,15 @@ import pytest
 from conftest import SX, SZ, kron_site
 from tnkit import (
     MPS,
-    DenseTensor,
     TruncationSpec,
     apply_two_site_gate,
     bond_entropies,
+    bond_gate,
+    build_heisenberg,
     canonicalize,
     connected_correlation,
     correlation_length,
+    eig_hermitian,
     entanglement_entropy,
     expect_local,
     expect_two_site,
@@ -32,12 +34,11 @@ from tnkit import (
     product_mps,
     product_state_vector,
     random_mps,
+    svd,
+    sweep,
     to_state_vector,
 )
 from tnkit.errors import BadLength, BadOrder, NotNormalized, Singular
-
-sz_op = DenseTensor.from_ndarray(SZ)
-sx_op = DenseTensor.from_ndarray(SX)
 
 
 def random_state(rng, n, d=2):
@@ -80,13 +81,42 @@ def test_product_state_vector_is_little_endian():
     np.testing.assert_allclose(vec, [0, 1, 0, 0])
 
 
+def test_nan_input_is_not_normalized():
+    with pytest.raises(NotNormalized):
+        product_mps([np.array([1.0, 0.0]), np.array([np.nan, 0.0])])
+    with pytest.raises(NotNormalized):
+        mps_from_state_vector(np.full(8, np.nan), 2)
+
+
+def test_sites_and_factors_are_read_only(rng):
+    psi = random_state(rng, 5)
+    states = [
+        product_mps([np.array([1.0, 0.0])] * 4),
+        mps_from_state_vector(psi, 2),
+        random_mps(5, 2, 3, rng),
+        move_center(mps_from_state_vector(psi, 2), 1),
+        sweep(mps_from_state_vector(psi, 2), bond_gate("heisenberg", -1.0, 0.1, "imaginary"))[0],
+    ]
+    res, eig = svd(rng.standard_normal((4, 3))), eig_hermitian(np.diag([1.0, 2.0]))
+    arrays = [t for m in states for t in m.sites] + list(build_heisenberg(4).sites)
+    for a in arrays + [res.u, res.v_dag, eig.u]:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+    # the MPS holds a read-only view; the caller's own array is neither copied nor frozen
+    site = np.zeros((1, 2, 1))
+    site[0, 0, 0] = 1.0
+    m = MPS(sites=(site,), center=0, phys_dim=2)
+    site[0, 1, 0] = 0.0
+    assert np.shares_memory(m.sites[0], site) and not m.sites[0].flags.writeable
+
+
 def test_product_mps_avoids_the_dense_vector(rng):
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     m = product_mps([plus] * 40)  # 2^40 would not fit in memory
     assert m.n_sites == 40
     assert m.bond_dims() == (1,) * 39
     assert np.isclose(norm_squared(m), 1.0)
-    assert np.isclose(expect_local(m, sx_op, 20).real, 0.5)
+    assert np.isclose(expect_local(m, SX, 20).real, 0.5)
     with pytest.raises(NotNormalized):
         product_mps([np.array([1.0, 1.0])] * 3)
 
@@ -112,11 +142,11 @@ def test_canonicalize_left_right_isometries(rng):
     m = canonicalize(mps_from_state_vector(random_state(rng, 6), 2), 3)
     # sites left of the center are left-isometries, right of it right-isometries
     for s in range(3):
-        a = m.sites[s].to_ndarray()
+        a = m.sites[s]
         fused = a.reshape(-1, a.shape[2], order="F")
         np.testing.assert_allclose(fused.conj().T @ fused, np.eye(a.shape[2]), atol=1e-12)
     for s in range(4, 6):
-        a = m.sites[s].to_ndarray()
+        a = m.sites[s]
         fused = a.reshape(a.shape[0], -1, order="F")
         np.testing.assert_allclose(fused @ fused.conj().T, np.eye(a.shape[0]), atol=1e-12)
 
@@ -142,38 +172,36 @@ def test_expectations_match_dense_oracle(rng):
     m = mps_from_state_vector(psi, 2)
     for site in (0, 2, 5):
         ref = np.vdot(psi, kron_site(SZ, site, n) @ psi)
-        assert np.isclose(expect_local(m, sz_op, site), ref, atol=1e-12)
+        assert np.isclose(expect_local(m, SZ, site), ref, atol=1e-12)
     ref = np.vdot(psi, kron_site(SX, 1, n) @ kron_site(SX, 4, n) @ psi)
-    assert np.isclose(expect_two_site(m, sx_op, 1, sx_op, 4), ref, atol=1e-12)
+    assert np.isclose(expect_two_site(m, SX, 1, SX, 4), ref, atol=1e-12)
     with pytest.raises(BadOrder):
-        expect_two_site(m, sz_op, 4, sz_op, 4)
+        expect_two_site(m, SZ, 4, SZ, 4)
 
 
 def test_expectations_renormalize_unnormalized_states(rng):
     psi = random_state(rng, 5)
     m = mps_from_state_vector(psi, 2)
     scaled = MPS(
-        sites=tuple(
-            DenseTensor(t.shape, t.data * (3.0 if i == m.center else 1.0)) for i, t in enumerate(m.sites)
-        ),
+        sites=tuple(t * (3.0 if i == m.center else 1.0) for i, t in enumerate(m.sites)),
         center=m.center,
         phys_dim=2,
     )
     ref = np.vdot(psi, kron_site(SZ, 2, 5) @ psi)
-    assert np.isclose(expect_local(scaled, sz_op, 2), ref, atol=1e-12)
+    assert np.isclose(expect_local(scaled, SZ, 2), ref, atol=1e-12)
 
 
 def test_gauge_insert_is_invisible_to_measurements(rng):
     m = random_mps(7, 2, 5, rng)
-    ref = [expect_local(m, sz_op, s) for s in range(7)]
-    ref.append(expect_two_site(m, sz_op, 0, sz_op, 6))
+    ref = [expect_local(m, SZ, s) for s in range(7)]
+    ref.append(expect_two_site(m, SZ, 0, SZ, 6))
     for bond in (0, 3, 5):
         chi = m.sites[bond].shape[2]
         x = np.eye(chi) + 0.4 * (rng.standard_normal((chi, chi)) + 1j * rng.standard_normal((chi, chi)))
-        g = gauge_insert(m, bond, DenseTensor.from_ndarray(x))
+        g = gauge_insert(m, bond, x)
         assert g.center is None  # canonical structure intentionally broken
-        got = [expect_local(g, sz_op, s) for s in range(7)]
-        got.append(expect_two_site(g, sz_op, 0, sz_op, 6))
+        got = [expect_local(g, SZ, s) for s in range(7)]
+        got.append(expect_two_site(g, SZ, 0, SZ, 6))
         np.testing.assert_allclose(got, ref, atol=1e-9)
         np.testing.assert_allclose(to_state_vector(g), to_state_vector(m), atol=1e-9)
 
@@ -184,7 +212,7 @@ def test_gauge_insert_rejects_singular_matrices(rng):
     x = np.zeros((chi, chi))
     x[0, 0] = 1.0
     with pytest.raises(Singular):
-        gauge_insert(m, 2, DenseTensor.from_ndarray(x))
+        gauge_insert(m, 2, x)
 
 
 def test_apply_two_site_gate_matches_dense(rng):
@@ -193,7 +221,7 @@ def test_apply_two_site_gate_matches_dense(rng):
     gate = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
     for site in (0, 2, 4):
         m = mps_from_state_vector(psi, 2)
-        out, lost = apply_two_site_gate(m, DenseTensor.from_ndarray(gate), site)
+        out, lost = apply_two_site_gate(m, gate, site)
         assert lost == 0.0
         assert out.center == site + 1
         full = np.kron(np.eye(2 ** (n - site - 2)), np.kron(gate, np.eye(2**site)))
@@ -204,7 +232,7 @@ def test_gate_truncation_reports_discarded_weight(rng):
     psi = random_state(rng, 8)
     m = canonicalize(mps_from_state_vector(psi, 2), 3)
     gate = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
-    out, lost = apply_two_site_gate(m, DenseTensor.from_ndarray(gate), 3, spec=TruncationSpec(chi_max=3))
+    out, lost = apply_two_site_gate(m, gate, 3, spec=TruncationSpec(chi_max=3))
     full = np.kron(np.eye(2**3), np.kron(gate, np.eye(2**3)))
     err2 = np.linalg.norm(to_state_vector(out) - full @ psi) ** 2
     assert np.isclose(err2, lost, atol=1e-10)
@@ -243,10 +271,7 @@ def test_correlation_length_of_hand_built_uniform_mps():
     right = np.zeros((chi, 2, 1), dtype=complex)
     right[0, 0, 0] = 1.0
     right[1, 1, 0] = 1.0
-    sites = [DenseTensor.from_ndarray(left)]
-    sites += [DenseTensor.from_ndarray(bulk) for _ in range(n - 2)]
-    sites.append(DenseTensor.from_ndarray(right))
-    m = MPS(sites=tuple(sites), center=None, phys_dim=2)
+    m = MPS(sites=(left,) + (bulk,) * (n - 2) + (right,), center=None, phys_dim=2)
     rep = correlation_length(m)
     assert np.isclose(rep.xi, 1.0, atol=1e-8)
     mags = np.abs(rep.transfer_eigs)
@@ -265,7 +290,7 @@ def test_connected_correlation_subtracts_disconnected_part(rng):
     zi = kron_site(SZ, 1, 6)
     zj = kron_site(SZ, 4, 6)
     ref = np.vdot(psi, zi @ zj @ psi) - np.vdot(psi, zi @ psi) * np.vdot(psi, zj @ psi)
-    assert np.isclose(connected_correlation(m, sz_op, 1, 4), ref.real, atol=1e-12)
+    assert np.isclose(connected_correlation(m, SZ, 1, 4), ref.real, atol=1e-12)
 
 
 def test_fit_recovers_exponential_and_power_laws():

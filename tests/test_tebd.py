@@ -38,7 +38,7 @@ def test_pair_hamiltonian_matches_two_site_dense():
 
 def test_ising_gate_is_diagonal_with_known_entries():
     tau, j = 0.3, 1.0
-    g = bond_gate("ising_nn", j, tau, "imaginary").to_ndarray()
+    g = bond_gate("ising_nn", j, tau, "imaginary")
     # h = -J SzSz = diag(-J/4, J/4, J/4, -J/4), so exp(-tau h) flips the signs
     lo, hi = np.exp(-tau * j / 4.0), np.exp(tau * j / 4.0)
     np.testing.assert_allclose(g, np.diag([hi, lo, lo, hi]), atol=1e-14)
@@ -48,10 +48,10 @@ def test_gate_matches_scipy_expm():
     for model, j in (("ising_nn", 1.0), ("heisenberg", -1.0)):
         h = pair_hamiltonian(model, j)
         np.testing.assert_allclose(
-            bond_gate(model, j, 0.17, "imaginary").to_ndarray(), expm(-0.17 * h), atol=1e-10
+            bond_gate(model, j, 0.17, "imaginary"), expm(-0.17 * h), atol=1e-10
         )
         np.testing.assert_allclose(
-            bond_gate(model, j, 0.17, "real").to_ndarray(), expm(-0.17j * h), atol=1e-10
+            bond_gate(model, j, 0.17, "real"), expm(-0.17j * h), atol=1e-10
         )
 
 
@@ -176,7 +176,7 @@ def test_real_models_stay_real_and_only_real_time_turns_complex():
     # dtypes follow numpy promotion: the Ising and Heisenberg chains are real,
     # so only the -1j*dt of the real-time gate brings complex numbers in
     def dtypes(tensors):
-        return {t.to_ndarray().dtype for t in tensors}
+        return {t.dtype for t in tensors}
 
     f64, c128 = np.dtype(np.float64), np.dtype(np.complex128)
     for model in ("ising_nn", "heisenberg"):

@@ -6,15 +6,10 @@ import pytest
 from tnkit import (
     DenseTensor,
     TruncationSpec,
-    add,
     contract,
     contract_flops,
-    direct_sum,
-    frobenius_norm,
-    kron,
     permute,
     reshape,
-    scale,
     truncated_svd,
 )
 from tnkit.errors import (
@@ -86,14 +81,6 @@ def test_permute_validates_the_permutation():
         permute(t, (0,))
 
 
-def test_scale_add_norm():
-    t, arr = random_tensor((3, 3))
-    u, brr = random_tensor((3, 3))
-    np.testing.assert_allclose(scale(t, 2j).to_ndarray(), 2j * arr)
-    np.testing.assert_allclose(add(t, u).to_ndarray(), arr + brr)
-    assert np.isclose(frobenius_norm(t), np.linalg.norm(arr))
-
-
 def test_contract_matches_einsum():
     a, arr_a = random_tensor((2, 3, 4))
     b, arr_b = random_tensor((4, 3, 5))
@@ -153,30 +140,10 @@ def test_real_operands_stay_real():
         reshape(a, (6, 4)),
         contract(a, [1, 2], b, [1, 0]),
     ]
-    res = truncated_svd(reshape(a, (6, 4)), TruncationSpec(chi_max=2))
-    results += [res.u, res.v_dag]
     for t in results:
         assert t.to_ndarray().dtype == np.float64
-
-
-def test_kron_follows_block_convention():
-    """kron(a, b) uses the standard block layout: b's index is the fast one."""
-    a = DenseTensor.from_ndarray(np.diag([1.0, 2.0]))
-    b = DenseTensor.from_ndarray(np.diag([1.0, 10.0]))
-    k = kron(a, b)
-    np.testing.assert_allclose(np.diag(k.to_ndarray()).real, [1.0, 10.0, 2.0, 20.0])
-    v = kron(DenseTensor.from_ndarray(np.array([1.0, 2.0])), DenseTensor.from_ndarray(np.array([1.0, 10.0])))
-    np.testing.assert_allclose(v.to_ndarray().real, [1.0, 10.0, 2.0, 20.0])
-
-
-def test_direct_sum_blocks():
-    a, arr_a = random_tensor((2, 3))
-    b, arr_b = random_tensor((4, 5))
-    s = direct_sum(a, b).to_ndarray()
-    assert s.shape == (6, 8)
-    np.testing.assert_allclose(s[:2, :3], arr_a)
-    np.testing.assert_allclose(s[2:, 3:], arr_b)
-    assert np.allclose(s[:2, 3:], 0) and np.allclose(s[2:, :3], 0)
+    res = truncated_svd(reshape(a, (6, 4)).to_ndarray(), TruncationSpec(chi_max=2))
+    assert res.u.dtype == res.v_dag.dtype == np.float64
 
 
 def test_dump_load_round_trip():

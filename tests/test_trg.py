@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from tnkit import UNTRUNCATED, DenseTensor, TruncationSpec, truncated_svd
+from tnkit import UNTRUNCATED, TruncationSpec, truncated_svd
+from tnkit import trg
 from tnkit.errors import BadBeta, TooLarge
 from tnkit.trg import (
     brute_force_lnz,
@@ -29,11 +30,11 @@ def spin_basis_lnz(beta, j, steps, spec):
     """
 
     def split(mat):
-        res = truncated_svd(DenseTensor._wrap(mat), spec)
+        res = truncated_svd(mat, spec)
         root = np.sqrt(res.d)
-        return res.u.to_ndarray() * root, root[:, None] * res.v_dag.to_ndarray()
+        return res.u * root, root[:, None] * res.v_dag
 
-    t = ising_plaquette_tensor(beta, j).to_ndarray()
+    t = ising_plaquette_tensor(beta, j)
     log_norm, chis = np.log(np.abs(t).max()) / 2, []
     t = t / np.abs(t).max()
     for step in range(steps):
@@ -62,7 +63,7 @@ def onsager_lnz_per_site(beta, j=1.0):
 
 def test_plaquette_entries():
     beta, j = 0.4, 1.0
-    t = ising_plaquette_tensor(beta, j).to_ndarray()
+    t = ising_plaquette_tensor(beta, j)
     # T[u,l,d,r] = exp(bJ (su+sd)(sl+sr)) with index 0 <-> spin +1
     for idx in np.ndindex(2, 2, 2, 2):
         su, sl, sd, sr = (1 - 2 * i for i in idx)
@@ -70,7 +71,7 @@ def test_plaquette_entries():
 
 
 def test_plaquette_cyclic_symmetry():
-    t = ising_plaquette_tensor(0.7, 1.3).to_ndarray()
+    t = ising_plaquette_tensor(0.7, 1.3)
     np.testing.assert_allclose(t, np.transpose(t, (1, 2, 3, 0)), atol=1e-14)
     np.testing.assert_allclose(t, np.transpose(t, (2, 3, 0, 1)), atol=1e-14)
 
@@ -149,7 +150,7 @@ def test_parity_blocks_match_the_spin_basis_reference(beta, chi, j):
 def test_coarse_tensors_vanish_off_the_even_sectors():
     state = initial_state(0.44, -0.7)
     for _ in range(6):
-        t = state.tensor.to_ndarray()
+        t = state.tensor
         p_ud, p_lr = state.parity_ud, state.parity_lr
         assert t.shape == (p_ud.size, p_lr.size, p_ud.size, p_lr.size)
         odd = p_ud[:, None, None, None] ^ p_lr[None, :, None, None] ^ p_ud[None, None, :, None] ^ p_lr[None, None, None, :]
@@ -168,6 +169,18 @@ def test_discarded_weight_per_step():
     assert len(cut.discarded_weights) == 6
     assert all(w >= 0.0 for pair in cut.discarded_weights for w in pair)
     assert max(max(pair) for pair in cut.discarded_weights) > 0.0
+
+
+def test_oversized_step_is_refused_before_it_allocates(monkeypatch):
+    # with no bond cap the third step would build a 65536 x 65536 array (32 GiB)
+    with pytest.raises(TooLarge):
+        free_energy_per_site(0.44, 1.0, steps=3, spec=TruncationSpec(cutoff=0.0))
+    # the cap bounds the largest array of a step: (k1 k2)^2 = 16^4 elements at step 2
+    monkeypatch.setattr(trg, "_STEP_ELEMENT_CAP", 16**4)
+    assert free_energy_per_site(0.44, 1.0, steps=2, spec=UNTRUNCATED).chi_history[-1] == (16, 16)
+    monkeypatch.setattr(trg, "_STEP_ELEMENT_CAP", 16**4 - 1)
+    with pytest.raises(TooLarge):
+        free_energy_per_site(0.44, 1.0, steps=2, spec=UNTRUNCATED)
 
 
 def test_report_metadata():
