@@ -10,8 +10,9 @@ second-order bias in the step size.
 Only Hamiltonians that decompose into nearest-neighbor pair terms can be
 evolved this way; asking for the longer-range models raises
 UnsupportedModel. Imaginary-time evolution renormalizes the state after
-every sweep (the gates are not unitary); real-time evolution leaves the norm
-alone so truncation loss stays visible to the caller.
+every sweep (the gates are not unitary; each is divided by its spectral norm
+so no sweep overflows); real-time evolution leaves the norm alone so
+truncation loss stays visible to the caller.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import UNTRUNCATED, TruncationSpec, eig_hermitian
-from .errors import ShapeMismatch, UnsupportedModel
+from .errors import NumericalFailure, ShapeMismatch, UnsupportedModel
 from .mpo import MPO, SM, SP, SZ, build_heisenberg, build_ising_nn, mpo_expectation, two_site_matrix
 from .mps import MPS, _gate_pair, _gate_tensor, move_center, norm_squared, product_mps
 
@@ -90,17 +91,20 @@ def sweep(
 
 
 def measure_energy(state: MPS, h: MPO) -> float:
-    """<H> normalized by the state's norm squared."""
-    num = mpo_expectation(state, h).real
+    """<H> normalized by the state's norm squared; NumericalFailure if that is 0 or not finite."""
     den = _center_norm_squared(state)
-    return num / den
+    return mpo_expectation(state, h).real / den
 
 
 def _center_norm_squared(state: MPS) -> float:
     if state.center is None:
-        return norm_squared(state)  # no trustworthy gauge; full zipper
-    c = state.sites[state.center]
-    return float(np.tensordot(c.conj(), c, axes=([0, 1, 2], [0, 1, 2])).real)
+        nrm2 = norm_squared(state)  # no trustworthy gauge; full zipper
+    else:
+        c = state.sites[state.center]
+        nrm2 = float(np.tensordot(c.conj(), c, axes=([0, 1, 2], [0, 1, 2])).real)
+    if not (0.0 < nrm2 < np.inf):
+        raise NumericalFailure(f"state norm squared is {nrm2}; cannot normalize")
+    return nrm2
 
 
 def _rescale_center(state: MPS) -> MPS:
@@ -187,6 +191,7 @@ def find_ground_state(
     all_converged = True
     for tau in schedule:
         gate = bond_gate(model, j, tau, "imaginary")
+        gate = gate / np.linalg.norm(gate, 2)  # else a sweep grows by exp(-tau min(h))^(n-1)
         stage_start = len(energies)
         stage_converged = False
         for _ in range(max_sweeps_per_tau):

@@ -25,12 +25,15 @@ along the diagonals, so the coarse network is again a square lattice of the
 same kind with half as many tensors (each covering twice the spins).
 
 Because the tensor is parity-even, each split matrix is block-diagonal once
-its rows and columns are grouped by parity. Each step therefore computes the
-SVDs of the even and the odd block, merges the two spectra in descending
-order and cuts the merged spectrum with ``decomp.select_rank``: the kept
-values, the cutoff and the degeneracy rule are those of the full SVD, at
-about a quarter of its cost. Each kept link inherits its block's parity, so
-the coarse tensor is parity-even again and its odd entries stay exactly zero.
+its rows and columns are grouped by parity. Each step therefore decomposes
+the even and the odd block, merges the two spectra in descending order and
+cuts the merged spectrum with ``decomp.select_rank``: the kept values, the
+cutoff and the degeneracy rule are those of the full SVD. With a bond cap
+chi_max, a block at least 2 (chi_max + 17) wide yields only its chi_max + 1
+largest values, from ``decomp.partial_svd`` at O(n^2 chi) instead of O(n^3);
+any other block gets the full LAPACK SVD. Each kept link inherits its block's
+parity, so the coarse tensor is parity-even again, its odd entries stay
+exactly zero, and the final contraction runs as one product per parity.
 
 Running tensors are kept normalized to unit max-entry; the peeled-off scale
 factors accumulate directly into ln(Z) per spin. Closing the network as a
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import TruncationSpec, select_rank, svd
+from .decomp import SKETCH_OVERSAMPLING, TruncationSpec, partial_svd, select_rank, svd
 from .errors import BadBeta, NumericalFailure, TooLarge
 
 _BRUTE_SPIN_CAP = 20
@@ -139,21 +142,28 @@ def _split(
     between rows and columns of different parity. Returns the left piece
     U sqrt(d), the right piece sqrt(d) V†, the parity of each kept link, and
     the absolute discarded weight.
+
+    With a chi_max, a block at least twice as wide as the sketch (chi_max + 1 +
+    SKETCH_OVERSAMPLING columns) gets its chi_max + 1 largest values by partial
+    SVD, and the residual ‖B - U_k S_k V_k†‖²_F as its discarded weight.
     """
     sectors = []
     for p in (0, 1):
         idx = np.flatnonzero(parity == p)
         if idx.size:
-            sectors.append((p, idx, svd(mat[np.ix_(idx, idx)])))
-    d = np.concatenate([res.d for _, _, res in sectors])
+            block = mat[np.ix_(idx, idx)]
+            sketch_fits = spec.chi_max is not None and 2 * (spec.chi_max + 1 + SKETCH_OVERSAMPLING) <= idx.size
+            sectors.append((p, idx, block, partial_svd(block, spec.chi_max + 1) if sketch_fits else svd(block)))
+    d = np.concatenate([res.d for *_, res in sectors])
     order = np.argsort(-d, kind="stable")
-    k = select_rank(d[order], spec)
+    k = select_rank(d[order], spec, float(np.vdot(mat, mat)) if d.size < mat.shape[0] else None)
     kept = order[:k]
     left = np.zeros((mat.shape[0], k))
     right = np.zeros((k, mat.shape[1]))
     link_parity = np.empty(k, dtype=np.int8)
+    discarded = 0.0
     offset = 0
-    for p, idx, res in sectors:
+    for p, idx, block, res in sectors:
         n = res.d.shape[0]
         slot = np.flatnonzero((kept >= offset) & (kept < offset + n))
         local = kept[slot] - offset
@@ -161,8 +171,13 @@ def _split(
         left[np.ix_(idx, slot)] = res.u[:, local] * root[None, :]
         right[np.ix_(slot, idx)] = root[:, None] * res.v_dag[local, :]
         link_parity[slot] = p
+        if n < idx.size:  # partial: the dropped values were never computed
+            residual = block - (res.u[:, local] * res.d[local]) @ res.v_dag[local, :]
+            discarded += float(np.vdot(residual, residual))
+        else:
+            discarded += float(np.sum(np.delete(res.d, local) ** 2))
         offset += n
-    return left, right, link_parity, float(np.sum(d[order[k:]] ** 2))
+    return left, right, link_parity, discarded
 
 
 def trg_step(state: TRGState, spec: TruncationSpec) -> TRGState:
@@ -179,6 +194,8 @@ def trg_step(state: TRGState, spec: TruncationSpec) -> TRGState:
     B-split link, so the result is again a valid (u,l,d,r) network tensor.
     Both splits pair one u/d leg with one l/r leg on each side, so one
     parity vector labels the rows and the columns of both split matrices.
+    The last contraction, over (b, e), is a matrix product (d,l)|(u,r) that is
+    block-diagonal by parity: one product per parity, odd entries never written.
     Raises TooLarge, before contracting, if the largest array the step
     builds would hold more than 100^4 elements.
     """
@@ -198,17 +215,25 @@ def trg_step(state: TRGState, spec: TruncationSpec) -> TRGState:
     s3 = s3.reshape(cu, cl, k2)
     s4 = s4.reshape(k2, cd, cr)
 
+    # index pairs (d', l'), alias (u', r'), and (b, e) of each parity; p1, p2 are freed once gathered
+    rows = [np.nonzero((p_ud[:, None] ^ p_lr[None, :]) == q) for q in (0, 1)]
+    inner = [np.nonzero((state.parity_lr[:, None] ^ state.parity_lr[None, :]) == q) for q in (0, 1)]
     p1 = np.tensordot(s2, s4, axes=([1], [1]))  # (d', b, l', e)
+    m1 = [p1[d[:, None], b[None, :], l[:, None], e[None, :]] for (d, l), (b, e) in zip(rows, inner)]
+    del p1
     p2 = np.tensordot(s1, s3, axes=([0], [0]))  # (e, u', b, r')
-    new = np.tensordot(p1, p2, axes=([1, 3], [2, 0]))  # (d', l', u', r')
-    new = new.transpose(2, 1, 0, 3)
-
-    c = float(np.abs(new).max())
+    m2 = [p2[e[:, None], u[None, :], b[:, None], r[None, :]] for (u, r), (b, e) in zip(rows, inner)]
+    del p2
+    new = np.zeros((k1, k2, k1, k2))  # (u', l', d', r')
+    for (i, j), a, b in zip(rows, m1, m2):
+        new[i[None, :], j[:, None], i[:, None], j[None, :]] = a @ b  # rows (d', l'), columns (u', r')
+    c = float(max(new.max(), -new.min()))
     if c == 0.0:
         raise NumericalFailure("coarse tensor vanished; cannot renormalize")
+    new /= c
     spt_new = 2 * state.sites_per_tensor
     return TRGState(
-        tensor=new / c,
+        tensor=new,
         log_norm_per_site=state.log_norm_per_site + math.log(c) / spt_new,
         step=state.step + 1,
         parity_ud=p_ud,

@@ -176,6 +176,19 @@ def test_exit_codes(tmp_path):
     assert main(["--config", write_cfg(tmp_path, trg_cfg, "trg_big.json")]) == 4
 
 
+def test_strong_coupling_tebd_exits_cleanly(tmp_path):
+    # at |J| = 150 one imaginary-time sweep used to overflow the state norm
+    out = tmp_path / "strong.json"
+    cfg = {
+        "command": "tebd",
+        "model": {"model": "heisenberg", "n": 40, "j": -150.0},
+        "algorithm": {"mode": "ground", "chi_max": 8, "schedule": [0.1], "max_sweeps_per_tau": 4},
+        "output": {"path": str(out)},
+    }
+    assert main(["--config", write_cfg(tmp_path, cfg, "strong.json")]) == 0
+    assert math.isfinite(load_record(str(out))["metrics"]["energy"])
+
+
 def test_unconverged_tebd_is_data_not_an_error(tmp_path):
     out = tmp_path / "t.json"
     cfg = {

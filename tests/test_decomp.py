@@ -13,6 +13,7 @@ from tnkit import (
     svd,
     truncated_svd,
 )
+from tnkit.decomp import partial_svd
 from tnkit.errors import AllZero, NotHermitian, NotSquare
 
 rng = np.random.default_rng(7)
@@ -85,6 +86,43 @@ def test_select_rank_cutoff_is_relative_weight():
     assert select_rank(d, TruncationSpec(chi_max=2)) == 2
     # chi_max=1 always keeps at least one value
     assert select_rank(d, TruncationSpec(chi_max=1, cutoff=0.9)) == 1
+
+
+def test_select_rank_on_a_partial_spectrum_matches_the_full_one():
+    # the leading chi_max + 1 values plus the total weight fix the rank
+    smooth = np.exp(-0.35 * np.arange(60)) * np.linspace(1.0, 0.6, 60)
+    paired = smooth.copy()
+    paired[[4, 8, 12, 16]] = paired[[3, 7, 11, 15]]  # exactly degenerate pairs across the cuts
+    for d in (smooth, paired):
+        total = float(np.sum(d**2))
+        for chi in range(1, 24):
+            for cutoff in (0.0, 1e-12, 1e-8, 1e-5, 1e-3, 3e-2):
+                spec = TruncationSpec(chi_max=chi, cutoff=cutoff)
+                assert select_rank(d[: chi + 1], spec, total) == select_rank(d, spec)
+
+
+def test_whole_spectra_are_cut_without_a_total():
+    # a cutoff of 1e-24 drops only rounding-level values, here the last two;
+    # a total that carries the rounding of a Frobenius norm (a few ulps) would
+    # count as unseen tail weight far above that budget and keep them all
+    exact = TruncationSpec(cutoff=1e-24)
+    d = np.array([1.0, 0.5, 1e-13, 1e-17])
+    assert select_rank(d, exact) == 2
+    assert select_rank(d, exact, float(np.sum(d**2)) * (1.0 + 4e-16)) == 4
+
+
+def test_partial_svd_finds_the_leading_triplets():
+    q1, _ = np.linalg.qr(random_matrix(120, 120))
+    q2, _ = np.linalg.qr(random_matrix(90, 90))
+    d_true = np.exp(-0.3 * np.arange(90))
+    m = (q1[:, :90] * d_true) @ q2.conj().T
+    res = partial_svd(m, 9)
+    np.testing.assert_allclose(res.d, d_true[:9], rtol=1e-12)
+    np.testing.assert_allclose(res.u.conj().T @ res.u, np.eye(9), atol=1e-12)
+    np.testing.assert_allclose(res.v_dag @ res.v_dag.conj().T, np.eye(9), atol=1e-12)
+    np.testing.assert_allclose(res.u.conj().T @ m, res.d[:, None] * res.v_dag, atol=1e-12)
+    again = partial_svd(m, 9)  # the sketch's generator is seeded inside
+    assert np.array_equal(res.u, again.u) and np.array_equal(res.d, again.d)
 
 
 def test_cutoff_zero_keeps_exact_zeros():

@@ -13,6 +13,7 @@ from tnkit import (
     build_ising_nn,
     evolve_real_time,
     find_ground_state,
+    MPS,
     initial_product_state,
     measure_energy,
     model_mpo,
@@ -24,7 +25,7 @@ from tnkit import (
     sweep,
     to_state_vector,
 )
-from tnkit.errors import UnsupportedModel
+from tnkit.errors import NumericalFailure, UnsupportedModel
 
 rng = np.random.default_rng(909)
 
@@ -196,6 +197,30 @@ def test_measure_energy_normalizes():
     state = initial_product_state("ising_nn", 4)
     h = build_ising_nn(4, j=1.0)
     assert np.isclose(measure_energy(state, h), 0.0, atol=1e-12)  # |+> has <SzSz> = 0
+
+
+
+def test_strong_coupling_ground_search_stays_finite():
+    # exp(-tau h) grows the state by up to exp(0.075 |J|) per bond at tau = 0.1,
+    # which overflows within one 39-bond sweep at |J| = 150 unless the gate is
+    # divided by its spectral norm
+    n, j = 40, -150.0
+    rep = find_ground_state(
+        "heisenberg", n, j=j, spec=TruncationSpec(chi_max=8, cutoff=1e-12), schedule=(0.1,), max_sweeps_per_tau=4
+    )
+    assert np.all(np.isfinite(rep.energy_trace))
+    assert np.isclose(rep.energy_trace[0], j * (n - 1) / 4.0)  # the Neel seed
+    assert rep.energy < rep.energy_trace[0]
+
+
+def test_zero_or_nan_norm_is_a_numerical_failure():
+    state = initial_product_state("heisenberg", 4)
+    h = build_heisenberg(4, j=-1.0)
+    for bad in (0.0, np.nan):
+        sites = list(state.sites)
+        sites[state.center] = sites[state.center] * bad
+        with pytest.raises(NumericalFailure):
+            measure_energy(MPS(tuple(sites), center=state.center, phys_dim=2), h)
 
 
 if __name__ == "__main__":

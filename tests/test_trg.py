@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from tnkit import UNTRUNCATED, TruncationSpec, truncated_svd
-from tnkit import trg
+from tnkit import UNTRUNCATED, TruncationSpec, select_rank, truncated_svd
+from tnkit import decomp, trg
 from tnkit.errors import BadBeta, TooLarge
 from tnkit.trg import (
     brute_force_lnz,
@@ -48,6 +48,49 @@ def spin_basis_lnz(beta, j, steps, spec):
         t = t / np.abs(t).max()
         chis.append((k1, k2))
     return log_norm + np.log(np.einsum("abab->", t)) / 2 ** (steps + 1), tuple(chis)
+
+
+def full_split(mat, parity, spec):
+    """Reference for trg._split: full LAPACK SVD of both parity blocks.
+
+    Returns the kept values, the parity of each kept link and the discarded
+    weight, all in merged descending order.
+    """
+    values, parities = [], []
+    for p in (0, 1):
+        idx = np.flatnonzero(parity == p)
+        values.append(np.linalg.svd(mat[np.ix_(idx, idx)], compute_uv=False))
+        parities.append(np.full(idx.size, p))
+    d, par = np.concatenate(values), np.concatenate(parities)
+    order = np.argsort(-d, kind="stable")
+    k = select_rank(d[order], spec)
+    return d[order[:k]], par[order[:k]], float(np.sum(d[order[k:]] ** 2))
+
+
+def block_matrix(spectra, seed=3):
+    """Parity-block-diagonal matrix, parities interleaved, with the given block spectra."""
+    r = np.random.default_rng(seed)
+    parity = np.arange(sum(len(s) for s in spectra)) % 2
+    mat = np.zeros((parity.size, parity.size))
+    for p, s in enumerate(spectra):
+        idx = np.flatnonzero(parity == p)
+        q1, q2 = (np.linalg.qr(r.standard_normal((idx.size, idx.size)))[0] for _ in range(2))
+        mat[np.ix_(idx, idx)] = (q1 * s) @ q2.T
+    return mat, parity
+
+
+def dense_coarse_tensor(state, spec):
+    """Reference for trg_step's coarse tensor: the same splits, one dense contraction."""
+    arr = state.tensor
+    cu, cl, cd, cr = arr.shape
+    pair = (state.parity_ud[:, None] ^ state.parity_lr[None, :]).ravel()
+    s1, s2, _, _ = trg._split(arr.transpose(2, 1, 0, 3).reshape(cd * cl, cu * cr), pair, spec)
+    s3, s4, _, _ = trg._split(arr.reshape(cu * cl, cd * cr), pair, spec)
+    k1, k2 = s1.shape[1], s3.shape[1]
+    p1 = np.tensordot(s2.reshape(k1, cu, cr), s4.reshape(k2, cd, cr), axes=([1], [1]))
+    p2 = np.tensordot(s1.reshape(cd, cl, k1), s3.reshape(cu, cl, k2), axes=([0], [0]))
+    new = np.tensordot(p1, p2, axes=([1, 3], [2, 0])).transpose(2, 1, 0, 3)
+    return new / np.abs(new).max()
 
 
 def onsager_lnz_per_site(beta, j=1.0):
@@ -157,6 +200,72 @@ def test_coarse_tensors_vanish_off_the_even_sectors():
         assert np.all(t[odd == 1] == 0.0)
         assert np.any(t[odd == 0] != 0.0)
         state = trg_step(state, TruncationSpec(chi_max=8, cutoff=1e-12))
+
+
+def test_blocked_contraction_matches_the_dense_one():
+    spec = TruncationSpec(chi_max=32, cutoff=1e-12)
+    state = initial_state(0.44, -0.7)
+    for _ in range(6):
+        ref = dense_coarse_tensor(state, spec)
+        state = trg_step(state, spec)
+        t, p_ud, p_lr = state.tensor, state.parity_ud, state.parity_lr
+        np.testing.assert_allclose(t, ref, rtol=0.0, atol=1e-12)
+        odd = p_ud[:, None, None, None] ^ p_lr[None, :, None, None] ^ p_ud[None, None, :, None] ^ p_lr[None, None, None, :]
+        assert np.all(t[odd == 1] == 0.0)
+    assert t.shape == (32, 32, 32, 32)
+
+
+def split_matrix_at_chi_32():
+    # at beta = 0.2 the discarded weight is ~3e-12 of ‖M‖²: subtracting the
+    # kept weight from the total would leave it only to ~1e-4 relative
+    state = initial_state(0.2, 1.0)
+    for _ in range(4):
+        state = trg_step(state, TruncationSpec(chi_max=32, cutoff=1e-12))
+    cu, cl, cd, cr = state.tensor.shape
+    pair = (state.parity_ud[:, None] ^ state.parity_lr[None, :]).ravel()
+    return state.tensor.reshape(cu * cl, cd * cr), pair
+
+
+decay = np.exp(-0.5 * np.arange(64))
+pair_at_the_cap = np.concatenate([decay[:8], decay[7:63]])  # d[7] == d[8]: chi 8 cuts the pair
+rank_deficient = (np.r_[1.0, 0.5, 0.25, np.zeros(61)], np.r_[0.7, 0.1, np.zeros(62)])
+
+
+@pytest.mark.parametrize("case", ["trg", "decaying", "degenerate", "rank_deficient"])
+def test_partial_split_matches_the_full_split(case, monkeypatch):
+    spec = TruncationSpec(chi_max=32 if case == "trg" else 8, cutoff=1e-12)
+    if case == "trg":
+        mat, parity = split_matrix_at_chi_32()
+    else:
+        spectra = {
+            "decaying": (decay, 0.8 * np.exp(-0.6 * np.arange(64))),
+            "degenerate": (pair_at_the_cap, 1e-3 * decay),
+            "rank_deficient": rank_deficient,
+        }[case]
+        mat, parity = block_matrix(spectra)
+    calls = []
+
+    def counted_partial_svd(m, rank):
+        calls.append(rank)
+        return decomp.partial_svd(m, rank)
+
+    monkeypatch.setattr(trg, "partial_svd", counted_partial_svd)
+    left, right, link_parity, weight = trg._split(mat, parity, spec)
+    assert calls == [spec.chi_max + 1] * 2  # both blocks took the partial path
+    d, par, ref_weight = full_split(mat, parity, spec)
+    # an SVD fixes each value only to ~eps of the largest (LAPACK's own values
+    # of M and of M^T differ by 7e-12 relative at d = 1e-6 d[0] here)
+    np.testing.assert_allclose(np.sum(left**2, axis=0), d, rtol=0.0, atol=1e-12 * d[0])
+    np.testing.assert_allclose(np.sum(right**2, axis=1), d, rtol=0.0, atol=1e-12 * d[0])
+    np.testing.assert_array_equal(link_parity, par)
+    if case == "rank_deficient":
+        assert len(d) == 5 and max(weight, ref_weight) < 1e-28
+    else:
+        np.testing.assert_allclose(weight, ref_weight, rtol=1e-10)
+    # the sketch's generator is fixed, so a second run is bit-identical
+    again = trg._split(mat, parity, spec)
+    for a, b in zip((left, right, link_parity, weight), again):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_discarded_weight_per_step():
