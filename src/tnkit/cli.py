@@ -31,7 +31,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .decomp import TruncationSpec, entanglement_entropy
+from .decomp import TruncationSpec
 from .ed import solve_dense, solve_iterative
 from .errors import (
     NoConvergence,
@@ -41,7 +41,7 @@ from .errors import (
     TooLarge,
     ValidationError,
 )
-from .mpo import MPO, SZ, build_exp_decay, build_heisenberg, build_ising_nn, build_ising_nnn
+from .mpo import MODELS, SZ, build_model
 from .mps import (
     bond_entropies,
     connected_correlation,
@@ -51,23 +51,13 @@ from .mps import (
     product_mps,
     random_mps,
 )
-from .tebd import evolve_real_time, find_ground_state, initial_product_state
+from .tebd import SWEEPABLE, evolve_real_time, find_ground_state, initial_product_state
 from .trg import free_energy_per_site
 from .verify import SUITES, run_suite
 
 
 class UsageError(Exception):
     """Bad invocation (flags, files, unknown suite) — exit code 1."""
-
-
-_COMMANDS = ("ed", "tebd", "trg", "mps-info", "corr", "verify")
-_MODEL_KEYS = {
-    "ising_nn": {"n", "j"},
-    "ising_nnn": {"n", "j1", "j2"},
-    "exp_decay": {"n", "j", "xi"},
-    "heisenberg": {"n", "j"},
-}
-_STATES = ("random", "ghz", "neel", "all_up")
 
 
 # ---------------------------------------------------------------------------
@@ -119,17 +109,12 @@ def _as_choice(block, key, path, choices, default=None):
 def _parse_model(block, path="model") -> dict:
     if not isinstance(block, dict):
         raise ValidationError(f"{path}: expected an object")
-    name = _as_choice(block, "model", path, _MODEL_KEYS)
-    _reject_unknown(block, _MODEL_KEYS[name] | {"model"}, path)
+    name = _as_choice(block, "model", path, MODELS)
+    params = MODELS[name][1]
+    _reject_unknown(block, {"model", "n", *params}, path)
     out = {"model": name, "n": _as_int(block, "n", path, lo=2, hi=64)}
-    if name == "ising_nnn":
-        out["j1"] = _as_float(block, "j1", path, default=1.0)
-        out["j2"] = _as_float(block, "j2", path, default=0.5)
-    elif name == "exp_decay":
-        out["j"] = _as_float(block, "j", path, default=1.0)
-        out["xi"] = _as_float(block, "xi", path, positive=True)
-    else:
-        out["j"] = _as_float(block, "j", path, default=1.0)
+    for key, default in params.items():
+        out[key] = _as_float(block, key, path, default=default, positive=key == "xi")
     return out
 
 
@@ -200,7 +185,7 @@ def _parse_algorithm(command: str, block, path="algorithm") -> dict:
     if command == "mps-info":
         _reject_unknown(block, {"state", "n", "chi_max"}, path)
         return {
-            "state": _as_choice(block, "state", path, _STATES, default="random"),
+            "state": _as_choice(block, "state", path, ("random", "ghz", "neel", "all_up"), default="random"),
             "n": _as_int(block, "n", path, default=8, lo=2, hi=64),
             "chi_max": _as_int(block, "chi_max", path, default=8, lo=1),
         }
@@ -239,7 +224,7 @@ def parse_config(text: str) -> dict:
     if not isinstance(raw, dict):
         raise ValidationError("config: top level must be a JSON object")
     _reject_unknown(raw, {"command", "model", "algorithm", "output", "seed"}, "config")
-    command = _as_choice(raw, "command", "config", _COMMANDS)
+    command = _as_choice(raw, "command", "config", _RUNNERS)
 
     output = raw.get("output", {})
     if not isinstance(output, dict):
@@ -262,9 +247,12 @@ def parse_config(text: str) -> dict:
         if "model" not in raw:
             raise ValidationError("model: required for command " + command)
         cfg["model"] = _parse_model(raw["model"])
-        if command in ("tebd", "corr") and cfg["model"]["model"] not in ("ising_nn", "heisenberg"):
-            raise ValidationError("model.model: sweeps need nearest-neighbor terms only (ising_nn, heisenberg)")
-        if command == "corr" and cfg["algorithm"]["fit_range"][1] >= cfg["model"]["n"] // 2:
+        n = cfg["model"]["n"]
+        if command in ("tebd", "corr") and cfg["model"]["model"] not in SWEEPABLE:
+            raise ValidationError(f"model.model: sweeps need nearest-neighbor terms only ({', '.join(SWEEPABLE)})")
+        if command == "ed" and cfg["algorithm"]["n_states"] > 2**n:
+            raise ValidationError(f"algorithm.n_states: must be <= 2^n = {2**n}, got {cfg['algorithm']['n_states']}")
+        if command == "corr" and cfg["algorithm"]["fit_range"][1] >= n // 2:
             raise ValidationError("algorithm.fit_range: x_max must stay below n/2 (mid-chain window)")
     elif "model" in raw:
         cfg["model"] = _parse_model(raw["model"])
@@ -275,20 +263,9 @@ def parse_config(text: str) -> dict:
 # experiment dispatch
 
 
-def _build_mpo(model: dict) -> MPO:
-    name = model["model"]
-    if name == "ising_nn":
-        return build_ising_nn(model["n"], model["j"])
-    if name == "ising_nnn":
-        return build_ising_nnn(model["n"], model["j1"], model["j2"])
-    if name == "exp_decay":
-        return build_exp_decay(model["n"], model["xi"], model["j"])
-    return build_heisenberg(model["n"], model["j"])
-
-
 def _run_ed(cfg: dict):
     alg = cfg["algorithm"]
-    op = _build_mpo(cfg["model"])
+    op = build_model(**cfg["model"])
     if alg["method"] == "dense":
         res = solve_dense(op, n_states=alg["n_states"])
     else:
@@ -297,24 +274,28 @@ def _run_ed(cfg: dict):
     metrics = {"energies": energies, "e0": energies[0], "n_matvecs": res.n_matvecs}
     if len(energies) >= 2:
         metrics["gap"] = energies[1] - energies[0]
-    rows = [{"index": i, "energy": e} for i, e in enumerate(energies)]
-    return metrics, rows, ("index", "energy")
+    return metrics, [{"index": i, "energy": e} for i, e in enumerate(energies)]
+
+
+def _ground_state(cfg: dict):
+    """The imaginary-time search that ``tebd`` (ground mode) and ``corr`` run."""
+    alg, model = cfg["algorithm"], cfg["model"]
+    return find_ground_state(
+        model["model"],
+        model["n"],
+        model["j"],
+        spec=TruncationSpec(chi_max=alg["chi_max"], cutoff=alg["cutoff"]),
+        schedule=tuple(alg["schedule"]),
+        energy_tol=alg["energy_tol"],
+        max_sweeps_per_tau=alg["max_sweeps_per_tau"],
+    )
 
 
 def _run_tebd(cfg: dict):
     alg = cfg["algorithm"]
     model = cfg["model"]
-    spec = TruncationSpec(chi_max=alg["chi_max"], cutoff=alg["cutoff"])
     if alg["mode"] == "ground":
-        rep = find_ground_state(
-            model["model"],
-            model["n"],
-            model["j"],
-            spec=spec,
-            schedule=tuple(alg["schedule"]),
-            energy_tol=alg["energy_tol"],
-            max_sweeps_per_tau=alg["max_sweeps_per_tau"],
-        )
+        rep = _ground_state(cfg)
         metrics = {
             "energy": rep.energy,
             "converged": bool(rep.converged),
@@ -326,8 +307,9 @@ def _run_tebd(cfg: dict):
             {"sweep": i, "tau": t, "energy": e}
             for i, (t, e) in enumerate(zip(rep.tau_trace, rep.energy_trace))
         ]
-        return metrics, rows, ("sweep", "tau", "energy")
+        return metrics, rows
     state = initial_product_state(model["model"], model["n"])
+    spec = TruncationSpec(chi_max=alg["chi_max"], cutoff=alg["cutoff"])
     rep = evolve_real_time(state, model["model"], model["j"], dt=alg["dt"], n_steps=alg["n_steps"], spec=spec)
     metrics = {
         "max_discarded_weight": rep.max_discarded_weight,
@@ -338,7 +320,7 @@ def _run_tebd(cfg: dict):
         {"step": i, "time": t, "energy": e, "norm": w}
         for i, (t, e, w) in enumerate(zip(rep.times, rep.energy_trace, rep.norm_trace))
     ]
-    return metrics, rows, ("step", "time", "energy", "norm")
+    return metrics, rows
 
 
 def _run_trg(cfg: dict):
@@ -365,7 +347,7 @@ def _run_trg(cfg: dict):
         "f": [r["f"] for r in rows],
         "max_discarded_weight": max_weights,
     }
-    return metrics, rows, ("beta", "j", "steps", "chi_max", "lnz_per_site", "f")
+    return metrics, rows
 
 
 def _mps_info_state(alg: dict, seed: int):
@@ -375,8 +357,7 @@ def _mps_info_state(alg: dict, seed: int):
     if alg["state"] == "all_up":
         return product_mps([np.array([1.0, 0.0])] * n)
     if alg["state"] == "neel":
-        up, down = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        return product_mps([up if i % 2 == 0 else down for i in range(n)])
+        return initial_product_state("heisenberg", n)
     # ghz: equal superposition of all-up and all-down; the tiny cutoff drops
     # the numerically-zero singular values so the bond profile shows rank 2
     vec = np.zeros(2**n)
@@ -400,24 +381,15 @@ def _run_mps_info(cfg: dict):
         {"bond": b, "chi": c, "entropy": s}
         for b, (c, s) in enumerate(zip(m.bond_dims(), entropies))
     ]
-    return metrics, rows, ("bond", "chi", "entropy")
+    return metrics, rows
 
 
 def _run_corr(cfg: dict):
     alg = cfg["algorithm"]
-    model = cfg["model"]
-    rep = find_ground_state(
-        model["model"],
-        model["n"],
-        model["j"],
-        spec=TruncationSpec(chi_max=alg["chi_max"], cutoff=alg["cutoff"]),
-        schedule=tuple(alg["schedule"]),
-        energy_tol=alg["energy_tol"],
-        max_sweeps_per_tau=alg["max_sweeps_per_tau"],
-    )
+    rep = _ground_state(cfg)
     report = correlation_length(rep.state)
     x_min, x_max = alg["fit_range"]
-    i0 = model["n"] // 2 - (x_max + 1) // 2
+    i0 = cfg["model"]["n"] // 2 - (x_max + 1) // 2
     xs = list(range(x_min, x_max + 1))
     cs = [connected_correlation(rep.state, SZ, i0, i0 + x) for x in xs]
     xi_fit, log_amp = fit_exponential_decay(np.array(xs), np.array(cs))
@@ -430,8 +402,7 @@ def _run_corr(cfg: dict):
         "transfer_eig_moduli": [float(a) for a in np.abs(report.transfer_eigs)[:6]],
         "anchor_site": i0,
     }
-    rows = [{"x": x, "connected_szsz": c} for x, c in zip(xs, cs)]
-    return metrics, rows, ("x", "connected_szsz")
+    return metrics, [{"x": x, "connected_szsz": c} for x, c in zip(xs, cs)]
 
 
 def _run_verify(cfg: dict):
@@ -444,11 +415,7 @@ def _run_verify(cfg: dict):
             for r in results
         ],
     }
-    rows = [
-        {"name": r.name, "passed": int(r.passed), "detail": r.detail, "seconds": f"{r.seconds:.3f}"}
-        for r in results
-    ]
-    return metrics, rows, ("name", "passed", "detail", "seconds")
+    return metrics, [dict(c, passed=int(c["passed"]), seconds=f"{c['seconds']:.3f}") for c in metrics["criteria"]]
 
 
 _RUNNERS = {
@@ -462,9 +429,12 @@ _RUNNERS = {
 
 
 def run(cfg: dict) -> dict:
-    """Execute a parsed config and return the ResultRecord (also written out)."""
+    """Execute a parsed config and return the ResultRecord (also written out).
+
+    Each runner returns ``(metrics, rows)``; rows are never empty, and CSV columns are the first row's keys.
+    """
     t0 = time.time()
-    metrics, rows, columns = _RUNNERS[cfg["command"]](cfg)
+    metrics, rows = _RUNNERS[cfg["command"]](cfg)
     record = {
         "command": cfg["command"],
         "config": cfg,
@@ -477,7 +447,7 @@ def run(cfg: dict) -> dict:
         _emit(json.dumps(_finite_or_null(record), indent=2, sort_keys=True, allow_nan=False) + "\n", out["path"])
     else:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(columns), lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
         _emit(buf.getvalue(), out["path"])

@@ -24,6 +24,7 @@ from .errors import AllZero, NotHermitian, NotSquare, NumericalFailure, RankUnsu
 
 _ZERO_CLAMP = 1e-14  # relative to the largest singular value
 _HERMITIAN_TOL = 1e-10
+_DEGENERACY_TOL = 1e-12  # relative to the largest value; see TruncationSpec.cutoff
 SKETCH_OVERSAMPLING = 16  # extra sketch columns beyond the wanted rank
 _POWER_ITERATIONS = 2
 
@@ -34,23 +35,19 @@ class TruncationSpec:
 
     chi_max : hard cap on the number of kept values (None = unlimited).
     cutoff : maximum *relative* discarded weight sum(dropped lambda^2) /
-        sum(all lambda^2); 0 disables weight-based truncation entirely.
-    degeneracy_tol : if the values on either side of the cut differ by less
-        than this (relative to the largest value), the cut is moved past the
-        degenerate group when chi_max allows; otherwise it stays deterministic.
+        sum(all lambda^2); 0 disables weight-based truncation entirely. A
+        cut by weight moves past values within 1e-12 (relative to the
+        largest) of the last kept one while ``chi_max`` leaves room.
     """
 
     chi_max: int | None = None
     cutoff: float = 0.0
-    degeneracy_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.chi_max is not None and self.chi_max < 1:
             raise ValueError(f"chi_max must be >= 1, got {self.chi_max}")
         if not 0.0 <= self.cutoff < 1.0:
             raise ValueError(f"cutoff must lie in [0, 1), got {self.cutoff}")
-        if self.degeneracy_tol < 0.0:
-            raise ValueError("degeneracy_tol must be non-negative")
 
 
 #: keep everything — the identity truncation
@@ -140,7 +137,7 @@ def select_rank(d: np.ndarray, spec: TruncationSpec, total: float | None = None)
     k = int(np.searchsorted(-tail, -spec.cutoff * total) + 1)
     k = min(max(k, 1), cap)
     # keep degenerate partners together when the cap allows
-    boundary_tol = spec.degeneracy_tol * float(d[0])
+    boundary_tol = _DEGENERACY_TOL * float(d[0])
     while k < cap and d[k - 1] - d[k] <= boundary_tol:
         k += 1
     return k
@@ -182,14 +179,14 @@ def eig_hermitian(m) -> EigResult:
     return EigResult(u=u, omega=omega)
 
 
-def entanglement_entropy(d, normalize: bool = True) -> float:
+def entanglement_entropy(d) -> float:
     """Von Neumann entropy (base 2) of a singular-value spectrum.
 
-    The weights are rho_i = lambda_i^2, normalized to sum to one when
-    ``normalize`` is set. Values below 1e-14 of the largest are clamped to
-    zero first, and zero weights contribute nothing (0·log 0 = 0). A product
-    state, e.g. spectrum (1, 0), gives S = 0; a maximally entangled pair such
-    as (1/sqrt2, 1/sqrt2) gives S = 1.
+    The weights rho_i = lambda_i^2 are normalized to sum to one. Values below
+    1e-14 of the largest are clamped to zero first, and zero weights
+    contribute nothing (0·log 0 = 0). A product state, e.g. spectrum (1, 0),
+    gives S = 0; a maximally entangled pair such as (1/sqrt2, 1/sqrt2) gives
+    S = 1.
     """
     lam = np.asarray(d, dtype=np.float64).reshape(-1)
     if lam.size == 0 or not np.any(lam):
@@ -197,9 +194,7 @@ def entanglement_entropy(d, normalize: bool = True) -> float:
     if np.any(lam < 0):
         raise ValueError("singular values must be non-negative")
     lam = np.where(lam < _ZERO_CLAMP * lam.max(), 0.0, lam)
-    rho = lam**2
-    if normalize:
-        rho = rho / rho.sum()
+    rho = lam**2 / np.sum(lam**2)
     nz = rho[rho > 0.0]
     return float(-(nz * np.log2(nz)).sum() + 0.0)  # +0.0 avoids returning -0.0
 

@@ -31,7 +31,7 @@ class InvalidAxis(TnkitError, ValueError):
 
 
 class RankUnsupported(TnkitError, ValueError):
-    """Operation only defined for a specific rank (e.g. kron on matrices)."""
+    """Operation only defined for a specific rank (e.g. an SVD of a non-matrix)."""
 
 
 # --- decompositions --------------------------------------------------------

@@ -38,7 +38,7 @@ SZ = 0.5 * np.array([[1.0, 0.0], [0.0, -1.0]])
 SP = np.array([[0.0, 1.0], [0.0, 0.0]])  # raising, SX + i SY
 SM = np.array([[0.0, 0.0], [1.0, 0.0]])  # lowering, SX - i SY
 
-_DENSE_SITE_CAP = 12  # mpo_to_dense builds a 2^N x 2^N matrix
+_DENSE_DIM_CAP = 4096  # mpo_to_dense builds a d^N x d^N matrix: 12 spin-1/2 sites
 
 
 def two_site_matrix(op_left: np.ndarray, op_right: np.ndarray) -> np.ndarray:
@@ -58,13 +58,12 @@ class MPO:
         stored as a read-only view of the array passed in.
     left_bvec / right_bvec : boundary vectors contracted onto the first
         site's left link and the last site's right link.
-    phys_dim : shared physical extent.
+    phys_dim : (property) the physical extent, read off the first site.
     """
 
     sites: tuple[np.ndarray, ...]
     left_bvec: np.ndarray
     right_bvec: np.ndarray
-    phys_dim: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sites", tuple(_read_only(t) for t in self.sites))
@@ -83,6 +82,10 @@ class MPO:
             raise ExtentMismatch("right boundary vector does not match last link")
 
     @property
+    def phys_dim(self) -> int:
+        return self.sites[0].shape[1]
+
+    @property
     def n_sites(self) -> int:
         return len(self.sites)
 
@@ -98,7 +101,7 @@ def _uniform_mpo(blocks: dict[tuple[int, int], np.ndarray], dim: int, n: int) ->
     left[dim - 1] = 1.0
     right = np.zeros(dim)
     right[0] = 1.0
-    return MPO(sites=(w,) * n, left_bvec=left, right_bvec=right, phys_dim=2)
+    return MPO(sites=(w,) * n, left_bvec=left, right_bvec=right)
 
 
 def build_ising_nn(n: int, j: float = 1.0) -> MPO:
@@ -169,15 +172,29 @@ def build_heisenberg(n: int, j: float = 1.0) -> MPO:
     return _uniform_mpo(blocks, 5, n)
 
 
+#: model name -> (builder, {float parameter: default}); a None default means required
+MODELS = {
+    "ising_nn": (build_ising_nn, {"j": 1.0}),
+    "ising_nnn": (build_ising_nnn, {"j1": 1.0, "j2": 0.5}),
+    "exp_decay": (build_exp_decay, {"j": 1.0, "xi": None}),
+    "heisenberg": (build_heisenberg, {"j": 1.0}),
+}
+
+
+def build_model(model: str, n: int, **params: float) -> MPO:
+    """The ``n``-site MPO of a :data:`MODELS` entry, e.g. ``build_model("exp_decay", 8, xi=2.0)``."""
+    return MODELS[model][0](n, **params)
+
+
 def mpo_to_dense(op: MPO) -> np.ndarray:
     """Contract an MPO into its dense (d^N, d^N) matrix (little-endian basis).
 
-    Guarded to N <= 12 sites; beyond that the matrix alone needs gigabytes.
+    Guarded to d^N <= 4096; beyond 12 spin-1/2 sites the matrix alone needs gigabytes.
     """
     n = op.n_sites
-    if n > _DENSE_SITE_CAP:
-        raise TooLarge(f"refusing to densify {n} sites (cap {_DENSE_SITE_CAP})")
     d = op.phys_dim
+    if d**n > _DENSE_DIM_CAP:
+        raise TooLarge(f"refusing to densify {n} sites of extent {d} (dimension cap {_DENSE_DIM_CAP})")
     acc = op.left_bvec.reshape(1, 1, -1)
     dim = 1
     for t in op.sites:

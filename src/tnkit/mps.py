@@ -31,6 +31,7 @@ import numpy as np
 
 from .decomp import UNTRUNCATED, SVDResult, TruncationSpec, entanglement_entropy, truncated_svd
 from .errors import (
+    AllZero,
     BadLength,
     BadOrder,
     BondTooSmall,
@@ -43,6 +44,8 @@ from .errors import (
 from .tensors import DenseTensor, _inexact, _read_only
 
 _DENSE_SITE_CAP = 20  # to_state_vector guard: d**N grows fast
+_NORM_TOL = 1e-8  # how far from 1 an input vector's norm may be
+_FIT_ZERO = 1e-14  # correlation magnitudes at or below this are rounding noise
 
 
 @dataclass(frozen=True)
@@ -54,12 +57,11 @@ class MPS:
         nor frozen.
     center : index of the orthogonality center, or None when the gauge has
         been deliberately broken and no canonical structure can be assumed.
-    phys_dim : shared physical extent d of every site.
+    phys_dim : (property) the physical extent d, read off the first site.
     """
 
     sites: tuple[np.ndarray, ...]
     center: int | None
-    phys_dim: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sites", tuple(_read_only(t) for t in self.sites))
@@ -81,6 +83,10 @@ class MPS:
             raise ExtentMismatch("boundary links must have extent 1")
         if self.center is not None and not 0 <= self.center < len(self.sites):
             raise ValueError(f"center {self.center} out of range")
+
+    @property
+    def phys_dim(self) -> int:
+        return self.sites[0].shape[1]
 
     @property
     def n_sites(self) -> int:
@@ -121,12 +127,11 @@ def mps_from_state_vector(
     psi,
     phys_dim: int,
     spec: TruncationSpec = UNTRUNCATED,
-    norm_tol: float = 1e-8,
 ) -> MPS:
     """Factor a normalized state vector into an MPS by repeated SVD.
 
     The vector's length must be ``phys_dim**N`` for some N >= 1 and its norm
-    must be 1 within ``norm_tol``. Truncation (if any) is applied at every
+    must be 1 within 1e-8. Truncation (if any) is applied at every
     internal link; without truncation the link extents follow the exact
     profile d, d^2, ..., capped by the distance to the nearer chain end. The
     returned state has its center at site N-1.
@@ -138,12 +143,12 @@ def mps_from_state_vector(
     if phys_dim**n != flat.size:
         raise BadLength(f"length {flat.size} is not a power of d={phys_dim}")
     nrm = float(np.linalg.norm(flat))
-    if not abs(nrm - 1.0) <= norm_tol:  # NaN fails this too
-        raise NotNormalized(f"|psi| = {nrm}, expected 1 within {norm_tol}")
+    if not abs(nrm - 1.0) <= _NORM_TOL:  # NaN fails this too
+        raise NotNormalized(f"|psi| = {nrm}, expected 1 within {_NORM_TOL}")
 
     d = phys_dim
     if n == 1:
-        return MPS(sites=(flat.reshape(1, d, 1),), center=0, phys_dim=d)
+        return MPS(sites=(flat.reshape(1, d, 1),), center=0)
 
     sites: list[np.ndarray] = []
     lind = 1
@@ -159,7 +164,7 @@ def mps_from_state_vector(
             lind = k
             rest //= d
             m = dv.reshape(k * d, rest, order="F")
-    return MPS(sites=tuple(sites), center=n - 1, phys_dim=d)
+    return MPS(sites=tuple(sites), center=n - 1)
 
 
 def to_state_vector(m: MPS) -> np.ndarray:
@@ -184,10 +189,10 @@ def product_state_vector(site_vectors) -> np.ndarray:
     return out
 
 
-def product_mps(site_vectors, norm_tol: float = 1e-8) -> MPS:
+def product_mps(site_vectors) -> MPS:
     """Bond-dimension-1 MPS of a product state (no dense intermediate).
 
-    Each ket must be normalized within ``norm_tol``; with every site tensor
+    Each ket must be normalized within 1e-8; with every site tensor
     an isometry the state is canonical about any site, recorded here as the
     last one.
     """
@@ -195,12 +200,10 @@ def product_mps(site_vectors, norm_tol: float = 1e-8) -> MPS:
     for i, v in enumerate(site_vectors):
         ket = _inexact(np.array(v)).reshape(-1)
         nrm = float(np.linalg.norm(ket))
-        if not abs(nrm - 1.0) <= norm_tol:  # NaN fails this too
+        if not abs(nrm - 1.0) <= _NORM_TOL:  # NaN fails this too
             raise NotNormalized(f"site {i} ket has norm {nrm}")
         sites.append(ket.reshape(1, ket.size, 1))
-    if not sites:
-        raise BadLength("a product state needs at least one site")
-    return MPS(tuple(sites), center=len(sites) - 1, phys_dim=sites[0].shape[1])
+    return MPS(tuple(sites), center=len(sites) - 1)
 
 
 def random_mps(n_sites: int, phys_dim: int, chi_max: int, rng) -> MPS:
@@ -214,7 +217,7 @@ def random_mps(n_sites: int, phys_dim: int, chi_max: int, rng) -> MPS:
         shape = (dims[i], phys_dim, dims[i + 1])
         data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         sites.append(data)
-    m = canonicalize(MPS(tuple(sites), center=None, phys_dim=phys_dim), n_sites - 1)
+    m = canonicalize(MPS(tuple(sites), center=None), n_sites - 1)
     c = m.sites[m.center]
     nrm = math.sqrt(_scalar(np.tensordot(c.conj(), c, axes=([0, 1, 2], [0, 1, 2]))).real)
     scaled = c * (1.0 / nrm)
@@ -243,8 +246,8 @@ def _shift_left(tensors: list[np.ndarray], c: int, spec: TruncationSpec) -> None
     tensors[c - 1] = np.tensordot(tensors[c - 1], ud, axes=([2], [0]))
 
 
-def move_center(m: MPS, target: int, spec: TruncationSpec = UNTRUNCATED) -> MPS:
-    """Move the orthogonality center to ``target`` by successive SVDs.
+def move_center(m: MPS, target: int) -> MPS:
+    """Move the orthogonality center to ``target`` by successive untruncated SVDs.
 
     A state with ``center=None`` is canonicalized instead, and a state whose
     center is already ``target`` is returned as it is.
@@ -252,15 +255,15 @@ def move_center(m: MPS, target: int, spec: TruncationSpec = UNTRUNCATED) -> MPS:
     if not 0 <= target < m.n_sites:
         raise ValueError(f"target {target} out of range")
     if m.center is None:
-        return canonicalize(m, target, spec)
+        return canonicalize(m, target)
     if m.center == target:
         return m
     tensors = list(m.sites)
     for c in range(m.center, target):
-        _shift_right(tensors, c, spec)
+        _shift_right(tensors, c, UNTRUNCATED)
     for c in range(m.center, target, -1):
-        _shift_left(tensors, c, spec)
-    return MPS(tuple(tensors), center=target, phys_dim=m.phys_dim)
+        _shift_left(tensors, c, UNTRUNCATED)
+    return MPS(tuple(tensors), center=target)
 
 
 def canonicalize(m: MPS, target: int, spec: TruncationSpec = UNTRUNCATED) -> MPS:
@@ -276,7 +279,7 @@ def canonicalize(m: MPS, target: int, spec: TruncationSpec = UNTRUNCATED) -> MPS
         _shift_right(tensors, c, spec)
     for c in range(m.n_sites - 1, target, -1):
         _shift_left(tensors, c, spec)
-    return MPS(tuple(tensors), center=target, phys_dim=m.phys_dim)
+    return MPS(tuple(tensors), center=target)
 
 
 def gauge_insert(m: MPS, bond: int, x) -> MPS:
@@ -299,7 +302,7 @@ def gauge_insert(m: MPS, bond: int, x) -> MPS:
     tensors = list(m.sites)
     tensors[bond] = np.tensordot(tensors[bond], x, axes=([2], [0]))
     tensors[bond + 1] = np.tensordot(np.linalg.inv(x), tensors[bond + 1], axes=([1], [0]))
-    return MPS(tuple(tensors), center=None, phys_dim=m.phys_dim)
+    return MPS(tuple(tensors), center=None)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +387,7 @@ def apply_two_site_gate(
     tensors = list(move_center(m, site if direction == "right" else site + 1).sites)
     disc = _gate_pair(tensors, g4, site, spec, direction)
     center = site + 1 if direction == "right" else site
-    return MPS(tuple(tensors), center=center, phys_dim=m.phys_dim), disc
+    return MPS(tuple(tensors), center=center), disc
 
 
 def _gate_tensor(gate, d: int, direction: str) -> np.ndarray:
@@ -416,16 +419,13 @@ def _gate_pair(
     return res.discarded_weight
 
 
-def bond_entropies(m: MPS, normalize: bool = True) -> list[float]:
+def bond_entropies(m: MPS) -> list[float]:
     """Entanglement entropy across each of the N-1 internal links.
 
     Each spectrum comes from the SVD that moves the center one bond right.
     """
     tensors = list(move_center(m, 0).sites)
-    return [
-        entanglement_entropy(_shift_right(tensors, b, UNTRUNCATED), normalize=normalize)
-        for b in range(m.n_sites - 1)
-    ]
+    return [entanglement_entropy(_shift_right(tensors, b, UNTRUNCATED)) for b in range(m.n_sites - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +441,10 @@ class CorrelationReport:
         zero-range (chi = 1) state, inf a degenerate leading pair
         (long-range order).
     transfer_eigs : eigenvalues sorted by descending modulus.
-    fit_exponent : optional decay exponent filled in by fitting drivers.
     """
 
     xi: float
     transfer_eigs: np.ndarray
-    fit_exponent: float | None = None
 
 
 def correlation_length(m: MPS) -> CorrelationReport:
@@ -497,14 +495,14 @@ def connected_correlation(m: MPS, op, i: int, j: int) -> float:
 def fit_exponential_decay(xs, values) -> tuple[float, float]:
     """Least-squares fit of |values| ~ A * exp(-x / xi).
 
-    Returns (xi, log A). Zero entries are excluded; at least two usable
-    points are required.
+    Returns (xi, log A). Entries with |value| <= 1e-14 (rounding noise) are
+    excluded; fewer than two usable points raise AllZero.
     """
     xs = np.asarray(xs, dtype=np.float64)
     vals = np.abs(np.asarray(values, dtype=np.float64))
-    keep = vals > 0.0
+    keep = vals > _FIT_ZERO
     if keep.sum() < 2:
-        raise ValueError("need at least two non-zero samples to fit a decay rate")
+        raise AllZero("need at least two samples above 1e-14 in magnitude to fit a decay rate")
     slope, intercept = np.polyfit(xs[keep], np.log(vals[keep]), 1)
     if slope >= 0.0:
         return math.inf, float(intercept)
@@ -512,12 +510,15 @@ def fit_exponential_decay(xs, values) -> tuple[float, float]:
 
 
 def fit_power_law(xs, values) -> tuple[float, float]:
-    """Least-squares fit of |values| ~ A * x^(-gamma); returns (gamma, log A)."""
+    """Least-squares fit of |values| ~ A * x^(-gamma); returns (gamma, log A).
+
+    Excludes x <= 0 and |value| <= 1e-14; AllZero if fewer than two points remain.
+    """
     xs = np.asarray(xs, dtype=np.float64)
     vals = np.abs(np.asarray(values, dtype=np.float64))
-    keep = (vals > 0.0) & (xs > 0.0)
+    keep = (vals > _FIT_ZERO) & (xs > 0.0)
     if keep.sum() < 2:
-        raise ValueError("need at least two non-zero samples to fit a power law")
+        raise AllZero("need at least two samples above 1e-14 in magnitude to fit a power law")
     slope, intercept = np.polyfit(np.log(xs[keep]), np.log(vals[keep]), 1)
     return -float(slope), float(intercept)
 
@@ -539,6 +540,10 @@ def mps_to_json(m: MPS) -> str:
 
 
 def mps_from_json(text: str) -> MPS:
+    """Inverse of :func:`mps_to_json`; ShapeMismatch if ``phys_dim`` disagrees with the sites."""
     obj = json.loads(text)
     sites = tuple(DenseTensor.load(json.dumps(site)).to_ndarray() for site in obj["sites"])
-    return MPS(sites=sites, center=obj["center"], phys_dim=int(obj["phys_dim"]))
+    m = MPS(sites=sites, center=obj["center"])
+    if m.phys_dim != int(obj["phys_dim"]):
+        raise ShapeMismatch(f"header phys_dim {obj['phys_dim']} != site physical extent {m.phys_dim}")
+    return m

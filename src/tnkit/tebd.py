@@ -22,35 +22,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import UNTRUNCATED, TruncationSpec, eig_hermitian
-from .errors import NumericalFailure, ShapeMismatch, UnsupportedModel
-from .mpo import MPO, SM, SP, SZ, build_heisenberg, build_ising_nn, mpo_expectation, two_site_matrix
+from .errors import NumericalFailure, UnsupportedModel
+from .mpo import MPO, SM, SP, SZ, build_model, mpo_expectation, two_site_matrix
 from .mps import MPS, _gate_pair, _gate_tensor, move_center, norm_squared, product_mps
 
 _UP = np.array([1.0, 0.0])
 _DOWN = np.array([0.0, 1.0])
 _PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
+# pair term per unit coupling; its keys are the models that sweeps can evolve
+_PAIR_TERMS = {
+    "ising_nn": two_site_matrix(SZ, SZ),
+    "heisenberg": 0.5 * (two_site_matrix(SP, SM) + two_site_matrix(SM, SP)) + two_site_matrix(SZ, SZ),
+}
+SWEEPABLE = tuple(_PAIR_TERMS)
+
 
 def pair_hamiltonian(model: str, j: float = 1.0) -> np.ndarray:
     """(4, 4) real two-site term of a nearest-neighbor model (left site fastest)."""
-    if model == "ising_nn":
-        return -j * two_site_matrix(SZ, SZ)
-    if model == "heisenberg":
-        return -j * (
-            0.5 * (two_site_matrix(SP, SM) + two_site_matrix(SM, SP)) + two_site_matrix(SZ, SZ)
-        )
-    if model in ("ising_nnn", "exp_decay"):
-        raise UnsupportedModel(f"{model!r} has terms beyond nearest neighbors")
-    raise UnsupportedModel(f"unknown model {model!r}")
+    if model not in _PAIR_TERMS:
+        raise UnsupportedModel(f"{model!r} is not one of the nearest-neighbor models {SWEEPABLE}")
+    return -j * _PAIR_TERMS[model]
 
 
 def model_mpo(model: str, n_sites: int, j: float = 1.0) -> MPO:
     """The full-chain MPO matching :func:`pair_hamiltonian`'s convention."""
-    if model == "ising_nn":
-        return build_ising_nn(n_sites, j)
-    if model == "heisenberg":
-        return build_heisenberg(n_sites, j)
-    raise UnsupportedModel(f"no sweepable MPO for model {model!r}")
+    if model not in SWEEPABLE:
+        raise UnsupportedModel(f"no sweepable MPO for model {model!r}")
+    return build_model(model, n_sites, j=j)
 
 
 def bond_gate(model: str, j: float, step: float, mode: str) -> np.ndarray:
@@ -87,7 +86,7 @@ def sweep(
     worst = 0.0
     for b in bonds:
         worst = max(worst, _gate_pair(tensors, g4, b, spec, direction))
-    return MPS(tuple(tensors), center=last, phys_dim=state.phys_dim), worst
+    return MPS(tuple(tensors), center=last), worst
 
 
 def measure_energy(state: MPS, h: MPO) -> float:
@@ -112,7 +111,7 @@ def _rescale_center(state: MPS) -> MPS:
     c = state.sites[state.center]
     tensors = list(state.sites)
     tensors[state.center] = c * (1.0 / nrm)
-    return MPS(tuple(tensors), center=state.center, phys_dim=state.phys_dim)
+    return MPS(tuple(tensors), center=state.center)
 
 
 def initial_product_state(model: str, n_sites: int) -> MPS:
@@ -169,19 +168,17 @@ def find_ground_state(
     schedule: tuple[float, ...] = (0.1, 0.01, 0.001),
     energy_tol: float = 1e-10,
     max_sweeps_per_tau: int = 500,
-    initial: MPS | None = None,
 ) -> GroundStateReport:
     """Anneal toward the ground state with a decreasing step-size schedule.
 
-    Each stage sweeps (alternating direction, renormalizing every sweep)
-    until the energy change between same-direction sweeps drops below
-    ``energy_tol`` relative to max(1, |E|). Successive stages reuse the
-    state, so late, small steps only polish the bias left by earlier ones.
+    Starting from :func:`initial_product_state`, each stage sweeps
+    (alternating direction, renormalizing every sweep) until the energy
+    change between same-direction sweeps drops below ``energy_tol`` relative
+    to max(1, |E|). Successive stages reuse the state, so late, small steps
+    only polish the bias left by earlier ones.
     """
     h = model_mpo(model, n_sites, j)
-    state = initial if initial is not None else initial_product_state(model, n_sites)
-    if state.n_sites != n_sites or state.phys_dim != 2:
-        raise ShapeMismatch("initial state does not match the requested chain")
+    state = initial_product_state(model, n_sites)
 
     # the trace leads with the seed-state energy (tau 0.0, no sweep taken)
     energies: list[float] = [measure_energy(state, h)]

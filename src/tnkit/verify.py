@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import (
-    UNTRUNCATED,
     TruncationSpec,
     entanglement_entropy,
     mera_update,

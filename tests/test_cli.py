@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dense_hamiltonian
 from tnkit import cli
 from tnkit.cli import load_record, main, parse_config, run
 from tnkit.errors import ParseError, ValidationError
@@ -79,6 +80,39 @@ def test_run_ed_record_contents():
     assert rec["wall_time_s"] >= 0.0
     # the echoed config includes every default so runs are reproducible
     assert rec["config"]["seed"] == 7
+
+
+@pytest.mark.parametrize(
+    "model, params",
+    [
+        ("ising_nn", {}),
+        ("ising_nn", {"j": -0.7}),
+        ("ising_nnn", {}),
+        ("ising_nnn", {"j1": 0.3, "j2": -1.2}),
+        ("exp_decay", {"xi": 1.5}),
+        ("exp_decay", {"xi": 0.8, "j": -2.0}),
+        ("heisenberg", {}),
+        ("heisenberg", {"j": -1.3}),
+    ],
+)
+def test_ed_builds_each_model_from_its_parameters(model, params):
+    # defaults, then every parameter set: checks which builder and which argument each key reaches
+    n = 5
+    cfg = {"command": "ed", "model": {"model": model, "n": n, **params}, "algorithm": {"n_states": 3}}
+    rec = run(parse_config(json.dumps(cfg)))
+    ref = np.linalg.eigvalsh(dense_hamiltonian(model, n, **params))[:3]
+    np.testing.assert_allclose(rec["metrics"]["energies"], ref, rtol=0, atol=1e-10)
+
+
+def test_ed_refuses_more_states_than_the_space_holds(tmp_path):
+    cfg = {"command": "ed", "model": {"model": "heisenberg", "n": 2}, "algorithm": {"n_states": 5}}
+    with pytest.raises(ValidationError, match="algorithm.n_states"):
+        parse_config(json.dumps(cfg))
+    for method in ("dense", "iterative"):  # the two routes used to disagree: 4 energies, or exit 4
+        cfg["algorithm"]["method"] = method
+        assert main(["--config", write_cfg(tmp_path, cfg, f"{method}.json")]) == 2
+    cfg["algorithm"]["n_states"] = 4
+    assert len(run(parse_config(json.dumps(cfg)))["metrics"]["energies"]) == 4
 
 
 def test_run_is_deterministic():
@@ -221,6 +255,20 @@ def test_corr_command_round_trip(tmp_path):
     assert [int(r["x"]) for r in rows] == list(range(1, 9))
     vals = [abs(float(r["connected_szsz"])) for r in rows]
     assert vals == sorted(vals, reverse=True)  # correlations decay with distance
+
+
+def test_corr_without_correlations_is_a_config_error(tmp_path, capsys):
+    # at J = 0 every connected correlation is exactly 0 (heisenberg) or ~1e-31 (ising_nn)
+    for model in ("heisenberg", "ising_nn"):
+        cfg = {
+            "command": "corr",
+            "model": {"model": model, "n": 8, "j": 0.0},
+            "algorithm": {"chi_max": 4, "fit_range": [1, 3]},
+            "output": {"path": str(tmp_path / f"{model}.out.json")},
+        }
+        assert main(["--config", write_cfg(tmp_path, cfg, f"{model}.json")]) == 2
+        assert "to fit a decay rate" in capsys.readouterr().err
+        assert not (tmp_path / f"{model}.out.json").exists()
 
 
 def test_trg_record_reports_the_truncation_per_beta():

@@ -87,7 +87,7 @@ def xx_dm_mpo(n, j, dm):
     w[2, :, :, 0] = SY
     w[3, :, :, 1] = j * SX - dm * SY
     w[3, :, :, 2] = dm * SX
-    return MPO((w,) * n, left_bvec=np.eye(4)[3], right_bvec=np.eye(4)[0], phys_dim=2)
+    return MPO((w,) * n, left_bvec=np.eye(4)[3], right_bvec=np.eye(4)[0])
 
 
 def xx_dm_dense(n, j, dm):
@@ -169,6 +169,14 @@ def test_iterative_is_deterministic_for_fixed_seed():
 def test_iterative_raises_when_starved_of_iterations():
     with pytest.raises(NoConvergence):
         solve_iterative(build_heisenberg(10, j=-1.0), n_states=2, max_iter=2)
+
+
+def test_both_routes_refuse_more_states_than_the_space_holds():
+    op = build_heisenberg(2, j=-1.0)
+    for solve in (solve_dense, solve_iterative):
+        with pytest.raises(TooLarge):
+            solve(op, n_states=5)
+    assert solve_dense(op, n_states=4).energies.shape == (4,)
 
 
 def test_size_caps():

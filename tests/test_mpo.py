@@ -5,6 +5,7 @@ import pytest
 
 from conftest import SZ, dense_hamiltonian, kron_site
 from tnkit import (
+    MPO,
     build_exp_decay,
     build_heisenberg,
     build_ising_nn,
@@ -15,7 +16,7 @@ from tnkit import (
     product_mps,
     two_site_matrix,
 )
-from tnkit.errors import BadXi, TooFewSites
+from tnkit.errors import BadXi, TooFewSites, TooLarge
 
 rng = np.random.default_rng(404)
 
@@ -102,7 +103,6 @@ def test_expectation_is_a_raw_quadratic_form():
     scaled = type(doubled)(
         sites=(doubled.sites[0] * 2.0, doubled.sites[1]),
         center=doubled.center,
-        phys_dim=2,
     )
     op = build_ising_nn(2, j=1.0)
     assert np.isclose(mpo_expectation(scaled, op), 4.0 * mpo_expectation(m, op), atol=1e-12)
@@ -111,6 +111,15 @@ def test_expectation_is_a_raw_quadratic_form():
 def test_two_site_ising_is_diagonal():
     h = mpo_to_dense(build_ising_nn(2, j=1.0))
     np.testing.assert_allclose(h, np.diag([-0.25, 0.25, 0.25, -0.25]), atol=1e-14)
+
+
+def test_dense_cap_counts_basis_states_not_sites():
+    # eight 3-state sites span 3^8 = 6561 > 4096 states, though 8 sites are within a 2^12 cap
+    site = np.eye(3).reshape(1, 3, 3, 1)
+    with pytest.raises(TooLarge):
+        mpo_to_dense(MPO((site,) * 8, left_bvec=np.ones(1), right_bvec=np.ones(1)))
+    small = mpo_to_dense(MPO((site,) * 7, left_bvec=np.ones(1), right_bvec=np.ones(1)))
+    np.testing.assert_array_equal(small, np.eye(3**7))
 
 
 def test_bad_arguments():

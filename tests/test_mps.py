@@ -4,6 +4,8 @@ Dense-vector oracles throughout: every MPS quantity is checked against the
 same computation done on the full 2^N state vector.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,7 @@ from tnkit import (
     sweep,
     to_state_vector,
 )
-from tnkit.errors import BadLength, BadOrder, NotNormalized, Singular
+from tnkit.errors import AllZero, BadLength, BadOrder, NotNormalized, ShapeMismatch, Singular
 
 
 def random_state(rng, n, d=2):
@@ -105,7 +107,7 @@ def test_sites_and_factors_are_read_only(rng):
     # the MPS holds a read-only view; the caller's own array is neither copied nor frozen
     site = np.zeros((1, 2, 1))
     site[0, 0, 0] = 1.0
-    m = MPS(sites=(site,), center=0, phys_dim=2)
+    m = MPS(sites=(site,), center=0)
     site[0, 1, 0] = 0.0
     assert np.shares_memory(m.sites[0], site) and not m.sites[0].flags.writeable
 
@@ -185,7 +187,6 @@ def test_expectations_renormalize_unnormalized_states(rng):
     scaled = MPS(
         sites=tuple(t * (3.0 if i == m.center else 1.0) for i, t in enumerate(m.sites)),
         center=m.center,
-        phys_dim=2,
     )
     ref = np.vdot(psi, kron_site(SZ, 2, 5) @ psi)
     assert np.isclose(expect_local(scaled, SZ, 2), ref, atol=1e-12)
@@ -271,7 +272,7 @@ def test_correlation_length_of_hand_built_uniform_mps():
     right = np.zeros((chi, 2, 1), dtype=complex)
     right[0, 0, 0] = 1.0
     right[1, 1, 0] = 1.0
-    m = MPS(sites=(left,) + (bulk,) * (n - 2) + (right,), center=None, phys_dim=2)
+    m = MPS(sites=(left,) + (bulk,) * (n - 2) + (right,), center=None)
     rep = correlation_length(m)
     assert np.isclose(rep.xi, 1.0, atol=1e-8)
     mags = np.abs(rep.transfer_eigs)
@@ -304,11 +305,32 @@ def test_fit_recovers_exponential_and_power_laws():
     assert np.isclose(xi_fit, 4.0)
 
 
+def test_fits_treat_rounding_noise_as_zero():
+    # connected correlations are O(1); values at 1e-14 and below are rounding
+    xs = np.arange(1.0, 6.0)
+    for fit in (fit_exponential_decay, fit_power_law):
+        for noise in (np.zeros(5), 1e-31 * np.exp(-xs), np.array([0.3, 1e-15, -1e-20, 0.0, 1e-14])):
+            with pytest.raises(AllZero):
+                fit(xs, noise)
+    # a noise-level sample among real ones is left out of the fit
+    vals = 0.7 * np.exp(-xs / 2.5)
+    vals[-1] = 1e-20
+    xi_fit, log_a = fit_exponential_decay(xs, vals)
+    assert np.isclose(xi_fit, 2.5) and np.isclose(log_a, np.log(0.7))
+
+
 def test_json_round_trip(rng):
     m = random_mps(5, 2, 3, rng)
     back = mps_from_json(mps_to_json(m))
     assert back.center == m.center and back.phys_dim == 2
     assert np.isclose(abs(inner_product(back, m)), norm_squared(m), atol=1e-12)
+
+
+def test_json_header_must_match_the_sites(rng):
+    obj = json.loads(mps_to_json(random_mps(4, 2, 2, rng)))
+    obj["phys_dim"] = 3
+    with pytest.raises(ShapeMismatch, match="phys_dim"):
+        mps_from_json(json.dumps(obj))
 
 
 if __name__ == "__main__":

@@ -220,7 +220,7 @@ def test_zero_or_nan_norm_is_a_numerical_failure():
         sites = list(state.sites)
         sites[state.center] = sites[state.center] * bad
         with pytest.raises(NumericalFailure):
-            measure_energy(MPS(tuple(sites), center=state.center, phys_dim=2), h)
+            measure_energy(MPS(tuple(sites), center=state.center), h)
 
 
 if __name__ == "__main__":
