@@ -536,7 +536,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"tnkit: invalid config: {exc}", file=sys.stderr)
         return 2
-    except (NumericalFailure, NoConvergence) as exc:
+    except (NumericalFailure, NoConvergence, np.linalg.LinAlgError) as exc:
         print(f"tnkit: numerical failure: {exc}", file=sys.stderr)
         return 3
     except (TooLarge, MemoryError) as exc:

@@ -175,7 +175,9 @@ def find_ground_state(
     (alternating direction, renormalizing every sweep) until the energy
     change between same-direction sweeps drops below ``energy_tol`` relative
     to max(1, |E|). Successive stages reuse the state, so late, small steps
-    only polish the bias left by earlier ones.
+    only polish the bias left by earlier ones. Raises NumericalFailure when a
+    stage's gate exp(-tau*h) overflows float64: for the Heisenberg AFM, once
+    tau*|j| exceeds about 946.
     """
     h = model_mpo(model, n_sites, j)
     state = initial_product_state(model, n_sites)
@@ -187,7 +189,10 @@ def find_ground_state(
     total_sweeps = 0
     all_converged = True
     for tau in schedule:
-        gate = bond_gate(model, j, tau, "imaginary")
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            gate = bond_gate(model, j, tau, "imaginary")
+        if not np.all(np.isfinite(gate)):
+            raise NumericalFailure(f"imaginary-time gate overflows at tau*|j| = {tau * abs(j):g}")
         gate = gate / np.linalg.norm(gate, 2)  # else a sweep grows by exp(-tau min(h))^(n-1)
         stage_start = len(energies)
         stage_converged = False

@@ -223,6 +223,27 @@ def test_strong_coupling_tebd_exits_cleanly(tmp_path):
     assert math.isfinite(load_record(str(out))["metrics"]["energy"])
 
 
+def test_overflowing_ground_gate_is_a_numerical_failure(tmp_path, capsys):
+    # exp(-tau h) overflows once tau |J| exceeds about 946 for the AFM
+    cfg = {
+        "command": "tebd",
+        "model": {"model": "heisenberg", "n": 6, "j": -10000},
+        "algorithm": {"mode": "ground", "chi_max": 8},
+    }
+    assert main(["--config", write_cfg(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "tau*|j| = 1000" in err
+
+
+def test_lapack_failure_exits_as_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    def fail(cfg):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "run", fail)
+    assert main(["--config", write_cfg(tmp_path, ED_CFG)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_unconverged_tebd_is_data_not_an_error(tmp_path):
     out = tmp_path / "t.json"
     cfg = {

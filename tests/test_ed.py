@@ -21,6 +21,7 @@ from tnkit import (
     solve_iterative,
 )
 from tnkit.errors import NoConvergence, ShapeMismatch, TooLarge
+from tnkit.mpo import MODELS, build_model
 
 rng = np.random.default_rng(808)
 
@@ -98,6 +99,27 @@ def xx_dm_dense(n, j, dm):
         j * pair(REF_SX, REF_SX, i) + dm * (pair(REF_SX, REF_SY, i) - pair(REF_SY, REF_SX, i))
         for i in range(n - 1)
     )
+
+
+@pytest.mark.parametrize("name", [*MODELS, "xx_dm"])
+def test_mpo_matvec_applies_a_vector_or_a_block_of_rows(name):
+    if name == "xx_dm":
+        op = xx_dm_mpo(6, j=1.0, dm=0.7)
+    else:
+        params = {k: 1.5 if v is None else v for k, v in MODELS[name][1].items()}
+        op = build_model(name, 6, **params)
+    h = mpo_to_dense(op)
+    block = rng.standard_normal((3, 2**6)) + 1j * rng.standard_normal((3, 2**6))
+    one = mpo_matvec(op, block[0])
+    assert one.shape == (2**6,)
+    np.testing.assert_allclose(one, h @ block[0], atol=1e-10)
+    rows = mpo_matvec(op, block)
+    assert rows.shape == block.shape
+    np.testing.assert_allclose(rows, block @ h.T, atol=1e-10)
+    np.testing.assert_allclose(rows, [mpo_matvec(op, v) for v in block], atol=1e-13, rtol=0)
+    with pytest.raises(ShapeMismatch):
+        mpo_matvec(op, block[:, 1:])
+    assert mpo_matvec(op, block.real).dtype == (np.complex128 if np.iscomplexobj(h) else np.float64)
 
 
 def test_iterative_matches_dense_across_models():
