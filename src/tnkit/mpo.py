@@ -209,16 +209,21 @@ def mpo_expectation(state, op: MPO) -> complex:
     """Raw (unnormalized) <psi| H |psi> by a single left-to-right zipper.
 
     Cost is O(N chi^2 D d (chi + D d)) — never builds the dense operator.
-    The caller divides by the state's norm squared when a normalized value
-    is wanted; energy drivers do this explicitly.
+    The environment is kept C-ordered as (ket, a, bra), so each site is
+    three matrix products and no product's input is a transposed copy. The
+    caller divides by the state's norm squared when a normalized value is
+    wanted; energy drivers do this explicitly.
     """
     if state.n_sites != op.n_sites or state.phys_dim != op.phys_dim:
         raise ShapeMismatch("state and operator live on different site spaces")
-    env = op.left_bvec.reshape(1, -1, 1)  # (bra, a, ket)
+    env = op.left_bvec.reshape(1, -1, 1)  # (ket, a, bra)
     for a, w in zip(state.sites, op.sites):
-        t1 = np.tensordot(env, a, axes=([2], [0]))  # (bra, a, phys in, ket')
-        t2 = np.tensordot(t1, w, axes=([1, 2], [0, 2]))  # (bra, ket', o, b)
-        t3 = np.tensordot(t2, a.conj(), axes=([0, 2], [0, 1]))  # (ket', b, bra')
-        env = t3.transpose(2, 1, 0)
-    out = np.tensordot(env, op.right_bvec, axes=([1], [0]))  # (bra, ket) both extent 1
+        k, d, k2 = a.shape
+        da, db = w.shape[0], w.shape[3]
+        b = a.conj()
+        t = env.reshape(k * da, -1) @ b.reshape(-1, d * k2)  # (ket, a, o, bra')
+        wm = w.transpose(2, 3, 0, 1).reshape(d * db, da * d)  # (i, b) x (a, o)
+        t = wm @ t.reshape(k, da * d, k2)  # (ket, i, b, bra')
+        env = a.reshape(k * d, k2).T @ t.reshape(k * d, db * k2)  # (ket', b, bra')
+    out = env.reshape(-1) @ op.right_bvec  # both links have extent 1
     return complex(out.item())

@@ -12,6 +12,25 @@ index, i.e. ``psi[s0 + d*(s1 + d*(s2 + ...))]``. Construction peels one site
 per SVD: reshape to ``(chi_prev * d, rest)``, factor, keep U as the site,
 push ``D·V†`` rightward; the finished state has its center on the last site.
 
+Charges. An :class:`MPS` carries one integer charge per index of each of its
+N+1 links (``charges``, the boundary links included) and one per physical
+index (``phys_charges``); site i may be nonzero only where ``charges[i][l] +
+phys_charges[s] == charges[i + 1][r]``, so a link's charge is the total
+charge of the sites to its left. Every SVD here (gauge moves, two-site gates,
+``mps_from_state_vector``) goes through one split that groups rows and
+columns by charge, decomposes each sector on its own and cuts the merged
+spectrum as one SVD would. The kept link is ordered by charge, then by
+descending value, so each sector of a link is a contiguous range. Storage
+and contractions stay dense. A state built without labels has every charge
+0: one sector, the plain truncated SVD. ``tebd.initial_product_state``
+labels the Heisenberg Néel state by 2·Sz; every other constructor here
+returns an unlabelled state. Labels are dropped wherever the charge is not
+known to be conserved: ``gauge_insert`` and ``mps_from_json`` return
+unlabelled states (the JSON format has no charges), and a gate with a
+nonzero entry between pair states of different total charge unlabels the
+state before it acts. ``correlation_length`` drops them too, so its
+transfer matrix sees both links in descending Schmidt-value order.
+
 Operations never mutate: each returns a fresh :class:`MPS`, and every site
 an :class:`MPS` holds is a read-only view. Operators and gates are passed in
 as arrays and shape-checked once, where they enter. ``gauge_insert``
@@ -25,11 +44,12 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decomp import UNTRUNCATED, SVDResult, TruncationSpec, entanglement_entropy, truncated_svd
+from .decomp import UNTRUNCATED, TruncationSpec, entanglement_entropy, select_rank, svd
 from .errors import (
     AllZero,
     BadLength,
@@ -57,11 +77,19 @@ class MPS:
         nor frozen.
     center : index of the orthogonality center, or None when the gauge has
         been deliberately broken and no canonical structure can be assumed.
+    charges : N+1 integer vectors, one charge per index of each link, the
+        two boundary links included; all zero by default. Site i may be
+        nonzero only where ``charges[i][l] + phys_charges[s] ==
+        charges[i + 1][r]``. The labels are the constructor's promise and
+        are not checked against the site data.
+    phys_charges : one integer charge per physical index; zeros by default.
     phys_dim : (property) the physical extent d, read off the first site.
     """
 
     sites: tuple[np.ndarray, ...]
     center: int | None
+    charges: tuple[np.ndarray, ...] | None = None
+    phys_charges: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sites", tuple(_read_only(t) for t in self.sites))
@@ -83,6 +111,14 @@ class MPS:
             raise ExtentMismatch("boundary links must have extent 1")
         if self.center is not None and not 0 <= self.center < len(self.sites):
             raise ValueError(f"center {self.center} out of range")
+        extents = [1] + [t.shape[2] for t in self.sites]
+        charges = [np.zeros(e, np.int64) for e in extents] if self.charges is None else self.charges
+        if len(charges) != len(extents):
+            raise BadLength(f"{len(charges)} link charge vectors for {len(extents)} links")
+        labels = tuple(_labels(q, e, f"link {i}") for i, (q, e) in enumerate(zip(charges, extents)))
+        object.__setattr__(self, "charges", labels)
+        qp = np.zeros(self.phys_dim, np.int64) if self.phys_charges is None else self.phys_charges
+        object.__setattr__(self, "phys_charges", _labels(qp, self.phys_dim, "physical"))
 
     @property
     def phys_dim(self) -> int:
@@ -100,22 +136,70 @@ class MPS:
         return math.sqrt(max(norm_squared(self), 0.0))
 
 
+def _labels(q, extent: int, what: str) -> np.ndarray:
+    """``q`` as a read-only int64 vector of length ``extent``."""
+    arr = np.asarray(q)
+    if arr.shape != (extent,) or arr.dtype.kind not in "iu":
+        raise ShapeMismatch(f"{what} charges must be {extent} integers, got {arr.dtype} {arr.shape}")
+    arr = arr.astype(np.int64, copy=False).view()
+    arr.flags.writeable = False
+    return arr
+
+
 def _scalar(t: np.ndarray) -> complex:
     return complex(t.item())
 
 
 def _split(
-    mat: np.ndarray, spec: TruncationSpec, absorb: str
-) -> tuple[np.ndarray, np.ndarray, SVDResult]:
-    """Truncated SVD ``mat ~ left . right`` with the singular values absorbed
-    into the ``absorb`` ("left" or "right") factor.
+    mat: np.ndarray, row_q: np.ndarray, col_q: np.ndarray, spec: TruncationSpec, absorb: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Truncated SVD ``mat ~ left . right``, one block per charge sector.
 
-    The SVD result is returned too, for its spectrum and discarded weight.
+    ``row_q`` and ``col_q`` label the rows and columns of ``mat``, which
+    must vanish between a row and a column of different charge. Each sector
+    (the rows and columns of one charge) gets its own
+    :func:`~tnkit.decomp.svd`, and the merged spectrum is cut by
+    :func:`~tnkit.decomp.select_rank` as one SVD's would be. The singular
+    values go into the ``absorb`` ("left" or "right") factor. The kept link
+    is ordered by sector charge, then by descending value, so each sector is
+    a contiguous range holding a prefix of its own spectrum.
+
+    Returns (left, right, link charges, kept values in link order, absolute
+    discarded weight). With one charge on every row and column this is
+    :func:`~tnkit.decomp.truncated_svd` of the whole matrix, bit for bit.
     """
-    res = truncated_svd(mat, spec)
+    rows = np.argsort(row_q, kind="stable")
+    cols = np.argsort(col_q, kind="stable")
+    rq, cq = row_q[rows].tolist(), col_q[cols].tolist()
+    blocked = mat[rows[:, None], cols]
+    sectors = []  # (charge, first row, end row, first column, end column, SVD)
+    r0 = c0 = 0
+    while r0 < len(rq) and c0 < len(cq):  # walk the two sorted label lists together
+        q = min(rq[r0], cq[c0])
+        r1, c1 = bisect_right(rq, q, r0), bisect_right(cq, q, c0)
+        if r1 > r0 and c1 > c0:  # a row or column without partners is zero
+            sectors.append((q, r0, r1, c0, c1, svd(blocked[r0:r1, c0:c1])))
+        r0, c0 = r1, c1
+    d = np.concatenate([res.d for *_, res in sectors])
+    order = np.argsort(-d, kind="stable")
+    k = select_rank(d[order], spec)
+    discarded = float(np.sum(d[order[k:]] ** 2))
+    # every sector's kept values are a prefix of it, so sorted indices give the link order
+    keep = np.sort(order[:k])
+    kept = d[keep]
+    link_q = np.repeat([s[0] for s in sectors], [s[-1].d.size for s in sectors])[keep]
+    u = np.zeros((len(rq), d.size), mat.dtype)  # block-diagonal, rows and columns sorted
+    v = np.zeros((d.size, len(cq)), mat.dtype)
+    off = 0
+    for _, r0, r1, c0, c1, res in sectors:
+        n = res.d.size
+        u[r0:r1, off : off + n] = res.u
+        v[off : off + n, c0:c1] = res.v_dag
+        off += n
+    u, v = u[np.argsort(rows)[:, None], keep], v[keep[:, None], np.argsort(cols)]  # unsorted
     if absorb == "right":
-        return res.u, res.d[:, None] * res.v_dag, res
-    return res.u * res.d[None, :], res.v_dag, res
+        return u, kept[:, None] * v, link_q, kept, discarded
+    return u * kept[None, :], v, link_q, kept, discarded
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +239,8 @@ def mps_from_state_vector(
     rest = d ** (n - 1)
     m = flat.reshape(d, rest, order="F")
     for i in range(n - 1):
-        u, dv, _ = _split(m, spec, "right")
+        unlabelled = np.zeros(m.shape[0], np.int64), np.zeros(m.shape[1], np.int64)
+        u, dv, *_ = _split(m, *unlabelled, spec, "right")
         k = u.shape[1]
         sites.append(u.reshape(lind, d, k, order="F"))
         if i == n - 2:
@@ -229,21 +314,45 @@ def random_mps(n_sites: int, phys_dim: int, chi_max: int, rng) -> MPS:
 # ---------------------------------------------------------------------------
 
 
-def _shift_right(tensors: list[np.ndarray], c: int, spec: TruncationSpec) -> np.ndarray:
+class _Chain:
+    """Writable lists of an MPS's sites and link charges, for moves and gates in place."""
+
+    def __init__(self, m: MPS) -> None:
+        self.sites = list(m.sites)
+        self.charges = list(m.charges)
+        self.phys_charges = m.phys_charges
+
+    def row_charges(self, link: int) -> np.ndarray:
+        """Charges of the C-order fused (link index, physical) rows."""
+        return (self.charges[link][:, None] + self.phys_charges[None, :]).ravel()
+
+    def col_charges(self, link: int) -> np.ndarray:
+        """Charges of the C-order fused (physical, link index) columns."""
+        return (self.charges[link][None, :] - self.phys_charges[:, None]).ravel()
+
+    def freeze(self, center: int | None) -> MPS:
+        return MPS(tuple(self.sites), center, tuple(self.charges), self.phys_charges)
+
+
+def _shift_right(chain: _Chain, c: int, spec: TruncationSpec) -> np.ndarray:
     """Left-normalize site c, absorbing D·V† into site c+1; returns the kept spectrum."""
-    l, d, r = tensors[c].shape
-    u, dv, res = _split(tensors[c].reshape(l * d, r, order="F"), spec, "right")
-    tensors[c] = u.reshape(l, d, u.shape[1], order="F")
-    tensors[c + 1] = np.tensordot(dv, tensors[c + 1], axes=([1], [0]))
-    return res.d
+    l, d, r = chain.sites[c].shape
+    mat = chain.sites[c].reshape(l * d, r)
+    u, dv, q, kept, _ = _split(mat, chain.row_charges(c), chain.charges[c + 1], spec, "right")
+    chain.sites[c] = u.reshape(l, d, q.size)
+    chain.sites[c + 1] = np.tensordot(dv, chain.sites[c + 1], axes=([1], [0]))
+    chain.charges[c + 1] = q
+    return kept
 
 
-def _shift_left(tensors: list[np.ndarray], c: int, spec: TruncationSpec) -> None:
+def _shift_left(chain: _Chain, c: int, spec: TruncationSpec) -> None:
     """Right-normalize site c, absorbing U·D into site c-1."""
-    l, d, r = tensors[c].shape
-    ud, vdag, _ = _split(tensors[c].reshape(l, d * r, order="F"), spec, "left")
-    tensors[c] = vdag.reshape(vdag.shape[0], d, r, order="F")
-    tensors[c - 1] = np.tensordot(tensors[c - 1], ud, axes=([2], [0]))
+    l, d, r = chain.sites[c].shape
+    mat = chain.sites[c].reshape(l, d * r)
+    ud, vdag, q, *_ = _split(mat, chain.charges[c], chain.col_charges(c + 1), spec, "left")
+    chain.sites[c] = vdag.reshape(q.size, d, r)
+    chain.sites[c - 1] = np.tensordot(chain.sites[c - 1], ud, axes=([2], [0]))
+    chain.charges[c] = q
 
 
 def move_center(m: MPS, target: int) -> MPS:
@@ -258,12 +367,12 @@ def move_center(m: MPS, target: int) -> MPS:
         return canonicalize(m, target)
     if m.center == target:
         return m
-    tensors = list(m.sites)
+    chain = _Chain(m)
     for c in range(m.center, target):
-        _shift_right(tensors, c, UNTRUNCATED)
+        _shift_right(chain, c, UNTRUNCATED)
     for c in range(m.center, target, -1):
-        _shift_left(tensors, c, UNTRUNCATED)
-    return MPS(tuple(tensors), center=target)
+        _shift_left(chain, c, UNTRUNCATED)
+    return chain.freeze(target)
 
 
 def canonicalize(m: MPS, target: int, spec: TruncationSpec = UNTRUNCATED) -> MPS:
@@ -274,12 +383,12 @@ def canonicalize(m: MPS, target: int, spec: TruncationSpec = UNTRUNCATED) -> MPS
     """
     if not 0 <= target < m.n_sites:
         raise ValueError(f"target {target} out of range")
-    tensors = list(m.sites)
+    chain = _Chain(m)
     for c in range(m.n_sites - 1):
-        _shift_right(tensors, c, spec)
+        _shift_right(chain, c, spec)
     for c in range(m.n_sites - 1, target, -1):
-        _shift_left(tensors, c, spec)
-    return MPS(tuple(tensors), center=target)
+        _shift_left(chain, c, spec)
+    return chain.freeze(target)
 
 
 def gauge_insert(m: MPS, bond: int, x) -> MPS:
@@ -288,7 +397,8 @@ def gauge_insert(m: MPS, bond: int, x) -> MPS:
     ``bond`` b joins sites b and b+1; ``x`` must be a square matrix matching
     the link extent and numerically invertible. The represented state is
     unchanged, but the canonical structure is destroyed, so the result
-    carries ``center=None``.
+    carries ``center=None``. X mixes charge sectors, so the result is
+    unlabelled: every charge is zero.
     """
     if not 0 <= bond < m.n_sites - 1:
         raise ValueError(f"bond {bond} out of range")
@@ -383,40 +493,47 @@ def apply_two_site_gate(
     """
     if not 0 <= site < m.n_sites - 1:
         raise ValueError(f"gate needs sites ({site}, {site + 1}) in range")
-    g4 = _gate_tensor(gate, m.phys_dim, direction)
-    tensors = list(move_center(m, site if direction == "right" else site + 1).sites)
-    disc = _gate_pair(tensors, g4, site, spec, direction)
-    center = site + 1 if direction == "right" else site
-    return MPS(tuple(tensors), center=center), disc
+    g, m = _gate_matrix(gate, m, direction)
+    chain = _Chain(move_center(m, site if direction == "right" else site + 1))
+    disc = _gate_pair(chain, g, site, spec, direction)
+    return chain.freeze(site + 1 if direction == "right" else site), disc
 
 
-def _gate_tensor(gate, d: int, direction: str) -> np.ndarray:
-    """Check a (d^2, d^2) gate and a sweep direction; the gate as (si', sj', si, sj)."""
+def _gate_matrix(gate, m: MPS, direction: str) -> tuple[np.ndarray, MPS]:
+    """Check a (d^2, d^2) gate and a sweep direction for ``m``.
+
+    Returns the gate as a matrix over the C-order fused pair (si, sj), sj
+    fastest, and the state it may act on: ``m`` itself, or ``m`` unlabelled
+    if the gate has a nonzero entry between pair states of different total
+    charge.
+    """
+    d = m.phys_dim
     gate = np.asarray(gate)
     if gate.shape != (d * d, d * d):
         raise ShapeMismatch(f"gate must be ({d * d}, {d * d}), got {gate.shape}")
     if direction not in ("right", "left"):
         raise ValueError(f"direction must be 'right' or 'left', got {direction!r}")
-    return gate.reshape(d, d, d, d, order="F")
+    pair_q = (m.phys_charges[:, None] + m.phys_charges[None, :]).ravel(order="F")
+    if np.any(gate[pair_q[:, None] != pair_q[None, :]]):
+        m = MPS(m.sites, m.center)
+    return gate.reshape(d, d, d, d, order="F").reshape(d * d, d * d), m
 
 
-def _gate_pair(
-    tensors: list[np.ndarray], g4: np.ndarray, site: int, spec: TruncationSpec, direction: str
-) -> float:
-    """Gate sites (site, site+1) of ``tensors`` in place; returns the discarded weight.
+def _gate_pair(chain: _Chain, gate: np.ndarray, site: int, spec: TruncationSpec, direction: str) -> float:
+    """Gate sites (site, site+1) of ``chain`` in place; returns the discarded weight.
 
-    The center must already be on the pair; the split leaves it on the
-    ``direction`` side.
+    ``gate`` is a matrix from :func:`_gate_matrix`. The center must already
+    be on the pair; the split leaves it on the ``direction`` side.
     """
-    a, b = tensors[site], tensors[site + 1]
+    a, b = chain.sites[site], chain.sites[site + 1]
     l, d, r = a.shape[0], a.shape[1], b.shape[2]
-    theta = np.tensordot(a, b, axes=([2], [0]))  # (l, si, sj, r)
-    theta = np.tensordot(g4, theta, axes=([2, 3], [1, 2])).transpose(2, 0, 1, 3)
-    left, right, res = _split(theta.reshape(l * d, d * r, order="F"), spec, direction)
-    k = res.d.shape[0]
-    tensors[site] = left.reshape(l, d, k, order="F")
-    tensors[site + 1] = right.reshape(k, d, r, order="F")
-    return res.discarded_weight
+    theta = a.reshape(l * d, -1) @ b.reshape(-1, d * r)  # (l, si, sj, r)
+    mat = (gate @ theta.reshape(l, d * d, r)).reshape(l * d, d * r)
+    left, right, q, _, disc = _split(mat, chain.row_charges(site), chain.col_charges(site + 2), spec, direction)
+    chain.sites[site] = left.reshape(l, d, q.size)
+    chain.sites[site + 1] = right.reshape(q.size, d, r)
+    chain.charges[site + 1] = q
+    return disc
 
 
 def bond_entropies(m: MPS) -> list[float]:
@@ -424,8 +541,8 @@ def bond_entropies(m: MPS) -> list[float]:
 
     Each spectrum comes from the SVD that moves the center one bond right.
     """
-    tensors = list(move_center(m, 0).sites)
-    return [entanglement_entropy(_shift_right(tensors, b, UNTRUNCATED)) for b in range(m.n_sites - 1)]
+    chain = _Chain(move_center(m, 0))
+    return [entanglement_entropy(_shift_right(chain, b, UNTRUNCATED)) for b in range(m.n_sites - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +571,15 @@ def correlation_length(m: MPS) -> CorrelationReport:
     isometry, then E[(bra l, ket l), (bra r, ket r)] = sum_s conj(A) A is
     diagonalized. A square bulk tensor is required; for a chi=1 (product)
     state the report is flagged zero-range instead of raising.
+
+    E pairs the bulk tensor's left and right link bases index by index, so
+    both links must be laid out alike: the labels are dropped and the chain
+    is swept to site 0 and back with dense splits, which leaves every link
+    in descending Schmidt-value order whatever order it came in. On a chain
+    that is not translation-invariant the pairing is still a convention:
+    the basis inside a degenerate Schmidt multiplet is the SVD's choice.
     """
-    mc = move_center(m, m.n_sites - 1)
+    mc = move_center(move_center(MPS(m.sites, m.center), 0), m.n_sites - 1)
     mid = m.n_sites // 2
     # prefer the mid-chain tensor; fall back to the nearest square one
     order = sorted(range(m.n_sites), key=lambda s: (abs(s - mid), s))
@@ -540,7 +664,7 @@ def mps_to_json(m: MPS) -> str:
 
 
 def mps_from_json(text: str) -> MPS:
-    """Inverse of :func:`mps_to_json`; ShapeMismatch if ``phys_dim`` disagrees with the sites."""
+    """Inverse of :func:`mps_to_json`, unlabelled; ShapeMismatch if ``phys_dim`` disagrees with the sites."""
     obj = json.loads(text)
     sites = tuple(DenseTensor.load(json.dumps(site)).to_ndarray() for site in obj["sites"])
     m = MPS(sites=sites, center=obj["center"])

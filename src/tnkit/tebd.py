@@ -17,14 +17,14 @@ truncation loss stays visible to the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .decomp import UNTRUNCATED, TruncationSpec, eig_hermitian
 from .errors import NumericalFailure, UnsupportedModel
 from .mpo import MPO, SM, SP, SZ, build_model, mpo_expectation, two_site_matrix
-from .mps import MPS, _gate_pair, _gate_tensor, move_center, norm_squared, product_mps
+from .mps import MPS, _Chain, _gate_matrix, _gate_pair, move_center, norm_squared, product_mps
 
 _UP = np.array([1.0, 0.0])
 _DOWN = np.array([0.0, 1.0])
@@ -76,23 +76,33 @@ def sweep(
 
     Equal to successive :func:`~tnkit.mps.apply_two_site_gate` calls: the
     center moves to the first bond once, every bond is updated in place on a
-    private site list, and one MPS is built at the end.
+    private site list, and one MPS is built at the end. The state keeps its
+    charge labels if the gate conserves the charge, and is unlabelled first
+    otherwise.
     """
-    g4 = _gate_tensor(gate, state.phys_dim, direction)
+    g, state = _gate_matrix(gate, state, direction)
     n = state.n_sites
     bonds = range(n - 1) if direction == "right" else range(n - 2, -1, -1)
     first, last = (0, n - 1) if direction == "right" else (n - 1, 0)
-    tensors = list(move_center(state, first).sites)
+    chain = _Chain(move_center(state, first))
     worst = 0.0
     for b in bonds:
-        worst = max(worst, _gate_pair(tensors, g4, b, spec, direction))
-    return MPS(tuple(tensors), center=last), worst
+        worst = max(worst, _gate_pair(chain, g, b, spec, direction))
+    return chain.freeze(last), worst
 
 
 def measure_energy(state: MPS, h: MPO) -> float:
-    """<H> normalized by the state's norm squared; NumericalFailure if that is 0 or not finite."""
+    """<H> normalized by the state's norm squared.
+
+    Raises NumericalFailure if the norm squared is 0 or not finite, or if
+    <H> is not finite.
+    """
     den = _center_norm_squared(state)
-    return mpo_expectation(state, h).real / den
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        energy = mpo_expectation(state, h).real / den
+    if not np.isfinite(energy):
+        raise NumericalFailure(f"energy is {energy}")
+    return energy
 
 
 def _center_norm_squared(state: MPS) -> float:
@@ -111,24 +121,28 @@ def _rescale_center(state: MPS) -> MPS:
     c = state.sites[state.center]
     tensors = list(state.sites)
     tensors[state.center] = c * (1.0 / nrm)
-    return MPS(tuple(tensors), center=state.center)
+    return replace(state, sites=tuple(tensors))
 
 
 def initial_product_state(model: str, n_sites: int) -> MPS:
     """A sensible imaginary-time seed for each model.
 
-    heisenberg: the alternating up/down product state — it lives in the
-    magnetization sector of the ground state and is cheap to improve.
+    heisenberg: the alternating up/down (Néel) product state — it lives in
+    the magnetization sector of the ground state and is cheap to improve.
+    It is labelled by 2·Sz: up is +1 and down -1, and each link carries the
+    2·Sz of the sites to its left, so sweeps split in Sz sectors.
     ising_nn: all sites in the symmetric superposition; the pair gates are
     diagonal in the z basis, so an alignment eigenstate would never move.
+    Unlabelled.
     """
     if model == "heisenberg":
         kets = [_UP if i % 2 == 0 else _DOWN for i in range(n_sites)]
-    elif model == "ising_nn":
-        kets = [_PLUS] * n_sites
-    else:
-        raise UnsupportedModel(f"no default seed for model {model!r}")
-    return product_mps(kets)
+        spins = [1 if i % 2 == 0 else -1 for i in range(n_sites)]
+        links = np.cumsum([0] + spins)[:, None]  # one index per link
+        return replace(product_mps(kets), charges=tuple(links), phys_charges=np.array([1, -1]))
+    if model == "ising_nn":
+        return product_mps([_PLUS] * n_sites)
+    raise UnsupportedModel(f"no default seed for model {model!r}")
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .mpo import (
     mpo_to_dense,
 )
 from .mps import (
+    MPS,
     connected_correlation,
     correlation_length,
     expect_local,
@@ -45,7 +46,7 @@ from .mps import (
     random_mps,
     to_state_vector,
 )
-from .tebd import evolve_real_time, find_ground_state
+from .tebd import evolve_real_time, find_ground_state, initial_product_state
 from .tensors import DenseTensor, contract, contract_flops
 from .trg import brute_force_lnz, close_torus, free_energy_per_site, initial_state, trg_step
 
@@ -278,6 +279,46 @@ def check_trotter_order() -> CriterionResult:
     return _result("trotter_order", t0, ok, f"halving ratios {r1:.3f}, {r2:.3f} (target ~4)")
 
 
+def off_block_max(m: MPS) -> float:
+    """Largest |entry| of any site of ``m`` outside its allowed charge blocks.
+
+    Site i may be nonzero only where charges[i][l] + phys_charges[s] ==
+    charges[i + 1][r].
+    """
+    worst = 0.0
+    for i, t in enumerate(m.sites):
+        flow = m.charges[i][:, None, None] + m.phys_charges[None, :, None] - m.charges[i + 1][None, None, :]
+        worst = max(worst, float(np.abs(t[flow != 0]).max(initial=0.0)))
+    return worst
+
+
+def check_tebd_charge_sectors() -> CriterionResult:
+    """Sz-labelled real-time sweeps equal unlabelled ones and stay in their blocks.
+
+    The Néel state carries 2·Sz labels, so every split runs sector by
+    sector; the same state rebuilt from its dense vector is unlabelled and
+    splits as one dense SVD. After 10 untruncated sweeps at N=8 the two
+    vectors must agree, and every labelled site must be exactly zero where
+    charges[i][l] + phys_charges[s] != charges[i + 1][r].
+    """
+    t0 = time.time()
+    n = 8
+    neel = initial_product_state("heisenberg", n)
+    plain = mps_from_state_vector(to_state_vector(neel), 2)
+    runs = [evolve_real_time(m, "heisenberg", -1.0, dt=0.05, n_steps=10).state for m in (neel, plain)]
+    dev = float(np.max(np.abs(to_state_vector(runs[0]) - to_state_vector(runs[1]))))
+    labelled = runs[0]
+    off_block = off_block_max(labelled)
+    sectors = max(np.unique(q).size for q in labelled.charges)
+    ok = dev < 1e-12 and off_block == 0.0 and sectors > 1
+    return _result(
+        "tebd_charge_sectors",
+        t0,
+        ok,
+        f"N=8, 10 sweeps: max|labelled-unlabelled|={dev:.2e}, off-block max={off_block:.1e}, {sectors} sectors",
+    )
+
+
 def check_trg_torus_exactness() -> CriterionResult:
     """Untruncated TRG equals the 4x4 brute-force torus; chi=16 run is Cauchy."""
     t0 = time.time()
@@ -408,6 +449,7 @@ CHECKS = {
     "mpo_kron_oracle": check_mpo_kron_oracle,
     "tebd_ground_energy": check_tebd_heisenberg_energy,
     "trotter_order": check_trotter_order,
+    "tebd_charge_sectors": check_tebd_charge_sectors,
     "trg_torus_exactness": check_trg_torus_exactness,
     "correlation_length": check_correlation_length_fit,
     "mera_optimality": check_mera_trace_optimality,
@@ -418,7 +460,7 @@ CHECKS = {
 SUITES = {
     "core": ["svd_examples", "truncation_identity", "mera_optimality", "contraction_oracle"],
     "mps": ["mps_roundtrip", "gauge_invariance", "mpo_kron_oracle"],
-    "tebd": ["tebd_ground_energy", "trotter_order", "correlation_length"],
+    "tebd": ["tebd_ground_energy", "trotter_order", "tebd_charge_sectors", "correlation_length"],
     "trg": ["trg_torus_exactness"],
     "ed": ["ed_iterative"],
     "all": list(CHECKS),

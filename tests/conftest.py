@@ -2,11 +2,15 @@
 
 The spin operators and Kronecker embeddings here are deliberately written
 from scratch (plain numpy) rather than imported from tnkit, so that tests
-comparing MPO/MPS results against them are genuine cross-checks.
+comparing MPO/MPS results against them are genuine cross-checks. The one
+exception is ``dense_split``, the reference for the charge-sector split,
+which is by definition tnkit's own ``truncated_svd`` of the whole matrix.
 """
 
 import numpy as np
 import pytest
+
+from tnkit import truncated_svd
 
 ID2 = np.eye(2)
 SZ = np.diag([0.5, -0.5])
@@ -49,6 +53,13 @@ def dense_hamiltonian(model, n, **kw):
     else:
         raise ValueError(model)
     return h
+
+
+def dense_split(mat, row_q, col_q, spec, absorb):
+    """Stand-in for tnkit.mps._split that ignores the labels: one truncated SVD of the whole matrix."""
+    res = truncated_svd(mat, spec)
+    left, right = (res.u, res.d[:, None] * res.v_dag) if absorb == "right" else (res.u * res.d[None, :], res.v_dag)
+    return left, right, np.zeros(res.d.size, np.int64), res.d, res.discarded_weight
 
 
 @pytest.fixture

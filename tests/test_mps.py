@@ -9,9 +9,10 @@ import json
 import numpy as np
 import pytest
 
-from conftest import SX, SZ, kron_site
+from conftest import SX, SZ, dense_split, kron_site
 from tnkit import (
     MPS,
+    UNTRUNCATED,
     TruncationSpec,
     apply_two_site_gate,
     bond_entropies,
@@ -27,6 +28,7 @@ from tnkit import (
     fit_exponential_decay,
     fit_power_law,
     gauge_insert,
+    initial_product_state,
     inner_product,
     move_center,
     mps_from_json,
@@ -39,8 +41,11 @@ from tnkit import (
     svd,
     sweep,
     to_state_vector,
+    truncated_svd,
 )
 from tnkit.errors import AllZero, BadLength, BadOrder, NotNormalized, ShapeMismatch, Singular
+from tnkit.mps import _split
+from tnkit.verify import off_block_max
 
 
 def random_state(rng, n, d=2):
@@ -331,6 +336,134 @@ def test_json_header_must_match_the_sites(rng):
     obj["phys_dim"] = 3
     with pytest.raises(ShapeMismatch, match="phys_dim"):
         mps_from_json(json.dumps(obj))
+
+
+def labelled_matrix(rng, row_q, col_q, dtype=float):
+    """Random matrix that vanishes between rows and columns of different charge."""
+    mat = rng.standard_normal((row_q.size, col_q.size)).astype(dtype)
+    if np.dtype(dtype).kind == "c":
+        mat = mat + 1j * rng.standard_normal(mat.shape)
+    mat[row_q[:, None] != col_q[None, :]] = 0.0
+    return mat
+
+
+def sector_spectrum(mat, row_q, col_q, q):
+    return np.linalg.svd(mat[np.ix_(row_q == q, col_q == q)], compute_uv=False)
+
+
+@pytest.mark.parametrize("absorb", ["left", "right"])
+def test_sector_split_keeps_one_value_per_sector_pair(rng, absorb):
+    row_q = rng.integers(-3, 4, 13)
+    col_q = rng.integers(-2, 5, 11)
+    mat = labelled_matrix(rng, row_q, col_q, complex)
+    shared = np.intersect1d(row_q, col_q)
+    want = sum(min(np.sum(row_q == q), np.sum(col_q == q)) for q in shared)
+    assert want < min(mat.shape)  # a dense SVD would keep more values
+    left, right, link_q, kept, lost = _split(mat, row_q, col_q, UNTRUNCATED, absorb)
+    assert link_q.size == kept.size == left.shape[1] == right.shape[0] == want
+    assert lost == 0.0
+    np.testing.assert_allclose(left @ right, mat, atol=1e-12)
+    # the link is sorted by charge, each sector holding its own spectrum in descending order
+    assert np.all(np.diff(link_q) >= 0)
+    for q in shared:
+        np.testing.assert_allclose(kept[link_q == q], sector_spectrum(mat, row_q, col_q, q), atol=1e-12)
+    assert np.all(left[row_q[:, None] != link_q[None, :]] == 0.0)
+    assert np.all(right[link_q[:, None] != col_q[None, :]] == 0.0)
+
+
+def test_truncated_sector_split_cuts_the_merged_spectrum(rng):
+    row_q = rng.integers(-2, 3, 16)
+    col_q = rng.integers(-2, 3, 14)
+    mat = labelled_matrix(rng, row_q, col_q)
+    full = np.linalg.svd(mat, compute_uv=False)
+    for spec in (TruncationSpec(chi_max=5), TruncationSpec(cutoff=0.05), TruncationSpec(chi_max=9, cutoff=1e-3)):
+        left, right, link_q, kept, lost = _split(mat, row_q, col_q, spec, "right")
+        k = kept.size
+        assert k == truncated_svd(mat, spec).d.size
+        np.testing.assert_allclose(np.sort(kept)[::-1], full[:k], atol=1e-12)
+        assert lost == pytest.approx(np.sum(full[k:] ** 2), rel=1e-10)
+        for q in np.unique(link_q):  # a prefix of each sector's own spectrum
+            ref = sector_spectrum(mat, row_q, col_q, q)
+            np.testing.assert_allclose(kept[link_q == q], ref[: np.sum(link_q == q)], atol=1e-12)
+        assert np.linalg.norm(mat - left @ right) ** 2 == pytest.approx(lost, rel=1e-9)
+
+
+def test_an_all_zero_sector_gives_zero_values_not_nan(rng):
+    row_q = np.array([0, 1, 0, 1, 1])
+    col_q = np.array([1, 0, 1])
+    for absorb in ("left", "right"):
+        for shape in ((5, 3), (1, 3), (5, 1)):
+            r, c = row_q[: shape[0]], col_q[: shape[1]]
+            mat = labelled_matrix(rng, r, c)
+            mat[r == 1] = 0.0  # the charge-1 sector is identically zero
+            left, right, link_q, kept, _ = _split(mat, r, c, UNTRUNCATED, absorb)
+            assert np.all(np.isfinite(left)) and np.all(np.isfinite(right)) and np.all(np.isfinite(kept))
+            np.testing.assert_allclose(left @ right, mat, atol=1e-12)
+            if np.any(r == 1) and np.any(c == 1):
+                assert np.any(kept[link_q == 1] == 0.0)
+
+
+def test_unlabelled_split_is_the_dense_split_bit_for_bit(rng):
+    for shape in ((6, 10), (12, 5), (1, 7), (9, 1)):
+        for dtype in (float, complex):
+            mat = labelled_matrix(rng, np.zeros(shape[0], int), np.zeros(shape[1], int), dtype)
+            zeros = np.zeros(shape[0], np.int64), np.zeros(shape[1], np.int64)
+            for spec in (UNTRUNCATED, TruncationSpec(chi_max=3), TruncationSpec(cutoff=0.1)):
+                for absorb in ("left", "right"):
+                    got = _split(mat, *zeros, spec, absorb)
+                    want = dense_split(mat, *zeros, spec, absorb)
+                    for g, w in zip(got, want):
+                        np.testing.assert_array_equal(g, w)
+
+
+def test_charge_labels_are_validated(rng):
+    sites = random_mps(4, 2, 2, rng).sites
+    m = MPS(sites, center=3)
+    assert [q.tolist() for q in m.charges] == [[0], [0, 0], [0, 0], [0, 0], [0]]
+    assert m.phys_charges.tolist() == [0, 0]
+    with pytest.raises(BadLength):
+        MPS(sites, center=3, charges=m.charges[:-1])
+    with pytest.raises(ShapeMismatch):
+        MPS(sites, center=3, charges=(np.zeros(1, int), np.zeros(3, int)) + m.charges[2:])
+    with pytest.raises(ShapeMismatch):
+        MPS(sites, center=3, phys_charges=np.array([0.5, -0.5]))
+
+
+def test_neel_labels_are_the_running_sz(rng):
+    m = initial_product_state("heisenberg", 5)
+    assert m.phys_charges.tolist() == [1, -1]
+    assert [q.tolist() for q in m.charges] == [[0], [1], [0], [1], [0], [1]]
+    assert off_block_max(m) == 0.0
+    # gauge moves keep the labels and the block structure
+    for target in (0, 2, 4):
+        moved = move_center(m, target)
+        assert off_block_max(moved) == 0.0
+        np.testing.assert_allclose(to_state_vector(moved), to_state_vector(m), atol=1e-14)
+
+
+def test_labels_are_dropped_where_the_charge_is_not_conserved(rng):
+    n = 6
+    neel = initial_product_state("heisenberg", n)
+    psi = to_state_vector(neel)
+
+    def unlabelled(m):
+        return not any(np.any(q) for q in m.charges) and not np.any(m.phys_charges)
+
+    assert unlabelled(gauge_insert(neel, 2, np.eye(1) * 2.0))
+    back = mps_from_json(mps_to_json(neel))
+    assert unlabelled(back)
+    np.testing.assert_array_equal(to_state_vector(back), psi)
+
+    gate = rng.standard_normal((4, 4))
+    for site in (0, 2, 4):
+        out, lost = apply_two_site_gate(neel, gate, site)
+        assert unlabelled(out) and lost == 0.0
+        full = np.kron(np.eye(2 ** (n - site - 2)), np.kron(gate, np.eye(2**site)))
+        np.testing.assert_allclose(to_state_vector(out), full @ psi, atol=1e-12)
+
+    # a charge-conserving gate keeps them
+    out, _ = apply_two_site_gate(neel, bond_gate("heisenberg", -1.0, 0.3, "real"), 2)
+    assert not unlabelled(out) and off_block_max(out) == 0.0
 
 
 if __name__ == "__main__":

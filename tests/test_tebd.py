@@ -4,21 +4,25 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import dense_hamiltonian
+import tnkit.mps
+from conftest import dense_hamiltonian, dense_split
 from tnkit import (
     TruncationSpec,
     apply_two_site_gate,
     bond_gate,
     build_heisenberg,
     build_ising_nn,
+    correlation_length,
     evolve_real_time,
     find_ground_state,
     MPS,
     initial_product_state,
     measure_energy,
     model_mpo,
+    move_center,
     mpo_matvec,
     mps_from_state_vector,
+    norm_squared,
     pair_hamiltonian,
     solve_dense,
     solve_iterative,
@@ -26,6 +30,7 @@ from tnkit import (
     to_state_vector,
 )
 from tnkit.errors import NumericalFailure, UnsupportedModel
+from tnkit.verify import off_block_max
 
 rng = np.random.default_rng(909)
 
@@ -197,6 +202,83 @@ def test_measure_energy_normalizes():
     state = initial_product_state("ising_nn", 4)
     h = build_ising_nn(4, j=1.0)
     assert np.isclose(measure_energy(state, h), 0.0, atol=1e-12)  # |+> has <SzSz> = 0
+
+
+def test_non_finite_energy_is_a_numerical_failure():
+    # an infinite coupling makes <H> NaN; a NaN energy would never meet the
+    # convergence test, so the ground search must stop here instead
+    with np.errstate(invalid="ignore"):
+        h = build_heisenberg(4, j=np.inf)  # inf * 0 puts NaN into the site tensors
+    with pytest.raises(NumericalFailure, match="energy"):
+        measure_energy(initial_product_state("heisenberg", 4), h)
+
+
+def sweeps(state, gate, spec, n_sweeps):
+    """Alternating sweeps; returns the final state and every sweep's discarded weight."""
+    weights = []
+    for i in range(n_sweeps):
+        state, disc = sweep(state, gate, spec, "right" if i % 2 == 0 else "left")
+        weights.append(disc)
+    return state, np.array(weights)
+
+
+@pytest.mark.parametrize("mode", ["real", "imaginary"])
+def test_heisenberg_gates_have_exact_zeros_off_their_sz_blocks(mode):
+    # so sweeps from the Neel state keep its labels on every step size
+    pair_sz = np.array([2, 0, 0, -2])  # fused (si, sj), si fastest: uu, du, ud, dd
+    for tau in (0.001, 0.01, 0.05, 0.1, 0.3):
+        for j in (-150.0, -1.0, 1.0, 2.7):
+            with np.errstate(over="ignore"):
+                gate = bond_gate("heisenberg", j, tau, mode)
+            assert np.all(gate[pair_sz[:, None] != pair_sz[None, :]] == 0.0), (tau, j)
+    state, _ = sweep(initial_product_state("heisenberg", 6), bond_gate("heisenberg", -1.0, 0.1, mode))
+    assert state.phys_charges.tolist() == [1, -1]
+
+
+@pytest.mark.parametrize("mode", ["real", "imaginary"])
+def test_sweeps_keep_every_site_inside_its_charge_blocks(mode):
+    gate = bond_gate("heisenberg", -1.0, 0.1, mode)
+    state, weights = sweeps(initial_product_state("heisenberg", 10), gate, TruncationSpec(chi_max=12), 50)
+    assert weights.max() > 0.0  # the cap truncates
+    assert any(q.size > 1 and np.any(q != q[0]) for q in state.charges)  # several sectors per link
+    assert off_block_max(state) == 0.0
+
+
+@pytest.mark.parametrize("mode", ["real", "imaginary"])
+def test_sector_sweeps_match_a_dense_split(monkeypatch, mode):
+    gate = bond_gate("heisenberg", -1.0, 0.1, mode)
+    spec = TruncationSpec(cutoff=1e-12)
+    neel = initial_product_state("heisenberg", 10)
+    got, got_weights = sweeps(neel, gate, spec, 50)
+    monkeypatch.setattr(tnkit.mps, "_split", dense_split)
+    want, want_weights = sweeps(neel, gate, spec, 50)
+    scale = np.sqrt(norm_squared(want))  # imaginary-time gates are not normalized
+    np.testing.assert_allclose(to_state_vector(got) / scale, to_state_vector(want) / scale, atol=1e-12)
+    np.testing.assert_allclose(got_weights, want_weights, rtol=1e-10, atol=0.0)
+
+
+def test_unlabelled_sweeps_equal_the_dense_split_bit_for_bit(monkeypatch):
+    psi = rng.standard_normal(2**8) + 1j * rng.standard_normal(2**8)
+    state = mps_from_state_vector(psi / np.linalg.norm(psi), 2)
+    gate = bond_gate("heisenberg", -1.0, 0.3, "real")
+    spec = TruncationSpec(chi_max=5, cutoff=1e-12)
+    got, got_weights = sweeps(state, gate, spec, 6)
+    monkeypatch.setattr(tnkit.mps, "_split", dense_split)
+    want, want_weights = sweeps(state, gate, spec, 6)
+    np.testing.assert_array_equal(got_weights, want_weights)
+    for a, b in zip(got.sites, want.sites):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_correlation_length_reads_the_state_not_its_labels():
+    # the transfer matrix pairs the bulk site's two link bases index by index,
+    # so a labelled link's charge-sorted layout must not reach it
+    gate = bond_gate("heisenberg", -1.0, 0.1, "imaginary")
+    state, _ = sweeps(initial_product_state("heisenberg", 10), gate, TruncationSpec(chi_max=12, cutoff=1e-12), 30)
+    for m in (state, move_center(state, 9)):  # a labelled move sorts every link it passes by charge
+        got, want = correlation_length(m), correlation_length(MPS(m.sites, m.center))
+        assert got.xi == want.xi and np.isfinite(got.xi)
+        np.testing.assert_array_equal(got.transfer_eigs, want.transfer_eigs)
 
 
 
