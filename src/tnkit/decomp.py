@@ -86,12 +86,23 @@ def _as_matrix(m, op: str) -> np.ndarray:
 
 
 def svd(m) -> SVDResult:
-    """Full thin SVD of a matrix; never forms M·M†."""
+    """Full thin SVD of a matrix; never forms M·M†.
+
+    If LAPACK does not converge, it is retried once on R of M = QR (of M† if
+    M is wide), as Drmač and Veselić precondition their Jacobi SVD, before
+    NumericalFailure.
+    """
     arr = _as_matrix(m, "svd")
     try:
         u, s, vdag = np.linalg.svd(arr, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
-        raise NumericalFailure(f"svd did not converge: {exc}") from exc
+    except np.linalg.LinAlgError:
+        wide = arr.shape[0] < arr.shape[1]
+        q, r = np.linalg.qr(arr.conj().T if wide else arr)
+        try:
+            u, s, vdag = np.linalg.svd(r)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"svd did not converge, nor after a QR preconditioning: {exc}") from exc
+        u, vdag = (vdag.conj().T.copy(), (q @ u).conj().T.copy()) if wide else (q @ u, vdag)  # M† = Q U D V†
     u.flags.writeable = vdag.flags.writeable = False
     return SVDResult(u=u, d=s, v_dag=vdag, discarded_weight=0.0)
 

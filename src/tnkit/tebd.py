@@ -92,8 +92,9 @@ def sweep(
 
 
 def measure_energy(state: MPS, h: MPO) -> float:
-    """<H> normalized by the state's norm squared.
+    """<H> normalized by the state's norm squared, by the MPO zipper.
 
+    Any gauge, any MPO; the TEBD drivers use :func:`_bond_energy` instead.
     Raises NumericalFailure if the norm squared is 0 or not finite, or if
     <H> is not finite.
     """
@@ -103,6 +104,31 @@ def measure_energy(state: MPS, h: MPO) -> float:
     if not np.isfinite(energy):
         raise NumericalFailure(f"energy is {energy}")
     return energy
+
+
+def _bond_energy(state: MPS, pair: np.ndarray) -> tuple[float, float]:
+    """(<H> / <psi|psi>, <psi|psi>) of a chain centred on an end, H the sum of :func:`pair_hamiltonian` ``pair``.
+
+    All sites but the centre are isometries, so with the centre on site N-1
+    one right-to-left pass of a D = 1 environment and one theta per bond give
+    <H> = sum_b <h_b>; a chain centred on site 0 is mirrored first.
+    NumericalFailure as for :func:`measure_energy`.
+    """
+    sites, h = state.sites, pair.reshape(2, 2, 2, 2, order="F")  # h over C-order (si, sj), as sites fuse
+    if state.center == 0:  # reverse the chain, and the two sites of the pair term
+        sites, h = [t.transpose(2, 1, 0) for t in reversed(sites)], h.transpose(1, 0, 3, 2)
+    h, env, total = h.reshape(4, 4), np.ones((1, 1)), 0.0  # env: (ket, bra) on the link right of the bond
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite energy is refused below
+        for a, b in zip(sites[-2::-1], sites[:0:-1]):
+            (l, d, m), r = a.shape, b.shape[2]
+            a_mat, b_mat = a.reshape(l * d, m), b.reshape(m, d * r)
+            b_env = (b.reshape(m * d, r) @ env).reshape(m, d * r)  # feeds the bond term and the next env
+            total += np.vdot(a_mat @ b_mat, h @ (a_mat @ b_env).reshape(l, d * d, r)).real
+            env = b_env @ b_mat.conj().T
+    nrm2 = _center_norm_squared(state)
+    if not np.isfinite(total / nrm2):
+        raise NumericalFailure(f"energy is {total / nrm2}")
+    return total / nrm2, nrm2
 
 
 def _center_norm_squared(state: MPS) -> float:
@@ -189,15 +215,16 @@ def find_ground_state(
     (alternating direction, renormalizing every sweep) until the energy
     change between same-direction sweeps drops below ``energy_tol`` relative
     to max(1, |E|). Successive stages reuse the state, so late, small steps
-    only polish the bias left by earlier ones. Raises NumericalFailure when a
-    stage's gate exp(-tau*h) overflows float64: for the Heisenberg AFM, once
-    tau*|j| exceeds about 946.
+    only polish the bias left by earlier ones. Energies are sums of bond
+    terms (:func:`_bond_energy`). Raises NumericalFailure when a stage's
+    gate exp(-tau*h) overflows float64 (for the Heisenberg AFM, once tau*|j|
+    exceeds about 946) or an energy is not finite.
     """
-    h = model_mpo(model, n_sites, j)
+    pair = pair_hamiltonian(model, j)
     state = initial_product_state(model, n_sites)
 
     # the trace leads with the seed-state energy (tau 0.0, no sweep taken)
-    energies: list[float] = [measure_energy(state, h)]
+    energies: list[float] = [_bond_energy(state, pair)[0]]
     taus: list[float] = [0.0]
     worst = 0.0
     total_sweeps = 0
@@ -215,7 +242,7 @@ def find_ground_state(
             state, disc = sweep(state, gate, spec, direction)
             worst = max(worst, disc)
             state = _rescale_center(state)
-            energies.append(measure_energy(state, h))
+            energies.append(_bond_energy(state, pair)[0])
             taus.append(tau)
             total_sweeps += 1
             done = len(energies) - stage_start
@@ -249,8 +276,9 @@ def evolve_real_time(
 
     Sweep direction alternates starting rightward. The norm is recorded but
     never rescaled, so ``norm_trace`` exposes cumulative truncation loss.
+    Energies and norms come from :func:`_bond_energy`.
     """
-    h = model_mpo(model, state.n_sites, j)
+    pair = pair_hamiltonian(model, j)
     gate = bond_gate(model, j, dt, "real")
     times = []
     energies = []
@@ -261,8 +289,9 @@ def evolve_real_time(
         state, disc = sweep(state, gate, spec, direction)
         worst = max(worst, disc)
         times.append((step + 1) * dt)
-        energies.append(measure_energy(state, h))
-        norms.append(np.sqrt(_center_norm_squared(state)))
+        energy, nrm2 = _bond_energy(state, pair)
+        energies.append(energy)
+        norms.append(np.sqrt(nrm2))
     return TimeEvolutionReport(
         state=state,
         times=np.array(times),

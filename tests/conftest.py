@@ -62,6 +62,20 @@ def dense_split(mat, row_q, col_q, spec, absorb):
     return left, right, np.zeros(res.d.size, np.int64), res.d, res.discarded_weight
 
 
+def failing_svd(failures=None):
+    """Stand-in for ``numpy.linalg.svd`` that raises LinAlgError on its first ``failures`` calls (None: on all)."""
+    real, calls = np.linalg.svd, []
+
+    def svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        if failures is None or len(calls) <= failures:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(*args, **kwargs)
+
+    svd.calls = calls
+    return svd
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_hamiltonian
+from conftest import dense_hamiltonian, failing_svd
 from tnkit import cli
 from tnkit.cli import load_record, main, parse_config, run
 from tnkit.errors import ParseError, ValidationError
@@ -242,6 +242,14 @@ def test_lapack_failure_exits_as_a_numerical_failure(tmp_path, monkeypatch, caps
     monkeypatch.setattr(cli, "run", fail)
     assert main(["--config", write_cfg(tmp_path, ED_CFG)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_an_svd_that_never_converges_exits_3(tmp_path, monkeypatch, capsys):
+    # the split retries each sector and then the QR-preconditioned matrix before it gives up
+    cfg = {"command": "tebd", "model": {"model": "heisenberg", "n": 4, "j": -1.0}, "algorithm": {"mode": "real_time"}}
+    monkeypatch.setattr(np.linalg, "svd", failing_svd())
+    assert main(["--config", write_cfg(tmp_path, cfg)]) == 3
+    assert "did not converge" in capsys.readouterr().err
 
 
 def test_unconverged_tebd_is_data_not_an_error(tmp_path):

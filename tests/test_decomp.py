@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import failing_svd
 from tnkit import (
     TruncationSpec,
     UNTRUNCATED,
@@ -14,7 +15,7 @@ from tnkit import (
     truncated_svd,
 )
 from tnkit.decomp import partial_svd
-from tnkit.errors import AllZero, NotHermitian, NotSquare
+from tnkit.errors import AllZero, NotHermitian, NotSquare, NumericalFailure
 
 rng = np.random.default_rng(7)
 
@@ -153,6 +154,29 @@ def test_degenerate_boundary_keeps_the_whole_group():
     # but a hard chi_max=2 cap wins over the keep-both rule
     res = truncated_svd(m, TruncationSpec(chi_max=2))
     assert len(res.d) == 2
+
+
+
+@pytest.mark.parametrize("shape", [(7, 4), (4, 7), (5, 5)])
+def test_svd_retries_once_on_the_qr_preconditioned_matrix(monkeypatch, shape):
+    m = random_matrix(*shape)
+    want = svd(m)
+    monkeypatch.setattr(np.linalg, "svd", failing_svd(1))
+    got = svd(m)
+    np.testing.assert_allclose(got.d, want.d, rtol=0.0, atol=1e-12)
+    # the factors agree up to the phase of each singular pair, which LAPACK picks
+    phase = np.sum(want.u.conj() * got.u, axis=0)
+    np.testing.assert_allclose(np.abs(phase), 1.0, atol=1e-12)
+    np.testing.assert_allclose(got.u, want.u * phase, atol=1e-12)
+    np.testing.assert_allclose(got.v_dag, phase.conj()[:, None] * want.v_dag, atol=1e-12)
+    assert got.u.flags.c_contiguous and got.v_dag.flags.c_contiguous
+    assert not got.u.flags.writeable and not got.v_dag.flags.writeable
+
+
+def test_svd_that_never_converges_is_a_numerical_failure(monkeypatch):
+    monkeypatch.setattr(np.linalg, "svd", failing_svd())
+    with pytest.raises(NumericalFailure, match="did not converge"):
+        svd(random_matrix(4, 6))
 
 
 def test_eig_hermitian_reconstructs():

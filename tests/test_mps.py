@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import SX, SZ, dense_split, kron_site
+from conftest import SX, SZ, dense_split, failing_svd, kron_site
 from tnkit import (
     MPS,
     UNTRUNCATED,
@@ -38,13 +38,14 @@ from tnkit import (
     product_mps,
     product_state_vector,
     random_mps,
+    select_rank,
     svd,
     sweep,
     to_state_vector,
     truncated_svd,
 )
-from tnkit.errors import AllZero, BadLength, BadOrder, NotNormalized, ShapeMismatch, Singular
-from tnkit.mps import _split
+from tnkit.errors import AllZero, BadLength, BadOrder, NotNormalized, NumericalFailure, ShapeMismatch, Singular
+from tnkit.mps import _layout, _split
 from tnkit.verify import off_block_max
 
 
@@ -414,6 +415,92 @@ def test_unlabelled_split_is_the_dense_split_bit_for_bit(rng):
                     want = dense_split(mat, *zeros, spec, absorb)
                     for g, w in zip(got, want):
                         np.testing.assert_array_equal(g, w)
+
+
+
+def per_sector_split(mat, row_q, col_q, spec, absorb):
+    """Reference for ``_split``: sort by charge, one ``svd`` per sector, merge, cut, unsort."""
+    rows, cols = np.argsort(row_q, kind="stable"), np.argsort(col_q, kind="stable")
+    blocked = mat[rows[:, None], cols]
+    sectors = []
+    for q in np.intersect1d(row_q, col_q):
+        r, c = np.flatnonzero(row_q[rows] == q), np.flatnonzero(col_q[cols] == q)
+        sectors.append((q, r, c, svd(blocked[np.ix_(r, c)])))
+    d = np.concatenate([res.d for *_, res in sectors])
+    order = np.argsort(-d, kind="stable")
+    k = select_rank(d[order], spec)
+    discarded = float(np.sum(d[order[k:]] ** 2))
+    keep = np.sort(order[:k])
+    kept = d[keep]
+    link_q = np.repeat([q for q, *_ in sectors], [res.d.size for *_, res in sectors])[keep]
+    u = np.zeros((len(rows), d.size), mat.dtype)
+    v = np.zeros((d.size, len(cols)), mat.dtype)
+    off = 0
+    for _, r, c, res in sectors:
+        link = np.arange(off, off + res.d.size)
+        u[np.ix_(r, link)] = res.u
+        v[np.ix_(link, c)] = res.v_dag
+        off += res.d.size
+    u, v = u[np.argsort(rows)[:, None], keep], v[keep[:, None], np.argsort(cols)]
+    if absorb == "right":
+        return u, kept[:, None] * v, link_q, kept, discarded
+    return u * kept[None, :], v, link_q, kept, discarded
+
+
+def assert_same_split(got, want):
+    for g, w in zip(got, want):
+        assert np.asarray(g).dtype == np.asarray(w).dtype
+        np.testing.assert_array_equal(g, w)
+    assert got[0].flags.c_contiguous and got[1].flags.c_contiguous
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_split_equals_one_svd_per_sector_bit_for_bit(rng, dtype):
+    # sectors by charge: -1, 0 and 1 are 2x3 (one stacked SVD, 0 all zero),
+    # 2 is 1x4, 3 is 3x1; rows of charge 4 and columns of charge 5 have no partners
+    row_q = rng.permutation(np.repeat([-1, 0, 1, 2, 3, 4], [2, 2, 2, 1, 3, 1]))
+    col_q = rng.permutation(np.repeat([-1, 0, 1, 2, 3, 5], [3, 3, 3, 4, 1, 2]))
+    mat = labelled_matrix(rng, row_q, col_q, dtype)
+    mat[row_q == 0] = 0.0
+    for spec in (UNTRUNCATED, TruncationSpec(chi_max=3), TruncationSpec(cutoff=0.1)):
+        for absorb in ("left", "right"):
+            got = _split(mat, row_q, col_q, spec, absorb)
+            assert_same_split(got, per_sector_split(mat, row_q, col_q, spec, absorb))
+            if spec is UNTRUNCATED:
+                assert got[3].size == 2 + 2 + 2 + 1 + 1
+                np.testing.assert_allclose(got[0] @ got[1], mat, atol=1e-12)
+
+
+def test_split_layouts_are_keyed_by_the_labels_not_the_shape(rng):
+    first = np.array([0, 0, 1, 1]), np.array([0, 1, 1])
+    second = np.array([1, 0, 1, 0]), np.array([1, 1, 0])  # the same shapes, other labels
+    for row_q, col_q in (first, second, first, second):
+        mat = labelled_matrix(rng, row_q, col_q)
+        got = _split(mat, row_q, col_q, UNTRUNCATED, "right")
+        assert_same_split(got, per_sector_split(mat, row_q, col_q, UNTRUNCATED, "right"))
+        np.testing.assert_allclose(got[0] @ got[1], mat, atol=1e-12)
+
+
+def test_the_layout_cache_stays_within_its_bound(rng):
+    bound = _layout.cache_info().maxsize
+    for i in range(bound + 20):
+        row_q, col_q = np.array([0, i, i]), np.array([i, 0])
+        _split(labelled_matrix(rng, row_q, col_q), row_q, col_q, UNTRUNCATED, "left")
+    assert 0 < _layout.cache_info().currsize <= bound
+
+
+def test_split_retries_each_sector_when_a_stacked_svd_fails(monkeypatch, rng):
+    row_q = rng.permutation(np.repeat([0, 1, 2], [3, 3, 2]))
+    col_q = rng.permutation(np.repeat([0, 1, 2], [4, 4, 1]))
+    mat = labelled_matrix(rng, row_q, col_q, complex)
+    want = _split(mat, row_q, col_q, TruncationSpec(chi_max=5), "left")
+    fake = failing_svd(1)
+    monkeypatch.setattr(np.linalg, "svd", fake)
+    assert_same_split(_split(mat, row_q, col_q, TruncationSpec(chi_max=5), "left"), want)
+    assert fake.calls[0] == (2, 3, 4)  # the stacked call that failed, then one call per sector
+    monkeypatch.setattr(np.linalg, "svd", failing_svd())
+    with pytest.raises(NumericalFailure):
+        _split(mat, row_q, col_q, UNTRUNCATED, "left")
 
 
 def test_charge_labels_are_validated(rng):

@@ -30,6 +30,8 @@ from tnkit import (
     to_state_vector,
 )
 from tnkit.errors import NumericalFailure, UnsupportedModel
+from tnkit.mpo import mpo_expectation
+from tnkit.tebd import _bond_energy
 from tnkit.verify import off_block_max
 
 rng = np.random.default_rng(909)
@@ -303,6 +305,76 @@ def test_zero_or_nan_norm_is_a_numerical_failure():
         sites[state.center] = sites[state.center] * bad
         with pytest.raises(NumericalFailure):
             measure_energy(MPS(tuple(sites), center=state.center), h)
+
+
+def end_centred_states(n=7):
+    """Labelled and unlabelled, real and complex, unnormalized states, each centred on site 0 and on site N-1."""
+    neel = initial_product_state("heisenberg", n)
+    spec = TruncationSpec(chi_max=6)
+    imaginary, _ = sweeps(neel, bond_gate("heisenberg", -1.0, 0.2, "imaginary"), spec, 3)
+    real_time, _ = sweeps(neel, bond_gate("heisenberg", -1.0, 0.3, "real"), spec, 3)
+    states = [imaginary, real_time]
+    for dtype in (float, complex):
+        psi = rng.standard_normal(2**n).astype(dtype)
+        if dtype is complex:
+            psi = psi + 1j * rng.standard_normal(2**n)
+        m = mps_from_state_vector(psi / np.linalg.norm(psi), 2)
+        states.append(MPS(m.sites[:-1] + (1.7 * m.sites[-1],), m.center))
+    assert any(np.any(q) for q in imaginary.charges) and imaginary.sites[0].dtype == np.float64
+    assert np.iscomplexobj(real_time.sites[0]) and np.iscomplexobj(states[-1].sites[0])
+    return [move_center(s, c) for s in states for c in (0, n - 1)]
+
+
+@pytest.mark.parametrize("model", ["heisenberg", "ising_nn"])
+def test_bond_energy_is_the_mpo_energy(model):
+    for state in end_centred_states():
+        h = model_mpo(model, state.n_sites, j=-1.3)
+        nrm2 = norm_squared(state)
+        energy, got_nrm2 = _bond_energy(state, pair_hamiltonian(model, -1.3))
+        assert energy == pytest.approx(mpo_expectation(state, h).real / nrm2, rel=1e-12, abs=0.0)
+        assert got_nrm2 == pytest.approx(nrm2, rel=1e-12, abs=0.0)
+
+
+def test_bond_energy_keeps_the_two_sites_of_the_pair_term_apart():
+    # a Hermitian pair term that changes when its two sites swap exercises the mirrored pass
+    x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    pair = x + x.conj().T
+    swap = pair.reshape(2, 2, 2, 2, order="F").transpose(1, 0, 3, 2).reshape(4, 4, order="F")
+    assert np.abs(pair - swap).max() > 0.1
+    for state in end_centred_states():
+        n, psi = state.n_sites, to_state_vector(state)
+        ham = sum(np.kron(np.eye(2 ** (n - b - 2)), np.kron(pair, np.eye(2**b))) for b in range(n - 1))
+        want = np.vdot(psi, ham @ psi).real / np.vdot(psi, psi).real
+        assert _bond_energy(state, pair)[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_non_finite_bond_energy_is_a_numerical_failure():
+    with np.errstate(invalid="ignore"):
+        pair = pair_hamiltonian("heisenberg", np.inf)  # inf * 0 puts NaN into the pair term
+    for center in (0, 3):
+        with pytest.raises(NumericalFailure, match="energy"):
+            _bond_energy(move_center(initial_product_state("heisenberg", 4), center), pair)
+
+
+def test_small_ground_search_and_quench_keep_their_trajectory():
+    # Pinned from the per-sector split with the MPO energy (numpy 2.4, OpenBLAS,
+    # x86-64). The splits are bit-identical and the energies only decide when a
+    # stage stops, so every count and weight below repeats exactly.
+    spec = TruncationSpec(chi_max=16, cutoff=1e-12)
+    ground = find_ground_state("heisenberg", 10, j=-1.0, spec=spec, schedule=(0.1, 0.02), energy_tol=1e-9)
+    assert ground.converged and ground.n_sweeps == 302
+    assert ground.state.bond_dims() == (2, 4, 8, 16, 16, 16, 8, 4, 2)
+    assert ground.max_discarded_weight == 2.455508923478024e-10
+    want = [-2.25, -2.6589795965954806, -2.9868249289266666, -3.957560385169557, -4.2572275778519995]
+    np.testing.assert_allclose(ground.energy_trace[[0, 1, 2, 10, 100]], want, rtol=1e-12, atol=0.0)
+    assert ground.energy == pytest.approx(-4.258035150988205, rel=1e-12, abs=0.0)
+
+    quench = evolve_real_time(initial_product_state("heisenberg", 10), "heisenberg", -1.0, 0.05, 40, spec)
+    assert quench.state.bond_dims() == (2, 4, 8, 16, 16, 16, 8, 4, 2)
+    assert quench.max_discarded_weight == 1.5592852089522985e-09
+    assert quench.norm_trace[-1] == 0.9999999978022754
+    want = [-2.249999804890783, -2.2499998038981213, -2.2499973844996286, -2.249978214201889]
+    np.testing.assert_allclose(quench.energy_trace[[0, 9, 19, 39]], want, rtol=1e-12, atol=0.0)
 
 
 if __name__ == "__main__":
