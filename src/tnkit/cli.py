@@ -45,8 +45,8 @@ from .mpo import MODELS, SZ, build_model
 from .mps import (
     bond_entropies,
     connected_correlation,
-    correlation_length,
     fit_exponential_decay,
+    fit_power_law,
     mps_from_state_vector,
     product_mps,
     random_mps,
@@ -387,7 +387,6 @@ def _run_mps_info(cfg: dict):
 def _run_corr(cfg: dict):
     alg = cfg["algorithm"]
     rep = _ground_state(cfg)
-    report = correlation_length(rep.state)
     x_min, x_max = alg["fit_range"]
     i0 = cfg["model"]["n"] // 2 - (x_max + 1) // 2
     xs = list(range(x_min, x_max + 1))
@@ -396,10 +395,9 @@ def _run_corr(cfg: dict):
     metrics = {
         "converged": bool(rep.converged),
         "energy": rep.energy,
-        "xi_transfer": report.xi,
         "xi_fit": xi_fit,
         "log_amplitude": log_amp,
-        "transfer_eig_moduli": [float(a) for a in np.abs(report.transfer_eigs)[:6]],
+        "gamma_fit": fit_power_law(np.array(xs), np.array(cs))[0],
         "anchor_site": i0,
     }
     return metrics, [{"x": x, "connected_szsz": c} for x, c in zip(xs, cs)]

@@ -12,11 +12,16 @@ Truncation keeps the ``k`` largest singular values subject to a bond cap and a
 relative discarded-weight cutoff. For a normalized matrix the truncation error
 satisfies ``|M - M_k|_F^2 = 1 - delta`` where ``delta`` is the retained weight
 ``sum_{i<=k} lambda_i^2``.
+
+:func:`block_svd` is the one block-sparse SVD, for MPS charges and TRG parities:
+a matrix that vanishes between rows and columns of different charge is split one
+sector at a time and cut on the merged spectrum (Singh, Pfeifer and Vidal, arXiv:1008.4774).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -171,6 +176,95 @@ def truncated_svd(m, spec: TruncationSpec) -> SVDResult:
         v_dag=full.v_dag[:k, :],
         discarded_weight=float(np.sum(full.d[k:] ** 2)),
     )
+
+
+@lru_cache(maxsize=32)  # label pairs whose layout is kept: about one sweep's worth
+def _layout(row_key: bytes, col_key: bytes, sketch: int | None) -> tuple[np.ndarray, list[tuple], list[tuple]]:
+    """Link charges in link order, and the indices of each sector shape, from int64 label bytes.
+
+    Per shape (m, n): row indices (g, m, 1), column indices (g, 1, n) and
+    link positions (g, r) of its g sectors; r = min(m, n) in the first list,
+    and ``sketch`` in the second, for min(m, n) >= 2 (sketch + SKETCH_OVERSAMPLING).
+    """
+    row_q, col_q = np.frombuffer(row_key, np.int64), np.frombuffer(col_key, np.int64)
+    charges = np.intersect1d(row_q, col_q)  # a row or column without partners is zero
+    sectors = [(np.flatnonzero(row_q == q), np.flatnonzero(col_q == q)) for q in charges]
+    sizes = [min(r.size, c.size) for r, c in sectors]
+    sizes = [sketch if sketch and 2 * (sketch + SKETCH_OVERSAMPLING) <= n else n for n in sizes]
+    starts = np.cumsum([0] + sizes)
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for i, (r, c) in enumerate(sectors):
+        by_shape.setdefault((r.size, c.size), []).append(i)
+    exact, sketched = [], []
+    for shape, idx in by_shape.items():
+        (exact if sizes[idx[0]] == min(shape) else sketched).append(
+            (
+                np.stack([sectors[i][0] for i in idx])[:, :, None],
+                np.stack([sectors[i][1] for i in idx])[:, None, :],
+                starts[idx][:, None] + np.arange(sizes[idx[0]]),
+            )
+        )
+    return np.repeat(charges, sizes), exact, sketched
+
+
+def _each(blocks: np.ndarray, decompose) -> list[np.ndarray]:
+    """``decompose`` applied to each matrix of a stack, its factors stacked as ``numpy.linalg.svd`` returns them."""
+    res = [decompose(b) for b in blocks]
+    return [np.stack([getattr(r, f) for r in res]) for f in ("u", "d", "v_dag")]
+
+
+def block_svd(
+    mat: np.ndarray, row_q, col_q, spec: TruncationSpec, partial: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Truncated SVD of a matrix that vanishes between rows and columns of different charge.
+
+    ``row_q`` and ``col_q`` are the integer charges of the rows and columns.
+    Each sector (the rows and columns of one charge) is decomposed on its
+    own, sectors of equal shape in one stacked ``numpy.linalg.svd`` call laid
+    out by :func:`_layout`, and the merged spectrum is cut by
+    :func:`select_rank` as one SVD's would be. If LAPACK does not converge,
+    each sector is redone by :func:`svd`, which retries on a QR-preconditioned
+    matrix before NumericalFailure. With ``partial`` and a ``chi_max``, a
+    sector at least 2 (chi_max + 17) wide gets only its chi_max + 1 largest
+    values from :func:`partial_svd`, and its residual ‖B - U_k S_k V_k†‖²_F
+    counts as discarded.
+
+    Returns (u, kept values, v_dag, link charges, absolute discarded weight),
+    both factors C-contiguous, the link ordered by charge, then by descending
+    value. With one charge and no sketch this is :func:`truncated_svd`, bit
+    for bit.
+    """
+    sketch = spec.chi_max + 1 if partial and spec.chi_max is not None else None
+    link_q, exact, sketched = _layout(np.asarray(row_q, np.int64).tobytes(), np.asarray(col_q, np.int64).tobytes(), sketch)
+    blocks = [mat[rows, cols] for rows, cols, _ in exact]
+    try:
+        factors = [np.linalg.svd(b, full_matrices=False) for b in blocks]
+    except np.linalg.LinAlgError:
+        factors = [_each(b, svd) for b in blocks]
+    wide = [mat[rows, cols] for rows, cols, _ in sketched]
+    factors += [_each(b, lambda m: partial_svd(m, sketch)) for b in wide]
+    d = np.empty(link_q.size, np.finfo(mat.dtype).dtype)
+    u = np.zeros((mat.shape[0], link_q.size), mat.dtype)  # the untruncated factors
+    v = np.zeros((link_q.size, mat.shape[1]), mat.dtype)
+    for (rows, cols, pos), (bu, bd, bv) in zip(exact + sketched, factors):
+        d[pos] = bd
+        u[rows, pos[:, None, :]] = bu
+        v[pos[:, :, None], cols] = bv
+    order = np.argsort(-d, kind="stable")
+    k = select_rank(d[order], spec, float(np.vdot(mat, mat).real) if sketched else None)
+    # every sector's kept values are a prefix of it, so sorted indices give the link order
+    keep = np.sort(order[:k])
+    weight, residuals = d**2, []
+    for (*_, pos), b, (bu, bd, bv) in zip(sketched, wide, factors[len(exact) :]):
+        weight[pos] = 0.0  # a sketched sector's residual stands for all its dropped values
+        for m, mu, md, mv, p in zip(b, bu, bd, bv, pos):
+            n = np.count_nonzero(np.isin(p, keep, assume_unique=True))
+            residual = m - (mu[:, :n] * md[:n]) @ mv[:n]
+            residuals.append(float(np.vdot(residual, residual).real))
+    discarded = float(np.sum(weight[order[k:]])) + sum(residuals)
+    if k < d.size:
+        u, v = u.take(keep, axis=1), v.take(keep, axis=0)
+    return u, d[keep], v, link_q[keep], discarded
 
 
 def eig_hermitian(m) -> EigResult:

@@ -17,21 +17,18 @@ N+1 links (``charges``, the boundary links included) and one per physical
 index (``phys_charges``); site i may be nonzero only where ``charges[i][l] +
 phys_charges[s] == charges[i + 1][r]``, so a link's charge is the total
 charge of the sites to its left. Every SVD here (gauge moves, two-site gates,
-``mps_from_state_vector``) goes through one split that groups rows and
-columns by charge, decomposes each sector on its own and cuts the merged
-spectrum as one SVD would; sectors of equal shape share one stacked LAPACK
-call, laid out once per (row labels, column labels) pair in a bounded
-cache. The kept link is ordered by charge, then by descending value, so
-each sector of a link is a contiguous range. Storage and contractions stay
-dense. A state built without labels has every charge 0: one sector, the
-plain truncated SVD. ``tebd.initial_product_state``
-labels the Heisenberg Néel state by 2·Sz; every other constructor here
-returns an unlabelled state. Labels are dropped wherever the charge is not
-known to be conserved: ``gauge_insert`` and ``mps_from_json`` return
-unlabelled states (the JSON format has no charges), and a gate with a
-nonzero entry between pair states of different total charge unlabels the
-state before it acts. ``correlation_length`` drops them too, so its
-transfer matrix sees both links in descending Schmidt-value order.
+``mps_from_state_vector``) is :func:`~tnkit.decomp.block_svd` in these
+charge sectors, never sketched, so each sector of a kept link is a
+contiguous range. Storage and contractions stay dense. A state built
+without labels has every charge 0: one sector, the plain truncated SVD.
+``tebd.initial_product_state`` labels the Heisenberg Néel state by 2·Sz;
+every other constructor here returns an unlabelled state. Labels are
+dropped wherever the charge is not known to be conserved: ``gauge_insert``
+and ``mps_from_json`` return unlabelled states (the JSON format has no
+charges), and a gate with a nonzero entry between pair states of different
+total charge unlabels the state before it acts. ``correlation_length``
+drops them too, so its transfer matrix sees both links in descending
+Schmidt-value order.
 
 Operations never mutate: each returns a fresh :class:`MPS`, and every site
 an :class:`MPS` holds is a read-only view. Operators and gates are passed in
@@ -47,11 +44,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
-from .decomp import UNTRUNCATED, TruncationSpec, entanglement_entropy, select_rank, svd
+from .decomp import UNTRUNCATED, TruncationSpec, block_svd, entanglement_entropy
 from .errors import (
     AllZero,
     BadLength,
@@ -152,79 +148,18 @@ def _scalar(t: np.ndarray) -> complex:
     return complex(t.item())
 
 
-@lru_cache(maxsize=32)  # label pairs whose layout is kept: about one sweep's worth
-def _layout(row_key: bytes, col_key: bytes) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]:
-    """Link charges in link order, and the indices of each sector shape, from int64 label bytes.
-
-    Per shape (m, n): row indices (g, m, 1), column indices (g, 1, n) and
-    link positions (g, min(m, n)) of its g sectors.
-    """
-    row_q, col_q = np.frombuffer(row_key, np.int64), np.frombuffer(col_key, np.int64)
-    charges = np.intersect1d(row_q, col_q)  # a row or column without partners is zero
-    sectors = [(np.flatnonzero(row_q == q), np.flatnonzero(col_q == q)) for q in charges]
-    sizes = [min(r.size, c.size) for r, c in sectors]
-    starts = np.cumsum([0] + sizes)
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for i, (r, c) in enumerate(sectors):
-        by_shape.setdefault((r.size, c.size), []).append(i)
-    groups = [
-        (
-            np.stack([sectors[i][0] for i in idx])[:, :, None],
-            np.stack([sectors[i][1] for i in idx])[:, None, :],
-            starts[idx][:, None] + np.arange(min(shape)),
-        )
-        for shape, idx in by_shape.items()
-    ]
-    return np.repeat(charges, sizes), groups
-
-
 def _split(
     mat: np.ndarray, row_q: np.ndarray, col_q: np.ndarray, spec: TruncationSpec, absorb: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Truncated SVD ``mat ~ left . right``, one block per charge sector.
+    """``mat ~ left . right`` by :func:`~tnkit.decomp.block_svd`, never sketched.
 
-    ``row_q`` and ``col_q`` label the rows and columns of ``mat``, which
-    must vanish between a row and a column of different charge. Each sector
-    (the rows and columns of one charge) is decomposed on its own, sectors
-    of equal shape in one stacked ``numpy.linalg.svd`` call laid out by
-    :func:`_layout`, and the merged spectrum is cut by
-    :func:`~tnkit.decomp.select_rank` as one SVD's would be. If LAPACK does
-    not converge, each sector is redone alone by :func:`~tnkit.decomp.svd`,
-    which retries on a QR-preconditioned matrix before NumericalFailure.
-    The singular values go into the ``absorb`` ("left" or "right") factor.
-    The kept link is ordered by sector charge, then by descending value, so
-    each sector is a contiguous range holding a prefix of its own spectrum.
-
-    Returns (left, right, link charges, kept values in link order, absolute
-    discarded weight), both factors C-contiguous. With one charge on every
-    row and column this is :func:`~tnkit.decomp.truncated_svd` of the whole
-    matrix, bit for bit.
+    The values go into the ``absorb`` ("left" or "right") factor. Returns (left,
+    right, link charges, kept values in link order, absolute discarded weight).
     """
-    link_q, groups = _layout(np.asarray(row_q, np.int64).tobytes(), np.asarray(col_q, np.int64).tobytes())
-    blocks = [mat[rows, cols] for rows, cols, _ in groups]
-    try:
-        factors = [np.linalg.svd(b, full_matrices=False) for b in blocks]
-    except np.linalg.LinAlgError:
-        res = [[svd(m) for m in b] for b in blocks]
-        factors = [[np.stack([getattr(r, f) for r in rs]) for f in ("u", "d", "v_dag")] for rs in res]
-    d = np.empty(link_q.size, factors[0][1].dtype)
-    u = np.zeros((mat.shape[0], link_q.size), mat.dtype)  # the untruncated factors
-    v = np.zeros((link_q.size, mat.shape[1]), mat.dtype)
-    for (rows, cols, pos), (bu, bd, bv) in zip(groups, factors):
-        d[pos] = bd
-        u[rows, pos[:, None, :]] = bu
-        v[pos[:, :, None], cols] = bv
-    order = np.argsort(-d, kind="stable")
-    k = select_rank(d[order], spec)
-    discarded = float(np.sum(d[order[k:]] ** 2))
-    # every sector's kept values are a prefix of it, so sorted indices give the link order
-    keep = np.sort(order[:k])
-    kept = d[keep]
-    if k < d.size:
-        u, v = u.take(keep, axis=1), v.take(keep, axis=0)
+    u, kept, v, link_q, discarded = block_svd(mat, row_q, col_q, spec)
     if absorb == "right":
-        return u, kept[:, None] * v, link_q[keep], kept, discarded
-    return u * kept[None, :], v, link_q[keep], kept, discarded
+        return u, kept[:, None] * v, link_q, kept, discarded
+    return u * kept[None, :], v, link_q, kept, discarded
 
 
 # ---------------------------------------------------------------------------

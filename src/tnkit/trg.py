@@ -25,15 +25,14 @@ along the diagonals, so the coarse network is again a square lattice of the
 same kind with half as many tensors (each covering twice the spins).
 
 Because the tensor is parity-even, each split matrix is block-diagonal once
-its rows and columns are grouped by parity. Each step therefore decomposes
-the even and the odd block, merges the two spectra in descending order and
-cuts the merged spectrum with ``decomp.select_rank``: the kept values, the
-cutoff and the degeneracy rule are those of the full SVD. With a bond cap
+its rows and columns are grouped by parity, and ``decomp.block_svd`` splits
+it one parity block at a time, cut on the merged spectrum: the kept values,
+the cutoff and the degeneracy rule are those of the full SVD. With a bond cap
 chi_max, a block at least 2 (chi_max + 17) wide yields only its chi_max + 1
-largest values, from ``decomp.partial_svd`` at O(n^2 chi) instead of O(n^3);
-any other block gets the full LAPACK SVD. Each kept link inherits its block's
-parity, so the coarse tensor is parity-even again, its odd entries stay
-exactly zero, and the final contraction runs as one product per parity.
+largest values, from ``decomp.partial_svd`` at O(n^2 chi) instead of O(n^3)
+(Halko, Martinsson and Tropp, arXiv:0909.4061). Each kept link inherits its
+block's parity, so the coarse tensor is parity-even again, its odd entries
+stay exactly zero, and the final contraction runs as one product per parity.
 
 Running tensors are kept normalized to unit max-entry; the peeled-off scale
 factors accumulate directly into ln(Z) per spin. Closing the network as a
@@ -55,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import SKETCH_OVERSAMPLING, TruncationSpec, partial_svd, select_rank, svd
+from .decomp import TruncationSpec, block_svd
 from .errors import BadBeta, NumericalFailure, TooLarge
 
 _BRUTE_SPIN_CAP = 20
@@ -133,51 +132,17 @@ def initial_state(beta: float, j: float = 1.0) -> TRGState:
     )
 
 
-def _split(
-    mat: np.ndarray, parity: np.ndarray, spec: TruncationSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Truncated SVD split of a parity-block-diagonal square matrix.
+def _split(mat: np.ndarray, parity: np.ndarray, spec: TruncationSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """``mat ~ (U sqrt(d)) . (sqrt(d) V†)`` by :func:`~tnkit.decomp.block_svd`, wide blocks sketched.
 
-    ``parity`` labels the rows and, identically, the columns; ``mat`` is zero
-    between rows and columns of different parity. Returns the left piece
-    U sqrt(d), the right piece sqrt(d) V†, the parity of each kept link, and
-    the absolute discarded weight.
-
-    With a chi_max, a block at least twice as wide as the sketch (chi_max + 1 +
-    SKETCH_OVERSAMPLING columns) gets its chi_max + 1 largest values by partial
-    SVD, and the residual ‖B - U_k S_k V_k†‖²_F as its discarded weight.
+    ``parity`` labels the rows and, identically, the columns. Returns both
+    factors, the parity of each kept link and the absolute discarded weight,
+    the link in merged descending order of d (ties by parity, then position).
     """
-    sectors = []
-    for p in (0, 1):
-        idx = np.flatnonzero(parity == p)
-        if idx.size:
-            block = mat[np.ix_(idx, idx)]
-            sketch_fits = spec.chi_max is not None and 2 * (spec.chi_max + 1 + SKETCH_OVERSAMPLING) <= idx.size
-            sectors.append((p, idx, block, partial_svd(block, spec.chi_max + 1) if sketch_fits else svd(block)))
-    d = np.concatenate([res.d for *_, res in sectors])
+    u, d, v, link_parity, discarded = block_svd(mat, parity, parity, spec, partial=True)
     order = np.argsort(-d, kind="stable")
-    k = select_rank(d[order], spec, float(np.vdot(mat, mat)) if d.size < mat.shape[0] else None)
-    kept = order[:k]
-    left = np.zeros((mat.shape[0], k))
-    right = np.zeros((k, mat.shape[1]))
-    link_parity = np.empty(k, dtype=np.int8)
-    discarded = 0.0
-    offset = 0
-    for p, idx, block, res in sectors:
-        n = res.d.shape[0]
-        slot = np.flatnonzero((kept >= offset) & (kept < offset + n))
-        local = kept[slot] - offset
-        root = np.sqrt(res.d[local])
-        left[np.ix_(idx, slot)] = res.u[:, local] * root[None, :]
-        right[np.ix_(slot, idx)] = root[:, None] * res.v_dag[local, :]
-        link_parity[slot] = p
-        if n < idx.size:  # partial: the dropped values were never computed
-            residual = block - (res.u[:, local] * res.d[local]) @ res.v_dag[local, :]
-            discarded += float(np.vdot(residual, residual))
-        else:
-            discarded += float(np.sum(np.delete(res.d, local) ** 2))
-        offset += n
-    return left, right, link_parity, discarded
+    root = np.sqrt(d[order])
+    return u[:, order] * root, root[:, None] * v[order], link_parity[order], discarded
 
 
 def trg_step(state: TRGState, spec: TruncationSpec) -> TRGState:
@@ -204,16 +169,14 @@ def trg_step(state: TRGState, spec: TruncationSpec) -> TRGState:
     pair_parity = (state.parity_ud[:, None] ^ state.parity_lr[None, :]).ravel()
     # no name holds a split matrix, so each is freed before the contraction below
     s1, s2, p_ud, w1 = _split(arr.transpose(2, 1, 0, 3).reshape(cd * cl, cu * cr), pair_parity, spec)
-    k1 = s1.shape[1]
-    s1 = s1.reshape(cd, cl, k1)
-    s2 = s2.reshape(k1, cu, cr)
+    k1 = p_ud.size
+    s1, s2 = s1.reshape(cd, cl, k1), s2.reshape(k1, cu, cr)
     s3, s4, p_lr, w2 = _split(arr.reshape(cu * cl, cd * cr), pair_parity, spec)
-    k2 = s3.shape[1]
+    k2 = p_lr.size
     largest = k1 * k2 * max(cr * cr, cl * cl, k1 * k2)  # of p1, p2 and new below
     if largest > _STEP_ELEMENT_CAP:
         raise TooLarge(f"TRG step would build {largest} elements (cap {_STEP_ELEMENT_CAP})")
-    s3 = s3.reshape(cu, cl, k2)
-    s4 = s4.reshape(k2, cd, cr)
+    s3, s4 = s3.reshape(cu, cl, k2), s4.reshape(k2, cd, cr)
 
     # index pairs (d', l'), alias (u', r'), and (b, e) of each parity; p1, p2 are freed once gathered
     rows = [np.nonzero((p_ud[:, None] ^ p_lr[None, :]) == q) for q in (0, 1)]

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from conftest import dense_hamiltonian, failing_svd
 from tnkit import cli
 from tnkit.cli import load_record, main, parse_config, run
 from tnkit.errors import ParseError, ValidationError
-from tnkit.mps import CorrelationReport
+from tnkit.mps import gauge_insert
 
 ED_CFG = {"command": "ed", "model": {"model": "heisenberg", "n": 4, "j": -1.0}}
 
@@ -244,9 +245,16 @@ def test_lapack_failure_exits_as_a_numerical_failure(tmp_path, monkeypatch, caps
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_an_svd_that_never_converges_exits_3(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"command": "tebd", "model": {"model": "heisenberg", "n": 4, "j": -1.0}, "algorithm": {"mode": "real_time"}},
+        {"command": "trg", "algorithm": {"beta_grid": [0.44], "steps": 6, "chi_max": 32}},
+    ],
+    ids=["tebd", "trg"],
+)
+def test_an_svd_that_never_converges_exits_3(tmp_path, monkeypatch, capsys, cfg):
     # the split retries each sector and then the QR-preconditioned matrix before it gives up
-    cfg = {"command": "tebd", "model": {"model": "heisenberg", "n": 4, "j": -1.0}, "algorithm": {"mode": "real_time"}}
     monkeypatch.setattr(np.linalg, "svd", failing_svd())
     assert main(["--config", write_cfg(tmp_path, cfg)]) == 3
     assert "did not converge" in capsys.readouterr().err
@@ -286,6 +294,21 @@ def test_corr_command_round_trip(tmp_path):
     assert vals == sorted(vals, reverse=True)  # correlations decay with distance
 
 
+def test_corr_metrics_depend_on_the_state_not_its_gauge(monkeypatch, rng):
+    corr = {"model": {"model": "heisenberg", "n": 12, "j": -1.0}, "algorithm": {"chi_max": 8, "schedule": [0.1], "fit_range": [1, 4]}}
+    cfg = parse_config(json.dumps(dict(corr, command="corr")))
+    rep = cli._ground_state(cfg)
+    monkeypatch.setattr(cli, "_ground_state", lambda c: rep)
+    want = run(cfg)["metrics"]
+    chi = rep.state.bond_dims()[5]
+    x = np.eye(chi) + 0.3 * rng.standard_normal((chi, chi))
+    monkeypatch.setattr(cli, "_ground_state", lambda c: replace(rep, state=gauge_insert(rep.state, 5, x)))
+    got = run(cfg)["metrics"]
+    assert got.keys() == want.keys()
+    for key in want:
+        np.testing.assert_allclose(got[key], want[key], rtol=1e-10, atol=0.0, err_msg=key)
+
+
 def test_corr_without_correlations_is_a_config_error(tmp_path, capsys):
     # at J = 0 every connected correlation is exactly 0 (heisenberg) or ~1e-31 (ising_nn)
     for model in ("heisenberg", "ising_nn"):
@@ -309,8 +332,7 @@ def test_trg_record_reports_the_truncation_per_beta():
 
 
 def test_json_records_are_strict_and_write_infinite_lengths_as_null(tmp_path, monkeypatch):
-    # a degenerate leading transfer-matrix pair and a non-decaying fit both give xi = inf
-    monkeypatch.setattr(cli, "correlation_length", lambda m: CorrelationReport(xi=math.inf, transfer_eigs=np.ones(2)))
+    # a non-decaying fit gives xi = inf
     monkeypatch.setattr(cli, "fit_exponential_decay", lambda xs, cs: (math.inf, 0.0))
     out = tmp_path / "c.json"
     cfg = {
@@ -325,7 +347,6 @@ def test_json_records_are_strict_and_write_infinite_lengths_as_null(tmp_path, mo
         raise ValueError(f"non-JSON token {token}")
 
     rec = json.loads(out.read_text(), parse_constant=reject)
-    assert rec["metrics"]["xi_transfer"] is None
     assert rec["metrics"]["xi_fit"] is None
     assert np.isfinite(rec["metrics"]["energy"])
 

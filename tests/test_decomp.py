@@ -14,7 +14,8 @@ from tnkit import (
     svd,
     truncated_svd,
 )
-from tnkit.decomp import partial_svd
+from tnkit import decomp, trg
+from tnkit.decomp import block_svd, partial_svd
 from tnkit.errors import AllZero, NotHermitian, NotSquare, NumericalFailure
 
 rng = np.random.default_rng(7)
@@ -177,6 +178,96 @@ def test_svd_that_never_converges_is_a_numerical_failure(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", failing_svd())
     with pytest.raises(NumericalFailure, match="did not converge"):
         svd(random_matrix(4, 6))
+
+
+def sectored_matrix(row_q, col_q, spectra, dtype=float, seed=5):
+    """Matrix that vanishes between different charges; sector q has the singular values ``spectra[q]``."""
+    r = np.random.default_rng(seed)
+    mat = np.zeros((row_q.size, col_q.size), dtype)
+    for q, s in spectra.items():
+        rows, cols = np.flatnonzero(row_q == q), np.flatnonzero(col_q == q)
+        a, b = (r.standard_normal((n, len(s))) for n in (rows.size, cols.size))
+        if dtype is complex:
+            a, b = a + 1j * r.standard_normal(a.shape), b + 1j * r.standard_normal(b.shape)
+        mat[np.ix_(rows, cols)] = (np.linalg.qr(a)[0] * s) @ np.linalg.qr(b)[0].conj().T
+    return mat
+
+
+def sector_reference(mat, row_q, col_q, spec):
+    """Full LAPACK SVD of every sector: kept values (by charge, then descending), their charges, the discarded weight."""
+    values = [(q, np.linalg.svd(mat[np.ix_(row_q == q, col_q == q)], compute_uv=False)) for q in np.intersect1d(row_q, col_q)]
+    d = np.concatenate([s for _, s in values])
+    link = np.concatenate([np.full(s.size, q) for q, s in values])
+    order = np.argsort(-d, kind="stable")
+    k = select_rank(d[order], spec)
+    keep = np.sort(order[:k])
+    return d[keep], link[keep], float(np.sum(d[order[k:]] ** 2))
+
+
+def assert_matches_the_reference(mat, row_q, col_q, spec, sketches, monkeypatch):
+    calls = []
+
+    def counted_partial_svd(m, rank):
+        calls.append(m.shape)
+        return partial_svd(m, rank)
+
+    monkeypatch.setattr(decomp, "partial_svd", counted_partial_svd)
+    u, d, v, link_q, weight = block_svd(mat, row_q, col_q, spec, partial=True)
+    assert calls == sketches
+    want_d, want_q, want_weight = sector_reference(mat, row_q, col_q, spec)
+    np.testing.assert_allclose(d, want_d, rtol=0.0, atol=1e-12 * want_d.max())
+    np.testing.assert_array_equal(link_q, want_q)
+    np.testing.assert_allclose(weight, want_weight, rtol=1e-10)
+    np.testing.assert_allclose(np.linalg.norm(mat - (u * d) @ v) ** 2, weight, rtol=1e-9)
+    assert u.flags.c_contiguous and v.flags.c_contiguous
+    assert np.all(u[row_q[:, None] != link_q[None, :]] == 0.0)
+    assert np.all(v[link_q[:, None] != col_q[None, :]] == 0.0)
+
+
+def test_block_svd_adds_the_sketch_residual_to_the_merged_dropped_values(monkeypatch):
+    # parity 0 is 64 wide, past the sketch threshold 2 (8 + 17) = 50; parity 1 is 20 wide
+    parity = np.random.default_rng(2).permutation(np.repeat([0, 1], [64, 20]))
+    spectra = {0: np.exp(-0.5 * np.arange(64)), 1: 0.8 * np.exp(-0.6 * np.arange(20))}
+    mat = sectored_matrix(parity, parity, spectra)
+    spec = TruncationSpec(chi_max=8, cutoff=1e-12)
+    assert_matches_the_reference(mat, parity, parity, spec, [(64, 64)], monkeypatch)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_block_svd_sketches_only_the_wide_sector_of_a_rectangular_matrix(monkeypatch, dtype):
+    # sectors -1: 3x5, 0: 60x70 (sketched at chi_max 10), 1: 4x4, 2: 2x1; rows of charge 3
+    # and columns of charge 5 have no partners
+    r = np.random.default_rng(4)
+    row_q = r.permutation(np.repeat([-1, 0, 1, 2, 3], [3, 60, 4, 2, 2]))
+    col_q = r.permutation(np.repeat([-1, 0, 1, 2, 5], [5, 70, 4, 1, 1]))
+    spectra = {-1: [0.9, 0.3, 0.1], 0: 0.95 * np.exp(-0.4 * np.arange(60)), 1: [0.7, 0.5, 0.2, 0.05], 2: [0.6]}
+    mat = sectored_matrix(row_q, col_q, spectra, dtype)
+    for spec in (TruncationSpec(chi_max=10, cutoff=1e-12), TruncationSpec(chi_max=10, cutoff=1e-3)):
+        assert_matches_the_reference(mat, row_q, col_q, spec, [(60, 70)], monkeypatch)
+    # the 49 values of 1e-3 the sketch never sees decide this cut: without them it would keep 9
+    mat = sectored_matrix(row_q, col_q, {**spectra, 0: np.r_[1.0, np.full(59, 1e-3)]}, dtype)
+    assert_matches_the_reference(mat, row_q, col_q, TruncationSpec(chi_max=10, cutoff=1e-5), [(60, 70)], monkeypatch)
+
+
+def test_block_svd_redoes_a_failed_stacked_call_one_sector_at_a_time(monkeypatch):
+    # a split matrix of the fourth TRG step at chi_max 8: two 32x32 parity blocks, under the sketch threshold
+    spec = TruncationSpec(chi_max=8, cutoff=1e-12)
+    state = trg.initial_state(0.44)
+    for _ in range(3):
+        state = trg.trg_step(state, spec)
+    cu, cl, cd, cr = state.tensor.shape
+    mat = state.tensor.reshape(cu * cl, cd * cr)
+    pair = (state.parity_ud[:, None] ^ state.parity_lr[None, :]).ravel()
+    want = block_svd(mat, pair, pair, spec, partial=True)
+    fake = failing_svd(1)
+    monkeypatch.setattr(np.linalg, "svd", fake)
+    got = block_svd(mat, pair, pair, spec, partial=True)
+    assert fake.calls[0] == (2, 32, 32)  # the stacked call that failed, then one call per sector
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    monkeypatch.setattr(np.linalg, "svd", failing_svd())
+    with pytest.raises(NumericalFailure):
+        block_svd(mat, pair, pair, spec, partial=True)
 
 
 def test_eig_hermitian_reconstructs():

@@ -44,8 +44,9 @@ from tnkit import (
     to_state_vector,
     truncated_svd,
 )
+from tnkit.decomp import _layout
 from tnkit.errors import AllZero, BadLength, BadOrder, NotNormalized, NumericalFailure, ShapeMismatch, Singular
-from tnkit.mps import _layout, _split
+from tnkit.mps import _split
 from tnkit.verify import off_block_max
 
 
@@ -469,6 +470,16 @@ def test_split_equals_one_svd_per_sector_bit_for_bit(rng, dtype):
             if spec is UNTRUNCATED:
                 assert got[3].size == 2 + 2 + 2 + 1 + 1
                 np.testing.assert_allclose(got[0] @ got[1], mat, atol=1e-12)
+
+
+def test_a_block_wide_enough_to_sketch_still_gets_its_full_svd(rng):
+    # a flat-spectrum 128x128 sector at chi_max 8, where a sketch of 9 values would err by ~1e-2
+    row_q = rng.permutation(np.repeat([0, 1], [128, 3]))
+    col_q = rng.permutation(np.repeat([0, 1], [128, 2]))
+    mat = labelled_matrix(rng, row_q, col_q)
+    for absorb in ("left", "right"):
+        got = _split(mat, row_q, col_q, TruncationSpec(chi_max=8), absorb)
+        assert_same_split(got, per_sector_split(mat, row_q, col_q, TruncationSpec(chi_max=8), absorb))
 
 
 def test_split_layouts_are_keyed_by_the_labels_not_the_shape(rng):

@@ -243,13 +243,13 @@ def test_partial_split_matches_the_full_split(case, monkeypatch):
             "rank_deficient": rank_deficient,
         }[case]
         mat, parity = block_matrix(spectra)
-    calls = []
+    calls, real_partial_svd = [], decomp.partial_svd
 
     def counted_partial_svd(m, rank):
         calls.append(rank)
-        return decomp.partial_svd(m, rank)
+        return real_partial_svd(m, rank)
 
-    monkeypatch.setattr(trg, "partial_svd", counted_partial_svd)
+    monkeypatch.setattr(decomp, "partial_svd", counted_partial_svd)
     left, right, link_parity, weight = trg._split(mat, parity, spec)
     assert calls == [spec.chi_max + 1] * 2  # both blocks took the partial path
     d, par, ref_weight = full_split(mat, parity, spec)
@@ -266,6 +266,18 @@ def test_partial_split_matches_the_full_split(case, monkeypatch):
     again = trg._split(mat, parity, spec)
     for a, b in zip((left, right, link_parity, weight), again):
         np.testing.assert_array_equal(a, b)
+
+
+def test_a_sketched_scan_keeps_its_trajectory():
+    # Pinned from the per-parity-block split that decomp.block_svd replaced
+    # (numpy 2.4, OpenBLAS, x86-64). Steps 4-6 sketch both blocks, and step 6
+    # cuts the most. Its weight is a sketch residual, whose dot product over
+    # 512^2 terms OpenBLAS splits across its threads: it reads ...5012e-06 on
+    # one thread and ...5015e-06 on two, on either split.
+    rep = free_energy_per_site(0.44, 1.0, steps=6, spec=TruncationSpec(chi_max=32, cutoff=1e-12))
+    assert rep.lnz_per_site == 0.9336821779146981
+    assert rep.chi_history == ((4, 4), (4, 4), (16, 16), (16, 16), (32, 32), (32, 32))
+    assert max(max(pair) for pair in rep.discarded_weights) == pytest.approx(7.659610712225012e-06, rel=1e-14, abs=0.0)
 
 
 def test_discarded_weight_per_step():
