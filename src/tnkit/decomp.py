@@ -241,9 +241,10 @@ def block_svd(
         factors = [np.linalg.svd(b, full_matrices=False) for b in blocks]
     except np.linalg.LinAlgError:
         factors = [_each(b, svd) for b in blocks]
-    wide = [mat[rows, cols] for rows, cols, _ in sketched]
-    factors += [_each(b, lambda m: partial_svd(m, sketch)) for b in wide]
-    d = np.empty(link_q.size, np.finfo(mat.dtype).dtype)
+    if sketched:
+        wide = [mat[rows, cols] for rows, cols, _ in sketched]
+        factors += [_each(b, lambda m: partial_svd(m, sketch)) for b in wide]
+    d = np.empty(link_q.size, mat.real.dtype)
     u = np.zeros((mat.shape[0], link_q.size), mat.dtype)  # the untruncated factors
     v = np.zeros((link_q.size, mat.shape[1]), mat.dtype)
     for (rows, cols, pos), (bu, bd, bv) in zip(exact + sketched, factors):
@@ -254,14 +255,16 @@ def block_svd(
     k = select_rank(d[order], spec, float(np.vdot(mat, mat).real) if sketched else None)
     # every sector's kept values are a prefix of it, so sorted indices give the link order
     keep = np.sort(order[:k])
-    weight, residuals = d**2, []
-    for (*_, pos), b, (bu, bd, bv) in zip(sketched, wide, factors[len(exact) :]):
-        weight[pos] = 0.0  # a sketched sector's residual stands for all its dropped values
-        for m, mu, md, mv, p in zip(b, bu, bd, bv, pos):
-            n = np.count_nonzero(np.isin(p, keep, assume_unique=True))
-            residual = m - (mu[:, :n] * md[:n]) @ mv[:n]
-            residuals.append(float(np.vdot(residual, residual).real))
-    discarded = float(np.sum(weight[order[k:]])) + sum(residuals)
+    counted, residuals = d, []  # values whose squares count as discarded once cut
+    if sketched:
+        counted = d.copy()
+        for (*_, pos), b, (bu, bd, bv) in zip(sketched, wide, factors[len(exact) :]):
+            counted[pos] = 0.0  # a sketched sector's residual stands for all its dropped values
+            for m, mu, md, mv, p in zip(b, bu, bd, bv, pos):
+                n = np.count_nonzero(np.isin(p, keep, assume_unique=True))
+                residual = m - (mu[:, :n] * md[:n]) @ mv[:n]
+                residuals.append(float(np.vdot(residual, residual).real))
+    discarded = float(np.sum(counted[order[k:]] ** 2)) + sum(residuals)
     if k < d.size:
         u, v = u.take(keep, axis=1), v.take(keep, axis=0)
     return u, d[keep], v, link_q[keep], discarded

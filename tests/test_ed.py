@@ -122,6 +122,36 @@ def test_mpo_matvec_applies_a_vector_or_a_block_of_rows(name):
     assert mpo_matvec(op, block.real).dtype == (np.complex128 if np.iscomplexobj(h) else np.float64)
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("name", [*MODELS, "xx_dm"])
+def test_mpo_matvec_matches_the_dense_matrix_whatever_the_fold(name, n):
+    # n <= 4 folds the whole chain, n = 5 folds all but the last site, and
+    # n >= 6 runs loop sites after the fold
+    if name == "xx_dm":
+        op = xx_dm_mpo(n, j=1.0, dm=0.7)
+    else:
+        params = {k: 1.5 if v is None else v for k, v in MODELS[name][1].items()}
+        op = build_model(name, n, **params)
+    h = mpo_to_dense(op)
+    real = rng.standard_normal((3, 2**n))
+    for block in (real, real + 1j * rng.standard_normal((3, 2**n))):
+        np.testing.assert_allclose(mpo_matvec(op, block[0]), h @ block[0], atol=1e-10)
+        np.testing.assert_allclose(mpo_matvec(op, block[:1]), block[:1] @ h.T, atol=1e-10)
+        rows = mpo_matvec(op, block)
+        np.testing.assert_allclose(rows, block @ h.T, atol=1e-10)
+        np.testing.assert_allclose(rows, [mpo_matvec(op, v) for v in block], atol=1e-13, rtol=0)
+
+
+def test_complex_iterative_matches_dense_with_orthonormal_vectors():
+    op = xx_dm_mpo(8, j=1.0, dm=0.7)
+    ref = solve_dense(op, n_states=2)
+    got = solve_iterative(op, n_states=2)
+    assert np.iscomplexobj(got.vectors)
+    np.testing.assert_allclose(got.energies, ref.energies, atol=1e-8)
+    v = got.vectors
+    np.testing.assert_allclose(v.conj().T @ v, np.eye(2), atol=1e-10)
+
+
 def test_iterative_matches_dense_across_models():
     xx_dm = xx_dm_mpo(6, j=1.0, dm=0.7)
     h_xx_dm = xx_dm_dense(6, j=1.0, dm=0.7)
