@@ -8,6 +8,9 @@ and the library version — written atomically (temp file + rename), or streamed
 to stdout when the output path is ``-``. JSON records are strict: non-finite
 floats (an infinite correlation length) are written as ``null``.
 
+Each command is one ``COMMANDS`` entry: its runner plus the field tables (default
+and checker per key) of its ``model`` and ``algorithm`` blocks.
+
 Exit codes: 0 success (including TEBD runs that merely failed to converge —
 the flag is data), 1 usage, 2 config validation, 3 numerical failure,
 4 resource limits.
@@ -23,10 +26,13 @@ import csv
 import io
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
 import time
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -61,201 +67,106 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# config parsing / validation
+# config checking: a checker takes (value, path) and returns the checked value
 
 
-def _reject_unknown(block: dict, allowed, path: str) -> None:
-    extra = sorted(set(block) - set(allowed))
+_FLOAT_LIMIT = 2**1024 - 2**970  # float(x) is finite exactly when |x| is below this (so NaN fails too)
+_BOUNDS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"), "le": (operator.le, "<="), "lt": (operator.lt, "<")}
+
+
+def _number(kind, **bounds):
+    """Checker of an integer (``kind=int``) or a finite float within bounds, e.g. ``_number(float, gt=0, lt=10)``."""
+
+    def check(val, path):
+        if isinstance(val, bool) or not isinstance(val, (kind, int)):
+            raise ValidationError(f"{path}: expected {'an integer' if kind is int else 'a number'}, got {val!r}")
+        if kind is float and not -_FLOAT_LIMIT < val < _FLOAT_LIMIT:
+            raise ValidationError(f"{path}: must be a finite number within the float range")
+        val = kind(val)
+        for name, bound in bounds.items():
+            test, sign = _BOUNDS[name]
+            if not test(val, bound):
+                raise ValidationError(f"{path}: must be {sign} {bound}, got {val}")
+        return val
+
+    return check
+
+
+def _choice(*options, note="", error=ValidationError):
+    def check(val, path):
+        if val not in options:
+            raise error(f"{path}: expected one of {sorted(options)}{note}, got {val!r}")
+        return val
+
+    return check
+
+
+def _text(val, path):
+    if not isinstance(val, str) or not val:
+        raise ValidationError(f"{path}: expected a non-empty string")
+    return val
+
+
+def _list(item, size=None, increasing=False, scalar=False):
+    """Checker of a non-empty list of ``item`` values; with ``scalar`` a lone number stands for a list of one."""
+
+    def check(val, path):
+        if scalar and type(val) in (int, float):
+            val = [val]
+        if not isinstance(val, list) or not val or len(val) != (size or len(val)):
+            raise ValidationError(f"{path}: expected a non-empty list" + (f" of {size} entries" if size else ""))
+        out = [item(x, f"{path}[{i}]") for i, x in enumerate(val)]
+        if increasing and out != sorted(set(out)):
+            raise ValidationError(f"{path}: entries must increase, got {out}")
+        return out
+
+    return check
+
+
+def _resolve(block, fields, path) -> dict:
+    """Check a config object against its field table and return it with every default filled in.
+
+    ``fields`` maps each key to (default, checker); a None default makes the key required, since no
+    checker accepts None. A field table in place of a checker is a nested block, named by its key alone.
+    A first entry (default, checker, tables) is a switch: its value picks the table of the other keys.
+    """
+    if not isinstance(block, dict):
+        raise ValidationError(f"{path}: {'required' if block is None else 'expected an object'}")
+    key, (default, check, *switch) = next(iter(fields.items()))
+    if switch:
+        val = check(block.get(key, default), f"{path}.{key}")
+        fields = {key: (val, check), **switch[0][val]}
+    extra = sorted(set(block) - set(fields))
     if extra:
         raise ValidationError(f"{path}: unknown key(s) {', '.join(extra)}")
-
-
-def _as_int(block, key, path, default=None, lo=None, hi=None):
-    val = block.get(key, default)
-    if val is None:
-        raise ValidationError(f"{path}.{key}: required")
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ValidationError(f"{path}.{key}: expected an integer, got {val!r}")
-    if lo is not None and val < lo:
-        raise ValidationError(f"{path}.{key}: must be >= {lo}, got {val}")
-    if hi is not None and val > hi:
-        raise ValidationError(f"{path}.{key}: must be <= {hi}, got {val}")
-    return val
-
-
-def _as_float(block, key, path, default=None, positive=False, nonneg=False):
-    val = block.get(key, default)
-    if val is None:
-        raise ValidationError(f"{path}.{key}: required")
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ValidationError(f"{path}.{key}: expected a number, got {val!r}")
-    val = float(val)
-    if not np.isfinite(val):
-        raise ValidationError(f"{path}.{key}: must be finite")
-    if positive and not val > 0.0:
-        raise ValidationError(f"{path}.{key}: must be positive, got {val}")
-    if nonneg and val < 0.0:
-        raise ValidationError(f"{path}.{key}: must be non-negative, got {val}")
-    return val
-
-
-def _as_choice(block, key, path, choices, default=None):
-    val = block.get(key, default)
-    if val not in choices:
-        raise ValidationError(f"{path}.{key}: expected one of {sorted(choices)}, got {val!r}")
-    return val
-
-
-def _parse_model(block, path="model") -> dict:
-    if not isinstance(block, dict):
-        raise ValidationError(f"{path}: expected an object")
-    name = _as_choice(block, "model", path, MODELS)
-    params = MODELS[name][1]
-    _reject_unknown(block, {"model", "n", *params}, path)
-    out = {"model": name, "n": _as_int(block, "n", path, lo=2, hi=64)}
-    for key, default in params.items():
-        out[key] = _as_float(block, key, path, default=default, positive=key == "xi")
+    out = {}
+    for key, (default, check) in fields.items():
+        val = block.get(key, default)
+        out[key] = _resolve(val, check, key) if isinstance(check, dict) else check(val, f"{path}.{key}")
     return out
 
 
-def _parse_truncation(block, path, default_chi) -> dict:
-    chi = _as_int(block, "chi_max", path, default=default_chi, lo=1)
-    cutoff = _as_float(block, "cutoff", path, default=1e-12, nonneg=True)
-    if cutoff >= 1.0:
-        raise ValidationError(f"{path}.cutoff: must be < 1, got {cutoff}")
-    return {"chi_max": chi, "cutoff": cutoff}
-
-
-def _parse_schedule(block, path) -> list[float]:
-    sched = block.get("schedule", [0.1, 0.01, 0.001])
-    if not isinstance(sched, list) or not sched:
-        raise ValidationError(f"{path}.schedule: expected a non-empty list of step sizes")
-    out = []
-    for i, tau in enumerate(sched):
-        if isinstance(tau, bool) or not isinstance(tau, (int, float)) or not 0.0 < float(tau) < 10.0:
-            raise ValidationError(f"{path}.schedule[{i}]: step sizes must lie in (0, 10)")
-        out.append(float(tau))
-    return out
-
-
-def _parse_algorithm(command: str, block, path="algorithm") -> dict:
-    if not isinstance(block, dict):
-        raise ValidationError(f"{path}: expected an object")
-    if command == "ed":
-        _reject_unknown(block, {"method", "n_states", "tol", "max_iter"}, path)
-        return {
-            "method": _as_choice(block, "method", path, ("dense", "iterative"), default="dense"),
-            "n_states": _as_int(block, "n_states", path, default=2, lo=1),
-            "tol": _as_float(block, "tol", path, default=1e-10, positive=True),
-            "max_iter": _as_int(block, "max_iter", path, default=400, lo=1),
-        }
-    if command == "tebd":
-        _reject_unknown(
-            block,
-            {"mode", "chi_max", "cutoff", "schedule", "energy_tol", "max_sweeps_per_tau", "dt", "n_steps"},
-            path,
-        )
-        out = _parse_truncation(block, path, default_chi=50)
-        out["mode"] = _as_choice(block, "mode", path, ("ground", "real_time"), default="ground")
-        if out["mode"] == "ground":
-            out["schedule"] = _parse_schedule(block, path)
-            out["energy_tol"] = _as_float(block, "energy_tol", path, default=1e-10, positive=True)
-            out["max_sweeps_per_tau"] = _as_int(block, "max_sweeps_per_tau", path, default=500, lo=0)
-        else:
-            out["dt"] = _as_float(block, "dt", path, default=0.05, positive=True)
-            out["n_steps"] = _as_int(block, "n_steps", path, default=20, lo=1)
-        return out
-    if command == "trg":
-        _reject_unknown(block, {"beta_grid", "j", "steps", "chi_max", "cutoff"}, path)
-        grid = block.get("beta_grid", [0.2, 0.44, 0.8])
-        if isinstance(grid, (int, float)) and not isinstance(grid, bool):
-            grid = [grid]
-        if not isinstance(grid, list) or not grid:
-            raise ValidationError(f"{path}.beta_grid: expected a number or non-empty list")
-        betas = []
-        for i, b in enumerate(grid):
-            if isinstance(b, bool) or not isinstance(b, (int, float)) or not float(b) > 0.0:
-                raise ValidationError(f"{path}.beta_grid[{i}]: inverse temperatures must be positive")
-            betas.append(float(b))
-        out = _parse_truncation(block, path, default_chi=16)
-        out["beta_grid"] = betas
-        out["j"] = _as_float(block, "j", path, default=1.0)
-        out["steps"] = _as_int(block, "steps", path, default=8, lo=1, hi=40)
-        return out
-    if command == "mps-info":
-        _reject_unknown(block, {"state", "n", "chi_max"}, path)
-        return {
-            "state": _as_choice(block, "state", path, ("random", "ghz", "neel", "all_up"), default="random"),
-            "n": _as_int(block, "n", path, default=8, lo=2, hi=64),
-            "chi_max": _as_int(block, "chi_max", path, default=8, lo=1),
-        }
-    if command == "corr":
-        _reject_unknown(
-            block, {"chi_max", "cutoff", "schedule", "energy_tol", "max_sweeps_per_tau", "fit_range"}, path
-        )
-        out = _parse_truncation(block, path, default_chi=8)
-        out["schedule"] = _parse_schedule(block, path)
-        out["energy_tol"] = _as_float(block, "energy_tol", path, default=1e-10, positive=True)
-        out["max_sweeps_per_tau"] = _as_int(block, "max_sweeps_per_tau", path, default=500, lo=1)
-        rng = block.get("fit_range", [1, 10])
-        if (
-            not isinstance(rng, list)
-            or len(rng) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in rng)
-            or not 1 <= rng[0] < rng[1]
-        ):
-            raise ValidationError(f"{path}.fit_range: expected [x_min, x_max] with 1 <= x_min < x_max")
-        out["fit_range"] = list(rng)
-        return out
-    # verify
-    _reject_unknown(block, {"suite"}, path)
-    suite = block.get("suite", "all")
-    if suite not in SUITES:
-        raise UsageError(f"unknown verify suite {suite!r}; choose from {sorted(SUITES)}")
-    return {"suite": suite}
+def _models(names, note=""):
+    """Field table of a ``model`` block: one of ``names``, its ``n`` and its :data:`mpo.MODELS` parameters."""
+    tables = {name: {"n": (None, _number(int, ge=2, le=64))} for name in names}
+    for name in names:
+        for key, default in MODELS[name][1].items():
+            tables[name][key] = (default, _number(float, gt=0) if key == "xi" else _number(float))
+    return {"model": (None, _choice(*names, note=note), tables)}
 
 
 def parse_config(text: str) -> dict:
     """Validate config JSON and return it with every default filled in."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"config is not valid JSON: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError("config: top level must be a JSON object")
-    _reject_unknown(raw, {"command", "model", "algorithm", "output", "seed"}, "config")
-    command = _as_choice(raw, "command", "config", _RUNNERS)
-
-    output = raw.get("output", {})
-    if not isinstance(output, dict):
-        raise ValidationError("output: expected an object")
-    _reject_unknown(output, {"path", "format"}, "output")
-    path = output.get("path", "-")
-    if not isinstance(path, str) or not path:
-        raise ValidationError("output.path: expected a non-empty string")
-    fmt = _as_choice(output, "format", "output", ("json", "csv"), default="json")
-
-    seed = _as_int(raw, "seed", "config", default=7, lo=0)
-
-    cfg = {
-        "command": command,
-        "algorithm": _parse_algorithm(command, raw.get("algorithm", {})),
-        "output": {"path": path, "format": fmt},
-        "seed": seed,
-    }
-    if command in ("ed", "tebd", "corr"):
-        if "model" not in raw:
-            raise ValidationError("model: required for command " + command)
-        cfg["model"] = _parse_model(raw["model"])
-        n = cfg["model"]["n"]
-        if command in ("tebd", "corr") and cfg["model"]["model"] not in SWEEPABLE:
-            raise ValidationError(f"model.model: sweeps need nearest-neighbor terms only ({', '.join(SWEEPABLE)})")
-        if command == "ed" and cfg["algorithm"]["n_states"] > 2**n:
-            raise ValidationError(f"algorithm.n_states: must be <= 2^n = {2**n}, got {cfg['algorithm']['n_states']}")
-        if command == "corr" and cfg["algorithm"]["fit_range"][1] >= n // 2:
-            raise ValidationError("algorithm.fit_range: x_max must stay below n/2 (mid-chain window)")
-    elif "model" in raw:
-        cfg["model"] = _parse_model(raw["model"])
+    except ValueError as exc:  # malformed JSON, or an integer literal beyond Python's digit limit
+        raise ParseError(f"config is not valid JSON: {exc}") from exc
+    cfg = _resolve(raw, _CONFIG, "config")
+    alg, n = cfg["algorithm"], cfg.get("model", {}).get("n")
+    if "n_states" in alg and alg["n_states"] > 2**n:
+        raise ValidationError(f"algorithm.n_states: must be <= 2^n = {2**n}, got {alg['n_states']}")
+    if "fit_range" in alg and alg["fit_range"][1] >= n // 2:
+        raise ValidationError("algorithm.fit_range: x_max must stay below n/2 (mid-chain window)")
     return cfg
 
 
@@ -408,22 +319,70 @@ def _run_verify(cfg: dict):
     metrics = {
         "suite": cfg["algorithm"]["suite"],
         "all_passed": all(r.passed for r in results),
-        "criteria": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail, "seconds": r.seconds}
-            for r in results
-        ],
+        "criteria": [asdict(r) for r in results],
     }
     return metrics, [dict(c, passed=int(c["passed"]), seconds=f"{c['seconds']:.3f}") for c in metrics["criteria"]]
 
 
-_RUNNERS = {
-    "ed": _run_ed,
-    "tebd": _run_tebd,
-    "trg": _run_trg,
-    "mps-info": _run_mps_info,
-    "corr": _run_corr,
-    "verify": _run_verify,
+# the imaginary-time search that tebd (ground mode) and corr run
+_GROUND = {
+    "chi_max": (50, _number(int, ge=1)),
+    "cutoff": (1e-12, _number(float, ge=0, lt=1)),
+    "schedule": ([0.1, 0.01, 0.001], _list(_number(float, gt=0, lt=10))),
+    "energy_tol": (1e-10, _number(float, gt=0)),
+    "max_sweeps_per_tau": (500, _number(int, ge=0)),
 }
+_SWEEP_MODELS = _models(SWEEPABLE, note=" (sweeps need nearest-neighbor terms)")
+
+#: command -> (runner, field table of its ``model`` block or None if it reads none, field table of its ``algorithm``)
+COMMANDS = {
+    "ed": (_run_ed, _models(MODELS), {
+        "method": ("dense", _choice("dense", "iterative")),
+        "n_states": (2, _number(int, ge=1)),
+        "tol": (1e-10, _number(float, gt=0)),
+        "max_iter": (400, _number(int, ge=1)),
+    }),
+    "tebd": (_run_tebd, _SWEEP_MODELS, {"mode": ("ground", _choice("ground", "real_time"), {
+        "ground": _GROUND,
+        "real_time": {
+            "chi_max": (50, _number(int, ge=1)),
+            "cutoff": (1e-12, _number(float, ge=0, lt=1)),
+            "dt": (0.05, _number(float, gt=0)),
+            "n_steps": (20, _number(int, ge=1)),
+        },
+    })}),
+    "trg": (_run_trg, None, {
+        "beta_grid": ([0.2, 0.44, 0.8], _list(_number(float, gt=0), scalar=True)),
+        "chi_max": (16, _number(int, ge=1)),
+        "cutoff": (1e-12, _number(float, ge=0, lt=1)),
+        "j": (1.0, _number(float)),
+        "steps": (8, _number(int, ge=1, le=40)),
+    }),
+    "mps-info": (_run_mps_info, None, {
+        "state": ("random", _choice("random", "ghz", "neel", "all_up")),
+        "n": (8, _number(int, ge=2, le=64)),
+        "chi_max": (8, _number(int, ge=1)),
+    }),
+    "corr": (_run_corr, _SWEEP_MODELS, {
+        **_GROUND,
+        "chi_max": (8, _number(int, ge=1)),
+        "max_sweeps_per_tau": (500, _number(int, ge=1)),
+        "fit_range": ([1, 10], _list(_number(int, ge=1), size=2, increasing=True)),
+    }),
+    # an unknown suite is a usage error (exit 1), not a config one
+    "verify": (_run_verify, None, {"suite": ("all", _choice(*SUITES, error=UsageError))}),
+}
+
+# the whole config: the command picks the blocks it reads, so a `model` block is unknown to trg, mps-info and verify
+_CONFIG = {"command": (None, _choice(*COMMANDS), {
+    command: {
+        "output": ({}, {"path": ("-", _text), "format": ("json", _choice("json", "csv"))}),
+        "seed": (7, _number(int, ge=0)),
+        "algorithm": ({}, fields),
+        **({"model": (None, models)} if models else {}),
+    }
+    for command, (_, models, fields) in COMMANDS.items()
+})}
 
 
 def run(cfg: dict) -> dict:
@@ -432,7 +391,7 @@ def run(cfg: dict) -> dict:
     Each runner returns ``(metrics, rows)``; rows are never empty, and CSV columns are the first row's keys.
     """
     t0 = time.time()
-    metrics, rows = _RUNNERS[cfg["command"]](cfg)
+    metrics, rows = COMMANDS[cfg["command"]][0](cfg)
     record = {
         "command": cfg["command"],
         "config": cfg,
@@ -468,30 +427,27 @@ def _finite_or_null(value):
 
 
 def _emit(text: str, path: str) -> None:
-    """Write atomically (temp file in the target directory, then rename)."""
+    """Write atomically (temp file in the target directory, then rename); a failed write is a UsageError."""
     if path == "-":
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tnkit-", suffix=".part")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tnkit-", suffix=".part")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise UsageError(f"cannot write output: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def load_record(path: str):
     """Read back an emitted file: dict for JSON, list of row dicts for CSV."""
-    with open(path, "r") as fh:
-        head = fh.read(1)
-        fh.seek(0)
-        if head == "{":
-            return json.load(fh)
-        return list(csv.DictReader(fh))
+    text = Path(path).read_text()
+    return json.loads(text) if text.startswith("{") else list(csv.DictReader(io.StringIO(text)))
 
 
 # ---------------------------------------------------------------------------
@@ -512,14 +468,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.config == "-":
-            text = sys.stdin.read()
-        else:
-            try:
-                with open(args.config, "r") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise UsageError(f"cannot read config: {exc}") from exc
+        try:
+            text = sys.stdin.read() if args.config == "-" else Path(args.config).read_text()
+        except OSError as exc:
+            raise UsageError(f"cannot read config: {exc}") from exc
         cfg = parse_config(text)
         if args.output is not None:
             cfg["output"]["path"] = args.output
@@ -531,9 +483,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"tnkit: error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ValidationError) as exc:
-        print(f"tnkit: invalid config: {exc}", file=sys.stderr)
-        return 2
     except (NumericalFailure, NoConvergence, np.linalg.LinAlgError) as exc:
         print(f"tnkit: numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -541,7 +490,7 @@ def main(argv=None) -> int:
         print(f"tnkit: resource limit: {exc}", file=sys.stderr)
         return 4
     except TnkitError as exc:
-        # anything else the library rejects traces back to the config contents
+        # ParseError, ValidationError, and anything else the library rejects: all trace back to the config
         print(f"tnkit: invalid config: {exc}", file=sys.stderr)
         return 2
     return 0

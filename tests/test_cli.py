@@ -72,6 +72,226 @@ def test_model_restrictions_per_command():
     assert parse_config(json.dumps(corr))["algorithm"]["fit_range"] == [1, 3]
 
 
+_SCHEDULE = [0.1, 0.01, 0.001]
+_DEFAULTS = {"output": {"path": "-", "format": "json"}, "seed": 7}
+
+
+@pytest.mark.parametrize(
+    "given, resolved",
+    [
+        (
+            {"command": "ed", "model": {"model": "heisenberg", "n": 4}},
+            {
+                "command": "ed",
+                "model": {"model": "heisenberg", "n": 4, "j": 1.0},
+                "algorithm": {"method": "dense", "n_states": 2, "tol": 1e-10, "max_iter": 400},
+            },
+        ),
+        (
+            {"command": "ed", "model": {"model": "ising_nnn", "n": 5}},
+            {
+                "command": "ed",
+                "model": {"model": "ising_nnn", "n": 5, "j1": 1.0, "j2": 0.5},
+                "algorithm": {"method": "dense", "n_states": 2, "tol": 1e-10, "max_iter": 400},
+            },
+        ),
+        (
+            {"command": "tebd", "model": {"model": "ising_nn", "n": 6}},
+            {
+                "command": "tebd",
+                "model": {"model": "ising_nn", "n": 6, "j": 1.0},
+                "algorithm": {
+                    "mode": "ground",
+                    "chi_max": 50,
+                    "cutoff": 1e-12,
+                    "schedule": _SCHEDULE,
+                    "energy_tol": 1e-10,
+                    "max_sweeps_per_tau": 500,
+                },
+            },
+        ),
+        (
+            {"command": "tebd", "model": {"model": "heisenberg", "n": 6}, "algorithm": {"mode": "real_time"}},
+            {
+                "command": "tebd",
+                "model": {"model": "heisenberg", "n": 6, "j": 1.0},
+                "algorithm": {"mode": "real_time", "chi_max": 50, "cutoff": 1e-12, "dt": 0.05, "n_steps": 20},
+            },
+        ),
+        (
+            {"command": "trg"},
+            {
+                "command": "trg",
+                "algorithm": {"beta_grid": [0.2, 0.44, 0.8], "j": 1.0, "steps": 8, "chi_max": 16, "cutoff": 1e-12},
+            },
+        ),
+        (
+            {"command": "trg", "algorithm": {"beta_grid": 0.44}},
+            {
+                "command": "trg",
+                "algorithm": {"beta_grid": [0.44], "j": 1.0, "steps": 8, "chi_max": 16, "cutoff": 1e-12},
+            },
+        ),
+        (
+            {"command": "mps-info"},
+            {"command": "mps-info", "algorithm": {"state": "random", "n": 8, "chi_max": 8}},
+        ),
+        (
+            {"command": "corr", "model": {"model": "ising_nn", "n": 24}},
+            {
+                "command": "corr",
+                "model": {"model": "ising_nn", "n": 24, "j": 1.0},
+                "algorithm": {
+                    "chi_max": 8,
+                    "cutoff": 1e-12,
+                    "schedule": _SCHEDULE,
+                    "energy_tol": 1e-10,
+                    "max_sweeps_per_tau": 500,
+                    "fit_range": [1, 10],
+                },
+            },
+        ),
+        ({"command": "verify"}, {"command": "verify", "algorithm": {"suite": "all"}}),
+    ],
+)
+def test_minimal_config_resolves_to_every_default(given, resolved):
+    assert parse_config(json.dumps(given)) == dict(_DEFAULTS, **resolved)
+
+
+_MINIMAL = {
+    "ed": {"command": "ed", "model": {"model": "heisenberg", "n": 4}},
+    "ground": {"command": "tebd", "model": {"model": "ising_nn", "n": 6}},
+    "real_time": {"command": "tebd", "model": {"model": "ising_nn", "n": 6}, "algorithm": {"mode": "real_time"}},
+    "trg": {"command": "trg"},
+    "mps-info": {"command": "mps-info"},
+    "corr": {"command": "corr", "model": {"model": "ising_nn", "n": 24}},
+}
+
+
+@pytest.mark.parametrize(
+    "base, block, key, value, path",
+    [
+        ("ed", "algorithm", "method", "lanczos", "algorithm.method"),
+        ("ed", "algorithm", "n_states", 0, "algorithm.n_states"),
+        ("ed", "algorithm", "tol", 0.0, "algorithm.tol"),
+        ("ed", "algorithm", "max_iter", 1.5, "algorithm.max_iter"),
+        ("ground", "algorithm", "mode", "imaginary", "algorithm.mode"),
+        ("ground", "algorithm", "chi_max", 0, "algorithm.chi_max"),
+        ("ground", "algorithm", "cutoff", 1.0, "algorithm.cutoff"),
+        ("ground", "algorithm", "schedule", [0.1, 10], "algorithm.schedule[1]"),
+        ("ground", "algorithm", "energy_tol", -1.0, "algorithm.energy_tol"),
+        ("ground", "algorithm", "max_sweeps_per_tau", -1, "algorithm.max_sweeps_per_tau"),
+        ("real_time", "algorithm", "dt", 0, "algorithm.dt"),
+        ("real_time", "algorithm", "n_steps", 0, "algorithm.n_steps"),
+        ("real_time", "algorithm", "cutoff", -0.5, "algorithm.cutoff"),
+        ("trg", "algorithm", "beta_grid", [0.2, -1.0], "algorithm.beta_grid[1]"),
+        ("trg", "algorithm", "j", "one", "algorithm.j"),
+        ("trg", "algorithm", "steps", 41, "algorithm.steps"),
+        ("trg", "algorithm", "chi_max", True, "algorithm.chi_max"),
+        ("trg", "algorithm", "cutoff", -0.1, "algorithm.cutoff"),
+        ("mps-info", "algorithm", "state", "w", "algorithm.state"),
+        ("mps-info", "algorithm", "n", 65, "algorithm.n"),
+        ("mps-info", "algorithm", "chi_max", 0, "algorithm.chi_max"),
+        ("corr", "algorithm", "chi_max", "8", "algorithm.chi_max"),
+        ("corr", "algorithm", "cutoff", "small", "algorithm.cutoff"),
+        ("corr", "algorithm", "schedule", 0.1, "algorithm.schedule"),
+        ("corr", "algorithm", "energy_tol", 0, "algorithm.energy_tol"),
+        ("corr", "algorithm", "max_sweeps_per_tau", 0, "algorithm.max_sweeps_per_tau"),
+        ("corr", "algorithm", "fit_range", [1], "algorithm.fit_range"),
+        ("ed", "model", "model", "potts", "model.model"),
+        ("ed", "model", "n", 65, "model.n"),
+        ("ed", "model", "j", float("nan"), "model.j"),
+        ("ed", "output", "format", "xml", "output.format"),
+        ("ed", "output", "path", "", "output.path"),
+    ],
+)
+def test_each_field_error_names_its_path(base, block, key, value, path):
+    cfg = json.loads(json.dumps(_MINIMAL[base]))
+    cfg.setdefault(block, {})[key] = value
+    with pytest.raises(ValidationError) as e:
+        parse_config(json.dumps(cfg))
+    assert str(e.value).split(":")[0] == path
+
+
+@pytest.mark.parametrize(
+    "model, path",
+    [
+        ({"model": "ising_nnn", "n": 5, "j1": "x"}, "model.j1"),
+        ({"model": "ising_nnn", "n": 5, "j2": [0.5]}, "model.j2"),
+        ({"model": "exp_decay", "n": 5}, "model.xi"),
+        ({"model": "exp_decay", "n": 5, "xi": 0.0}, "model.xi"),
+    ],
+)
+def test_each_model_parameter_error_names_its_path(model, path):
+    with pytest.raises(ValidationError) as e:
+        parse_config(json.dumps({"command": "ed", "model": model}))
+    assert str(e.value).split(":")[0] == path
+
+
+_HUGE = 10**400  # a valid JSON integer that no float can hold
+
+
+@pytest.mark.parametrize(
+    "cfg, path",
+    [
+        ({"command": "trg", "algorithm": {"j": _HUGE}}, "algorithm.j"),
+        ({"command": "ed", "model": {"model": "heisenberg", "n": 4, "j": _HUGE}}, "model.j"),
+        (
+            {"command": "corr", "model": {"model": "ising_nn", "n": 24}, "algorithm": {"schedule": [0.1, _HUGE]}},
+            "algorithm.schedule[1]",
+        ),
+        ({"command": "trg", "algorithm": {"beta_grid": [-_HUGE]}}, "algorithm.beta_grid[0]"),
+    ],
+)
+def test_an_integer_too_large_for_a_float_is_a_config_error(tmp_path, capsys, cfg, path):
+    with pytest.raises(ValidationError) as e:
+        parse_config(json.dumps(cfg))
+    assert str(e.value).split(":")[0] == path
+    assert main(["--config", write_cfg(tmp_path, cfg)]) == 2
+    assert f"tnkit: invalid config: {path}:" in capsys.readouterr().err
+
+
+_HEIS6 = {"model": "heisenberg", "n": 6}
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        # a tebd block takes only its own mode's keys
+        (
+            {"command": "tebd", "model": _HEIS6, "algorithm": {"mode": "ground", "dt": 0.05}},
+            "algorithm: unknown key(s) dt",
+        ),
+        ({"command": "tebd", "model": _HEIS6, "algorithm": {"n_steps": 5}}, "algorithm: unknown key(s) n_steps"),
+        (
+            {"command": "tebd", "model": _HEIS6, "algorithm": {"mode": "real_time", "schedule": [0.1]}},
+            "algorithm: unknown key(s) schedule",
+        ),
+        # only ed, tebd and corr read a model
+        ({"command": "trg", "model": _HEIS6}, "config: unknown key(s) model"),
+        ({"command": "mps-info", "model": _HEIS6}, "config: unknown key(s) model"),
+        ({"command": "verify", "model": _HEIS6}, "config: unknown key(s) model"),
+    ],
+)
+def test_keys_the_command_would_ignore_are_rejected(cfg, message):
+    with pytest.raises(ValidationError) as e:
+        parse_config(json.dumps(cfg))
+    assert str(e.value).startswith(message)
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_an_unwritable_output_path_is_a_usage_error(tmp_path, capsys, where):
+    out = tmp_path / "absent" / "x.json" if where == "missing_dir" else tmp_path / "outdir"
+    if where == "directory":
+        out.mkdir()
+    cfg = dict(ED_CFG, output={"path": str(out)})
+    assert main(["--config", write_cfg(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tnkit: error: cannot write output:")
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob(".tnkit-*.part"))
+
+
 def test_run_ed_record_contents():
     rec = run(parse_config(json.dumps(ED_CFG)))
     assert rec["command"] == "ed"
@@ -192,6 +412,9 @@ def test_exit_codes(tmp_path):
     # 2: schema violation
     p2 = write_cfg(tmp_path, {"command": "ed", "model": {"model": "heisenberg", "n": 1}}, "n1.json")
     assert main(["--config", p2]) == 2
+    # 2: a field of the algorithm block out of its bounds
+    p2b = write_cfg(tmp_path, {"command": "trg", "algorithm": {"steps": 0}}, "steps0.json")
+    assert main(["--config", p2b]) == 2
     # 3: iterative solver starved of iterations
     p3 = write_cfg(
         tmp_path,
