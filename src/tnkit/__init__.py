@@ -30,7 +30,6 @@ from .errors import (
     BadLength,
     BadOrder,
     BadXi,
-    BondTooSmall,
     ElementCountMismatch,
     ExtentMismatch,
     InvalidAxis,

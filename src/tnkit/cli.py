@@ -12,8 +12,8 @@ Each command is one ``COMMANDS`` entry: its runner plus the field tables (defaul
 and checker per key) of its ``model`` and ``algorithm`` blocks.
 
 Exit codes: 0 success (including TEBD runs that merely failed to converge —
-the flag is data), 1 usage, 2 config validation, 3 numerical failure,
-4 resource limits.
+the flag is data); ``EXIT_CODES`` maps each failure to 1 usage, 2 config
+validation, 3 numerical failure or 4 resource limits.
 
 Randomness comes from a single ``numpy.random.default_rng(seed)`` (PCG64) per
 run, so records are reproducible given (config, seed).
@@ -330,7 +330,7 @@ _GROUND = {
     "cutoff": (1e-12, _number(float, ge=0, lt=1)),
     "schedule": ([0.1, 0.01, 0.001], _list(_number(float, gt=0, lt=10))),
     "energy_tol": (1e-10, _number(float, gt=0)),
-    "max_sweeps_per_tau": (500, _number(int, ge=0)),
+    "max_sweeps_per_tau": (500, _number(int, ge=1)),
 }
 _SWEEP_MODELS = _models(SWEEPABLE, note=" (sweeps need nearest-neighbor terms)")
 
@@ -366,7 +366,6 @@ COMMANDS = {
     "corr": (_run_corr, _SWEEP_MODELS, {
         **_GROUND,
         "chi_max": (8, _number(int, ge=1)),
-        "max_sweeps_per_tau": (500, _number(int, ge=1)),
         "fit_range": ([1, 10], _list(_number(int, ge=1), size=2, increasing=True)),
     }),
     # an unknown suite is a usage error (exit 1), not a config one
@@ -454,6 +453,16 @@ def load_record(path: str):
 # entry point
 
 
+#: exception type -> (exit code, stderr label); ``main`` takes the first entry on the exception's MRO, so any
+#: other TnkitError (ParseError, ValidationError, and anything else the library rejects) traces back to the config
+EXIT_CODES = {
+    UsageError: (1, "error"),
+    **dict.fromkeys((NumericalFailure, NoConvergence, np.linalg.LinAlgError), (3, "numerical failure")),
+    **dict.fromkeys((TooLarge, MemoryError), (4, "resource limit")),
+    TnkitError: (2, "invalid config"),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; usage is 1 here
         self.print_usage(sys.stderr)
@@ -480,19 +489,10 @@ def main(argv=None) -> int:
                 raise UsageError("--seed must be non-negative")
             cfg["seed"] = args.seed
         run(cfg)
-    except UsageError as exc:
-        print(f"tnkit: error: {exc}", file=sys.stderr)
-        return 1
-    except (NumericalFailure, NoConvergence, np.linalg.LinAlgError) as exc:
-        print(f"tnkit: numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except (TooLarge, MemoryError) as exc:
-        print(f"tnkit: resource limit: {exc}", file=sys.stderr)
-        return 4
-    except TnkitError as exc:
-        # ParseError, ValidationError, and anything else the library rejects: all trace back to the config
-        print(f"tnkit: invalid config: {exc}", file=sys.stderr)
-        return 2
+    except tuple(EXIT_CODES) as exc:
+        code, label = next(EXIT_CODES[t] for t in type(exc).__mro__ if t in EXIT_CODES)
+        print(f"tnkit: {label}: {exc}", file=sys.stderr)
+        return code
     return 0
 
 

@@ -80,10 +80,6 @@ class Singular(TnkitError, ValueError):
     """Gauge matrix is singular or too ill-conditioned to invert."""
 
 
-class BondTooSmall(TnkitError, ValueError):
-    """Bond carries too few states for the requested analysis."""
-
-
 # --- MPO / models ----------------------------------------------------------
 
 

@@ -52,7 +52,6 @@ from .errors import (
     AllZero,
     BadLength,
     BadOrder,
-    BondTooSmall,
     ExtentMismatch,
     NotNormalized,
     ShapeMismatch,
@@ -275,12 +274,13 @@ def random_mps(n_sites: int, phys_dim: int, chi_max: int, rng) -> MPS:
 
 
 class _Chain:
-    """Writable lists of an MPS's sites and link charges, for moves and gates in place."""
+    """Writable lists of an MPS's sites and link charges, and its center, for moves and gates in place."""
 
     def __init__(self, m: MPS) -> None:
         self.sites = list(m.sites)
         self.charges = list(m.charges)
         self.phys_charges = m.phys_charges
+        self.center = m.center
 
     def row_charges(self, link: int) -> np.ndarray:
         """Charges of the C-order fused (link index, physical) rows."""
@@ -290,8 +290,8 @@ class _Chain:
         """Charges of the C-order fused (physical, link index) columns."""
         return (self.charges[link][None, :] - self.phys_charges[:, None]).ravel()
 
-    def freeze(self, center: int | None) -> MPS:
-        return MPS(tuple(self.sites), center, tuple(self.charges), self.phys_charges)
+    def freeze(self) -> MPS:
+        return MPS(tuple(self.sites), self.center, tuple(self.charges), self.phys_charges)
 
 
 def _shift_right(chain: _Chain, c: int, spec: TruncationSpec) -> np.ndarray:
@@ -302,6 +302,7 @@ def _shift_right(chain: _Chain, c: int, spec: TruncationSpec) -> np.ndarray:
     chain.sites[c] = u.reshape(l, d, q.size)
     chain.sites[c + 1] = np.tensordot(dv, chain.sites[c + 1], axes=([1], [0]))
     chain.charges[c + 1] = q
+    chain.center = c + 1
     return kept
 
 
@@ -313,6 +314,18 @@ def _shift_left(chain: _Chain, c: int, spec: TruncationSpec) -> None:
     chain.sites[c] = vdag.reshape(q.size, d, r)
     chain.sites[c - 1] = np.tensordot(chain.sites[c - 1], ud, axes=([2], [0]))
     chain.charges[c] = q
+    chain.center = c - 1
+
+
+def _move(chain: _Chain, target: int, spec: TruncationSpec = UNTRUNCATED) -> None:
+    """Move the chain's center to ``target`` in place; with ``center=None``, after a full left-to-right pass."""
+    if chain.center is None:
+        chain.center = 0
+        _move(chain, len(chain.sites) - 1, spec)
+    for c in range(chain.center, target):
+        _shift_right(chain, c, spec)
+    for c in range(chain.center, target, -1):
+        _shift_left(chain, c, spec)
 
 
 def move_center(m: MPS, target: int) -> MPS:
@@ -323,16 +336,11 @@ def move_center(m: MPS, target: int) -> MPS:
     """
     if not 0 <= target < m.n_sites:
         raise ValueError(f"target {target} out of range")
-    if m.center is None:
-        return canonicalize(m, target)
     if m.center == target:
         return m
     chain = _Chain(m)
-    for c in range(m.center, target):
-        _shift_right(chain, c, UNTRUNCATED)
-    for c in range(m.center, target, -1):
-        _shift_left(chain, c, UNTRUNCATED)
-    return chain.freeze(target)
+    _move(chain, target)
+    return chain.freeze()
 
 
 def canonicalize(m: MPS, target: int, spec: TruncationSpec = UNTRUNCATED) -> MPS:
@@ -344,11 +352,9 @@ def canonicalize(m: MPS, target: int, spec: TruncationSpec = UNTRUNCATED) -> MPS
     if not 0 <= target < m.n_sites:
         raise ValueError(f"target {target} out of range")
     chain = _Chain(m)
-    for c in range(m.n_sites - 1):
-        _shift_right(chain, c, spec)
-    for c in range(m.n_sites - 1, target, -1):
-        _shift_left(chain, c, spec)
-    return chain.freeze(target)
+    chain.center = None
+    _move(chain, target, spec)
+    return chain.freeze()
 
 
 def gauge_insert(m: MPS, bond: int, x) -> MPS:
@@ -453,30 +459,30 @@ def apply_two_site_gate(
     """
     if not 0 <= site < m.n_sites - 1:
         raise ValueError(f"gate needs sites ({site}, {site + 1}) in range")
-    g, m = _gate_matrix(gate, m, direction)
-    chain = _Chain(move_center(m, site if direction == "right" else site + 1))
+    chain = _Chain(m)
+    g = _gate_matrix(gate, chain, direction)
+    _move(chain, site if direction == "right" else site + 1)
     disc = _gate_pair(chain, g, site, spec, direction)
-    return chain.freeze(site + 1 if direction == "right" else site), disc
+    return chain.freeze(), disc
 
 
-def _gate_matrix(gate, m: MPS, direction: str) -> tuple[np.ndarray, MPS]:
-    """Check a (d^2, d^2) gate and a sweep direction for ``m``.
+def _gate_matrix(gate, chain: _Chain, direction: str) -> np.ndarray:
+    """Check a (d^2, d^2) gate and a sweep direction for ``chain``.
 
-    Returns the gate as a matrix over the C-order fused pair (si, sj), sj
-    fastest, and the state it may act on: ``m`` itself, or ``m`` unlabelled
-    if the gate has a nonzero entry between pair states of different total
-    charge.
+    Returns the gate as a matrix over the C-order fused pair (si, sj), sj fastest. A gate
+    with a nonzero entry between pair states of different total charge unlabels the chain.
     """
-    d = m.phys_dim
+    d = chain.sites[0].shape[1]
     gate = np.asarray(gate)
     if gate.shape != (d * d, d * d):
         raise ShapeMismatch(f"gate must be ({d * d}, {d * d}), got {gate.shape}")
     if direction not in ("right", "left"):
         raise ValueError(f"direction must be 'right' or 'left', got {direction!r}")
-    pair_q = (m.phys_charges[:, None] + m.phys_charges[None, :]).ravel(order="F")
+    pair_q = (chain.phys_charges[:, None] + chain.phys_charges[None, :]).ravel(order="F")
     if np.any(gate[pair_q[:, None] != pair_q[None, :]]):
-        m = MPS(m.sites, m.center)
-    return gate.reshape(d, d, d, d, order="F").reshape(d * d, d * d), m
+        chain.charges = [np.zeros_like(q) for q in chain.charges]
+        chain.phys_charges = np.zeros_like(chain.phys_charges)
+    return gate.reshape(d, d, d, d, order="F").reshape(d * d, d * d)
 
 
 def _gate_pair(chain: _Chain, gate: np.ndarray, site: int, spec: TruncationSpec, direction: str) -> float:
@@ -493,6 +499,7 @@ def _gate_pair(chain: _Chain, gate: np.ndarray, site: int, spec: TruncationSpec,
     chain.sites[site] = left.reshape(l, d, q.size)
     chain.sites[site + 1] = right.reshape(q.size, d, r)
     chain.charges[site + 1] = q
+    chain.center = site + 1 if direction == "right" else site
     return disc
 
 
@@ -558,8 +565,6 @@ def correlation_length(m: MPS) -> CorrelationReport:
     eigs = np.linalg.eigvals(mat)
     eigs = eigs[np.argsort(-np.abs(eigs))]
     mags = np.abs(eigs)
-    if mags[0] == 0.0:
-        raise BondTooSmall("transfer matrix is identically zero")
     ratio = mags[1] / mags[0]
     if ratio >= 1.0 - 1e-12:
         xi = math.inf

@@ -13,6 +13,9 @@ UnsupportedModel. Imaginary-time evolution renormalizes the state after
 every sweep (the gates are not unitary; each is divided by its spectral norm
 so no sweep overflows); real-time evolution leaves the norm alone so
 truncation loss stays visible to the caller.
+
+Sweeps update one writable ``mps._Chain`` in place: a driver run holds one
+from its seed to its end, checks each gate once and builds one MPS on return.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from .decomp import UNTRUNCATED, TruncationSpec, eig_hermitian
 from .errors import NumericalFailure, UnsupportedModel
 from .mpo import MPO, SM, SP, SZ, build_model, mpo_expectation, two_site_matrix
-from .mps import MPS, _Chain, _gate_matrix, _gate_pair, move_center, norm_squared, product_mps
+from .mps import MPS, _Chain, _gate_matrix, _gate_pair, _move, norm_squared, product_mps
 
 _UP = np.array([1.0, 0.0])
 _DOWN = np.array([0.0, 1.0])
@@ -80,15 +83,20 @@ def sweep(
     charge labels if the gate conserves the charge, and is unlabelled first
     otherwise.
     """
-    g, state = _gate_matrix(gate, state, direction)
-    n = state.n_sites
-    bonds = range(n - 1) if direction == "right" else range(n - 2, -1, -1)
-    first, last = (0, n - 1) if direction == "right" else (n - 1, 0)
-    chain = _Chain(move_center(state, first))
+    chain = _Chain(state)
+    worst = _sweep(chain, _gate_matrix(gate, chain, direction), spec, direction)
+    return chain.freeze(), worst
+
+
+def _sweep(chain: _Chain, g: np.ndarray, spec: TruncationSpec, direction: str) -> float:
+    """:func:`sweep` in place on ``chain`` with a gate matrix from :func:`~tnkit.mps._gate_matrix`."""
+    n = len(chain.sites)
+    first, bonds = (0, range(n - 1)) if direction == "right" else (n - 1, range(n - 2, -1, -1))
+    _move(chain, first)
     worst = 0.0
     for b in bonds:
         worst = max(worst, _gate_pair(chain, g, b, spec, direction))
-    return chain.freeze(last), worst
+    return worst
 
 
 def measure_energy(state: MPS, h: MPO) -> float:
@@ -106,7 +114,7 @@ def measure_energy(state: MPS, h: MPO) -> float:
     return energy
 
 
-def _bond_energy(state: MPS, pair: np.ndarray) -> tuple[float, float]:
+def _bond_energy(state: MPS | _Chain, pair: np.ndarray) -> tuple[float, float]:
     """(<H> / <psi|psi>, <psi|psi>) of a chain centred on an end, H the sum of :func:`pair_hamiltonian` ``pair``.
 
     All sites but the centre are isometries, so with the centre on site N-1
@@ -131,7 +139,7 @@ def _bond_energy(state: MPS, pair: np.ndarray) -> tuple[float, float]:
     return total / nrm2, nrm2
 
 
-def _center_norm_squared(state: MPS) -> float:
+def _center_norm_squared(state: MPS | _Chain) -> float:
     if state.center is None:
         nrm2 = norm_squared(state)  # no trustworthy gauge; full zipper
     else:
@@ -140,14 +148,6 @@ def _center_norm_squared(state: MPS) -> float:
     if not (0.0 < nrm2 < np.inf):
         raise NumericalFailure(f"state norm squared is {nrm2}; cannot normalize")
     return nrm2
-
-
-def _rescale_center(state: MPS) -> MPS:
-    nrm = np.sqrt(_center_norm_squared(state))
-    c = state.sites[state.center]
-    tensors = list(state.sites)
-    tensors[state.center] = c * (1.0 / nrm)
-    return replace(state, sites=tuple(tensors))
 
 
 def initial_product_state(model: str, n_sites: int) -> MPS:
@@ -221,10 +221,10 @@ def find_ground_state(
     exceeds about 946) or an energy is not finite.
     """
     pair = pair_hamiltonian(model, j)
-    state = initial_product_state(model, n_sites)
+    chain = _Chain(initial_product_state(model, n_sites))
 
     # the trace leads with the seed-state energy (tau 0.0, no sweep taken)
-    energies: list[float] = [_bond_energy(state, pair)[0]]
+    energies: list[float] = [_bond_energy(chain, pair)[0]]
     taus: list[float] = [0.0]
     worst = 0.0
     total_sweeps = 0
@@ -235,14 +235,15 @@ def find_ground_state(
         if not np.all(np.isfinite(gate)):
             raise NumericalFailure(f"imaginary-time gate overflows at tau*|j| = {tau * abs(j):g}")
         gate = gate / np.linalg.norm(gate, 2)  # else a sweep grows by exp(-tau min(h))^(n-1)
+        g = _gate_matrix(gate, chain, "right")
         stage_start = len(energies)
         stage_converged = False
         for _ in range(max_sweeps_per_tau):
             direction = "right" if total_sweeps % 2 == 0 else "left"
-            state, disc = sweep(state, gate, spec, direction)
-            worst = max(worst, disc)
-            state = _rescale_center(state)
-            energies.append(_bond_energy(state, pair)[0])
+            worst = max(worst, _sweep(chain, g, spec, direction))
+            c = chain.center
+            chain.sites[c] = chain.sites[c] * (1.0 / np.sqrt(_center_norm_squared(chain)))
+            energies.append(_bond_energy(chain, pair)[0])
             taus.append(tau)
             total_sweeps += 1
             done = len(energies) - stage_start
@@ -254,7 +255,7 @@ def find_ground_state(
         all_converged = all_converged and stage_converged
 
     return GroundStateReport(
-        state=state,
+        state=chain.freeze(),
         energy=energies[-1],
         energy_trace=np.array(energies),
         tau_trace=np.array(taus),
@@ -279,22 +280,20 @@ def evolve_real_time(
     Energies and norms come from :func:`_bond_energy`.
     """
     pair = pair_hamiltonian(model, j)
-    gate = bond_gate(model, j, dt, "real")
-    times = []
+    chain = _Chain(state)
+    g = _gate_matrix(bond_gate(model, j, dt, "real"), chain, "right")
     energies = []
     norms = []
     worst = 0.0
     for step in range(n_steps):
         direction = "right" if step % 2 == 0 else "left"
-        state, disc = sweep(state, gate, spec, direction)
-        worst = max(worst, disc)
-        times.append((step + 1) * dt)
-        energy, nrm2 = _bond_energy(state, pair)
+        worst = max(worst, _sweep(chain, g, spec, direction))
+        energy, nrm2 = _bond_energy(chain, pair)
         energies.append(energy)
         norms.append(np.sqrt(nrm2))
     return TimeEvolutionReport(
-        state=state,
-        times=np.array(times),
+        state=chain.freeze(),
+        times=dt * np.arange(1, n_steps + 1),
         energy_trace=np.array(energies),
         norm_trace=np.array(norms),
         max_discarded_weight=worst,

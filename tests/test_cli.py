@@ -1,8 +1,12 @@
 """Config parsing, experiment execution, output files, and exit codes."""
 
+import builtins
+import importlib
 import json
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ import pytest
 from conftest import dense_hamiltonian, failing_svd
 from tnkit import cli
 from tnkit.cli import load_record, main, parse_config, run
+from tnkit import errors
 from tnkit.errors import ParseError, ValidationError
 from tnkit.mps import gauge_insert
 
@@ -203,6 +208,8 @@ _MINIMAL = {
         ("ed", "model", "j", float("nan"), "model.j"),
         ("ed", "output", "format", "xml", "output.format"),
         ("ed", "output", "path", "", "output.path"),
+        # last, so the index-based ids above stay put
+        ("ground", "algorithm", "max_sweeps_per_tau", 0, "algorithm.max_sweeps_per_tau"),
     ],
 )
 def test_each_field_error_names_its_path(base, block, key, value, path):
@@ -434,6 +441,34 @@ def test_exit_codes(tmp_path):
     assert main(["--config", write_cfg(tmp_path, trg_cfg, "trg_big.json")]) == 4
 
 
+def _exception_class(name):
+    """The exception class a README name stands for, or None for any other word."""
+    module, _, attr = name.rpartition(".")
+    places = [importlib.import_module(module)] if module else [errors, cli, builtins]
+    obj = next((getattr(p, attr) for p in places if hasattr(p, attr)), None)
+    return obj if isinstance(obj, type) and issubclass(obj, BaseException) else None
+
+
+def test_readme_exit_code_table_is_what_main_returns(tmp_path, monkeypatch, capsys):
+    # every error class the README table names in a row makes main exit with that row's code
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text().split("### Exit codes", 1)[1]
+    rows = [(int(m[1]), re.findall(r"`([\w.]+)`", m[2])) for m in re.finditer(r"^\| (\d) \| (.*) \|$", text, re.M)]
+    assert [code for code, _ in rows] == [0, 1, 2, 3, 4]
+    p = write_cfg(tmp_path, ED_CFG)
+    named = {}
+    for code, names in rows:
+        for cls in filter(None, map(_exception_class, names)):
+
+            def fail(cfg, cls=cls):
+                raise cls("raised on purpose")
+
+            monkeypatch.setattr(cli, "run", fail)
+            assert (cls.__name__, main(["--config", p])) == (cls.__name__, code)
+            assert "raised on purpose" in capsys.readouterr().err
+            named[cls] = code
+    assert set(cli.EXIT_CODES) <= set(named)  # the table names every type main maps
+
+
 def test_strong_coupling_tebd_exits_cleanly(tmp_path):
     # at |J| = 150 one imaginary-time sweep used to overflow the state norm
     out = tmp_path / "strong.json"
@@ -488,7 +523,7 @@ def test_unconverged_tebd_is_data_not_an_error(tmp_path):
     cfg = {
         "command": "tebd",
         "model": {"model": "heisenberg", "n": 4, "j": -1.0},
-        "algorithm": {"mode": "ground", "max_sweeps_per_tau": 0},
+        "algorithm": {"mode": "ground", "max_sweeps_per_tau": 1},
         "output": {"path": str(out)},
     }
     assert main(["--config", write_cfg(tmp_path, cfg)]) == 0

@@ -16,7 +16,7 @@ from tnkit import (
 )
 from tnkit import decomp, trg
 from tnkit.decomp import block_svd, partial_svd
-from tnkit.errors import AllZero, NotHermitian, NotSquare, NumericalFailure
+from tnkit.errors import AllZero, NotHermitian, NotSquare, NumericalFailure, RankUnsupported
 
 rng = np.random.default_rng(7)
 
@@ -268,6 +268,13 @@ def test_block_svd_redoes_a_failed_stacked_call_one_sector_at_a_time(monkeypatch
     monkeypatch.setattr(np.linalg, "svd", failing_svd())
     with pytest.raises(NumericalFailure):
         block_svd(mat, pair, pair, spec, partial=True)
+
+
+@pytest.mark.parametrize("op", [svd, lambda m: partial_svd(m, 1), mera_update], ids=["svd", "partial_svd", "mera_update"])
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2)], ids=["rank1", "rank3"])
+def test_matrix_routines_refuse_other_ranks(op, shape):
+    with pytest.raises(RankUnsupported, match=f"rank-2 tensor, got rank {len(shape)}"):
+        op(np.ones(shape))
 
 
 def test_eig_hermitian_reconstructs():

@@ -105,6 +105,38 @@ def test_sweep_equals_successive_gate_applications(direction):
     np.testing.assert_allclose(to_state_vector(got), to_state_vector(ref), atol=1e-12)
 
 
+def test_drivers_build_no_mps_per_sweep(monkeypatch):
+    # a run works on one chain and validates one MPS when it returns, whatever its length
+    builds = []
+    post_init = MPS.__post_init__
+    monkeypatch.setattr(MPS, "__post_init__", lambda self: builds.append(1) or post_init(self))
+
+    def count(run):
+        builds.clear()
+        return run(), len(builds)
+
+    def ground(max_sweeps):
+        return find_ground_state("heisenberg", 6, j=-1.0, schedule=(0.1, 0.01), max_sweeps_per_tau=max_sweeps)
+
+    (short, few), (long, many) = count(lambda: ground(1)), count(lambda: ground(200))
+    assert short.n_sweeps == 2 and long.n_sweeps > 300
+    assert few == many <= 3  # the seed state (two builds) and the result
+    neel = initial_product_state("heisenberg", 6)
+    counts = [count(lambda: evolve_real_time(neel, "heisenberg", -1.0, 0.05, n))[1] for n in (1, 200)]
+    assert counts == [1, 1]
+
+
+def test_zero_real_time_steps_return_the_input_state():
+    state = move_center(initial_product_state("heisenberg", 6), 2)
+    rep = evolve_real_time(state, "heisenberg", -1.0, 0.05, 0)
+    assert rep.state.center == state.center == 2
+    for got, want in [(rep.state.sites, state.sites), (rep.state.charges, state.charges)]:
+        assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert np.array_equal(rep.state.phys_charges, state.phys_charges)
+    assert rep.times.size == rep.energy_trace.size == rep.norm_trace.size == 0
+    assert rep.max_discarded_weight == 0.0
+
+
 def test_ising_ferromagnet_converges_to_aligned_energy():
     n = 8
     rep = find_ground_state("ising_nn", n, j=1.0, spec=TruncationSpec(chi_max=8))
