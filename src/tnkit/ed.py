@@ -6,7 +6,10 @@ Two routes with very different cost profiles:
   Hermitian eigensolver — exact reference values, at most 4096 basis states.
 * :func:`solve_iterative` runs block Lanczos as one Rayleigh–Ritz loop:
   each block of matvecs extends one orthonormal basis, and the Ritz pairs
-  come from the full projected matrix QᴴHQ. The operator is never
+  come from the block-tridiagonal projection of H on it (H maps each block
+  into the blocks up to the next one). A new block reads the basis twice,
+  in one full reorthogonalization pass that also removes the rounding left
+  along older blocks. The operator is never
   densified: :func:`mpo_matvec` applies it to the whole block in one pass:
   the leading sites are folded into one GEMM, then one matrix product per
   remaining site on a state that is never transposed or copied, so the
@@ -114,15 +117,18 @@ def solve_iterative(
     The block size equals ``n_states``, so degenerate levels are resolved up
     to that multiplicity (a single-vector iteration provably cannot see more
     than one copy per starting vector). Each block of matvecs extends one
-    orthonormal basis, and the Ritz pairs come from the full projected matrix
-    QᴴHQ (Rayleigh–Ritz), so no eigenvalue estimate can fall below the
-    spectrum. Each block costs one :func:`mpo_matvec` pass, and
-    ``n_matvecs`` still counts vectors. Rank loss inside a block — an
-    exhausted invariant subspace — is repaired with random directions
-    orthogonal to everything built so far.
-    Random directions are real (generic for complex Hermitian H too).
-    Deterministic for a fixed ``seed``. Raises NoConvergence if the residuals
-    have not dropped below ``tol`` after ``max_iter`` matvecs.
+    orthonormal basis, and the Ritz pairs come from a block-tridiagonal
+    projection (Rayleigh–Ritz): H times a block lies in the blocks up to the
+    next one (a random refill only adds directions there), so QᴴHQ vanishes
+    between blocks two or more apart and the first pass projects a new block
+    onto itself and the previous one. The projection is variational up to
+    the rounding that the full reorthogonalization of each new block
+    removes. Each block costs one :func:`mpo_matvec` pass, and ``n_matvecs``
+    still counts vectors. Rank loss inside a block — an exhausted invariant
+    subspace — is repaired with random directions orthogonal to everything
+    built so far. Random directions are real (generic for complex Hermitian
+    H too). Deterministic for a fixed ``seed``. Raises NoConvergence if the
+    residuals have not dropped below ``tol`` after ``max_iter`` matvecs.
     """
     dim = op.phys_dim**op.n_sites
     if dim > _ITER_DIM_CAP:
@@ -169,15 +175,17 @@ def solve_iterative(
         raise NoConvergence("could not extend the Krylov basis")
 
     extend(rng.standard_normal((p, dim)), 0, p)
-    start, k, n_matvecs = 0, p, 0
+    prev, start, k, n_matvecs = 0, 0, p, 0
     while True:
         w = mpo_matvec(op, q[start:k])
         n_matvecs += k - start
-        # first reorthogonalization pass; the basis on the left makes it one GEMM
-        # with k rows, not p, and conjugates w instead of a copy of q[:k]
-        c = (q[:k] @ w.conj().T).conj().T
-        w -= c @ q[:k]
-        proj[start:k, :k] = c.conj()  # rows of QᴴHQ; eigh reads the lower triangle
+        # first pass, on this block and the previous one only: QᴴHQ is
+        # block-tridiagonal, and extend's full pass removes what rounding
+        # leaves along older blocks. The basis on the left conjugates w
+        # instead of a copy of the basis.
+        c = (q[prev:k] @ w.conj().T).conj().T
+        w -= c @ q[prev:k]
+        proj[start:k, prev:k] = c.conj()  # eigh reads the lower triangle
         theta, s = np.linalg.eigh(proj[:k, :k])
 
         # true residual norms: |H y - theta y| = |s_block^T w| for Ritz vectors y
@@ -192,7 +200,7 @@ def solve_iterative(
                 f"block Lanczos did not reach tol={tol} within {max_iter} matvecs"
             )
         extend(w, k, p_next)
-        start, k = k, k + p_next
+        prev, start, k = start, k, k + p_next
 
     vectors = q[:k].T @ s[:, :p]
     vectors /= np.linalg.norm(vectors, axis=0, keepdims=True)

@@ -236,6 +236,8 @@ def check_ed_iterative() -> CriterionResult:
     cases = [(build_ising_nnn(7, 1.0, 0.5), ("ising_nnn", 7, {"j1": 1.0, "j2": 0.5}), k, 5) for k in (3, 4)]
     cases += [(build_heisenberg(6, 1.0), ("heisenberg", 6, {"j": 1.0}), 3, seed) for seed in range(6)]
     cases.append((build_heisenberg(8, -1.0), ("heisenberg", 8, {"j": -1.0}), 3, 7))
+    # a long run (126 matvecs): the most blocks for rounding along old ones to pile up on
+    cases.append((build_heisenberg(10, -1.0), ("heisenberg", 10, {"j": -1.0}), 3, 7))
     worst = 0.0
     for op, (model, n, kw), k, seed in cases:
         ref = np.linalg.eigvalsh(_oracle_hamiltonian(model, n, **kw))[:k]

@@ -200,6 +200,38 @@ def test_iterative_stays_variational_on_degenerate_spectra(op, n_states, seed):
     np.testing.assert_allclose(v.conj().T @ v, np.eye(n_states), atol=1e-10)
 
 
+SWEEP_MODELS = {
+    "ising_nn": lambda n: build_ising_nn(n, j=1.0),
+    "ising_nnn": lambda n: build_ising_nnn(n, j1=1.0, j2=0.5),
+    "heisenberg_fm": lambda n: build_heisenberg(n, j=1.0),
+    "heisenberg_afm": lambda n: build_heisenberg(n, j=-1.0),
+    "exp_decay": lambda n: build_exp_decay(n, xi=2.0, j=1.0),
+    "xx_dm": lambda n: xx_dm_mpo(n, j=1.0, dm=0.7),
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEP_MODELS))
+def test_iterative_agrees_with_dense_over_sizes_blocks_and_seeds(name):
+    # differential sweep: a projection that drops a coupling the recurrence
+    # reaches, or a reorthogonalization that misses older blocks, shows as
+    # energies off the dense spectrum or vectors that are not orthonormal
+    failures, worst = [], 0.0
+    for n in range(3, 9):
+        op = SWEEP_MODELS[name](n)
+        dense = solve_dense(op, n_states=5).energies
+        for n_states in (1, 2, 3, 5):
+            ref = dense[:n_states]
+            for seed in range(4):
+                got = solve_iterative(op, n_states=n_states, seed=seed)
+                err = float(np.max(np.abs(got.energies - ref)))
+                gram = got.vectors.conj().T @ got.vectors
+                ortho = float(np.max(np.abs(gram - np.eye(n_states))))
+                worst = max(worst, err)
+                if err > 1e-9 or np.any(got.energies < ref - 1e-10) or ortho > 1e-10:
+                    failures.append((n, n_states, seed, err, ortho))
+    assert not failures, f"{len(failures)} of 96 runs fail, max|dE|={worst:.2e}: {failures[:5]}"
+
+
 def test_iterative_vectors_satisfy_eigenvalue_equation():
     op = build_ising_nnn(7, j1=0.8, j2=0.3)
     got = solve_iterative(op, n_states=2)
