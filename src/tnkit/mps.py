@@ -4,8 +4,11 @@ Site tensors are rank-3 read-only numpy arrays with axes ``(left link,
 physical, right link)``; both chain ends carry dummy links of extent 1. The
 algorithms below call numpy on them directly. A state built from a vector is
 in mixed-canonical form: every site left of the orthogonality ``center`` is a
-left isometry, every site right of it a right isometry, so local
-measurements reduce to a three-tensor contraction at the center.
+left isometry, every site right of it a right isometry. Gauge moves,
+gates, ``bond_entropies`` and ``correlation_length`` trust that claim, so a
+state in no such form must carry ``center=None``. Measurements trust no
+gauge: every overlap, norm and expectation value is one zipper of the chain
+with its conjugate, O(N d chi^3), which runs no SVD.
 
 Flat state vectors use the package-wide linearization: site 0 is the fastest
 index, i.e. ``psi[s0 + d*(s1 + d*(s2 + ...))]``. Construction peels one site
@@ -16,13 +19,13 @@ Charges. An :class:`MPS` carries one integer charge per index of each of its
 N+1 links (``charges``, the boundary links included) and one per physical
 index (``phys_charges``); site i may be nonzero only where ``charges[i][l] +
 phys_charges[s] == charges[i + 1][r]``, so a link's charge is the total
-charge of the sites to its left. Every SVD here (gauge moves, two-site gates,
-``mps_from_state_vector``) is :func:`~tnkit.decomp.block_svd` in these
-charge sectors, never sketched, so each sector of a kept link is a
-contiguous range. Storage and contractions stay dense. A state built
-without labels has every charge 0: one sector, the plain truncated SVD.
-``tebd.initial_product_state`` labels the Heisenberg Néel state by 2·Sz;
-every other constructor here returns an unlabelled state. Labels are
+charge of the sites to its left. Every SVD of a gauge move or a two-site
+gate is :func:`~tnkit.decomp.block_svd` in these charge sectors, never
+sketched, so each sector of a kept link is a contiguous range. Storage and
+contractions stay dense. A state built without labels has every charge 0:
+one sector, the plain truncated SVD, which ``mps_from_state_vector`` calls
+directly. ``tebd.initial_product_state`` labels the Heisenberg Néel state
+by 2·Sz; every other constructor here returns an unlabelled state. Labels are
 dropped wherever the charge is not known to be conserved: ``gauge_insert``
 and ``mps_from_json`` return unlabelled states (the JSON format has no
 charges), and a gate with a nonzero entry between pair states of different
@@ -34,9 +37,9 @@ Operations never mutate: each returns a fresh :class:`MPS`, and every site
 an :class:`MPS` holds is a read-only view. Operators and gates are passed in
 as arrays and shape-checked once, where they enter. ``gauge_insert``
 deliberately breaks canonical structure (it is a test hook for gauge
-invariance), so the state it returns carries ``center=None`` and
-measurements on it re-canonicalize first. ``mps_to_json`` writes each site
-in :meth:`~tnkit.tensors.DenseTensor.dump` form.
+invariance), so the state it returns carries ``center=None``, which only
+gauge moves read: they canonicalize such a state first. ``mps_to_json``
+writes each site in :meth:`~tnkit.tensors.DenseTensor.dump` form.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decomp import UNTRUNCATED, TruncationSpec, block_svd, entanglement_entropy
+from .decomp import UNTRUNCATED, TruncationSpec, block_svd, entanglement_entropy, truncated_svd
 from .errors import (
     AllZero,
     BadLength,
@@ -198,8 +201,8 @@ def mps_from_state_vector(
     rest = d ** (n - 1)
     m = flat.reshape(d, rest, order="F")
     for i in range(n - 1):
-        unlabelled = np.zeros(m.shape[0], np.int64), np.zeros(m.shape[1], np.int64)
-        u, dv, *_ = _split(m, *unlabelled, spec, "right")
+        res = truncated_svd(m, spec)
+        u, dv = res.u, res.d[:, None] * res.v_dag
         k = u.shape[1]
         sites.append(u.reshape(lind, d, k, order="F"))
         if i == n - 2:
@@ -386,15 +389,25 @@ def gauge_insert(m: MPS, bond: int, x) -> MPS:
 # ---------------------------------------------------------------------------
 
 
+def _sandwich(bra: MPS, ket: MPS, ops: dict[int, np.ndarray]) -> complex:
+    """<bra| prod_s O_s |ket> by one left-to-right zipper, O(N * d * chi^3), in any gauge.
+
+    ``ops`` maps a site to the (d, d) operator contracted into the ket there.
+    """
+    env = np.ones((1, 1))  # (bra link, ket link)
+    for s, (ta, tb) in enumerate(zip(bra.sites, ket.sites)):
+        if s in ops:
+            tb = np.tensordot(ops[s], tb, axes=([1], [1])).transpose(1, 0, 2)  # (l, phys', r)
+        t1 = np.tensordot(env, ta.conj(), axes=([0], [0]))  # (ket, phys, bra')
+        env = np.tensordot(t1, tb, axes=([0, 1], [0, 1]))  # (bra', ket')
+    return _scalar(env)
+
+
 def inner_product(a: MPS, b: MPS) -> complex:
     """Zipper overlap <a|b>, O(N * d * chi^3)."""
     if a.n_sites != b.n_sites or a.phys_dim != b.phys_dim:
         raise ShapeMismatch("states live on different site spaces")
-    env = np.ones((1, 1))  # (bra link, ket link)
-    for ta, tb in zip(a.sites, b.sites):
-        t1 = np.tensordot(env, ta.conj(), axes=([0], [0]))  # (ket, phys, bra')
-        env = np.tensordot(t1, tb, axes=([0, 1], [0, 1]))  # (bra', ket')
-    return _scalar(env)
+    return _sandwich(a, b, {})
 
 
 def norm_squared(m: MPS) -> float:
@@ -402,22 +415,17 @@ def norm_squared(m: MPS) -> float:
 
 
 def expect_local(m: MPS, op, site: int) -> complex:
-    """<psi| O_site |psi> / <psi|psi> via the center three-tensor contraction."""
+    """<psi| O_site |psi> / <psi|psi>, each a zipper over the whole chain; any gauge."""
     if not 0 <= site < m.n_sites:
         raise ValueError(f"site {site} out of range")
     op = np.asarray(op)
     if op.shape != (m.phys_dim, m.phys_dim):
         raise ShapeMismatch(f"operator must be ({m.phys_dim}, {m.phys_dim})")
-    mc = move_center(m, site)
-    a = mc.sites[site]
-    t1 = np.tensordot(op, a, axes=([1], [1])).transpose(1, 0, 2)  # (l, phys', r)
-    num = _scalar(np.tensordot(a.conj(), t1, axes=([0, 1, 2], [0, 1, 2])))
-    den = _scalar(np.tensordot(a.conj(), a, axes=([0, 1, 2], [0, 1, 2]))).real
-    return num / den
+    return _sandwich(m, m, {site: op}) / norm_squared(m)
 
 
 def expect_two_site(m: MPS, op_i, i: int, op_j, j: int) -> complex:
-    """Normalized <O_i O_j> for i < j, zippered between the two sites."""
+    """<psi| O_i O_j |psi> / <psi|psi> for i < j, each a zipper over the whole chain; any gauge."""
     if not (0 <= i < m.n_sites and 0 <= j < m.n_sites):
         raise ValueError(f"sites ({i}, {j}) out of range")
     if i >= j:
@@ -427,19 +435,7 @@ def expect_two_site(m: MPS, op_i, i: int, op_j, j: int) -> complex:
     for name, op in (("op_i", op_i), ("op_j", op_j)):
         if op.shape != (d, d):
             raise ShapeMismatch(f"{name} must be ({d}, {d})")
-    mc = move_center(m, i)
-    a = mc.sites[i]
-    t1 = np.tensordot(op_i, a, axes=([1], [1])).transpose(1, 0, 2)  # (l, phys', r)
-    env = np.tensordot(a.conj(), t1, axes=([0, 1], [0, 1]))  # (bra r, ket r)
-    for k in range(i + 1, j):
-        t = np.tensordot(env, mc.sites[k], axes=([1], [0]))  # (bra, phys, ket)
-        env = np.tensordot(mc.sites[k].conj(), t, axes=([0, 1], [0, 1]))
-    aj = mc.sites[j]
-    t = np.tensordot(env, aj, axes=([1], [0]))  # (bra, phys, ket r)
-    t2 = np.tensordot(op_j, t, axes=([1], [1])).transpose(1, 0, 2)  # (bra, phys', ket r)
-    num = _scalar(np.tensordot(aj.conj(), t2, axes=([0, 1, 2], [0, 1, 2])))
-    den = _scalar(np.tensordot(a.conj(), a, axes=([0, 1, 2], [0, 1, 2]))).real
-    return num / den
+    return _sandwich(m, m, {i: op_i, j: op_j}) / norm_squared(m)
 
 
 def apply_two_site_gate(

@@ -100,13 +100,13 @@ def _sweep(chain: _Chain, g: np.ndarray, spec: TruncationSpec, direction: str) -
 
 
 def measure_energy(state: MPS, h: MPO) -> float:
-    """<H> normalized by the state's norm squared, by the MPO zipper.
+    """<H> / <psi|psi>, both by zippers over the whole chain; any gauge, any MPO.
 
-    Any gauge, any MPO; the TEBD drivers use :func:`_bond_energy` instead.
-    Raises NumericalFailure if the norm squared is 0 or not finite, or if
-    <H> is not finite.
+    The TEBD drivers use :func:`_bond_energy` instead. Raises
+    NumericalFailure if the norm squared is 0 or not finite, or if <H> is
+    not finite.
     """
-    den = _center_norm_squared(state)
+    den = _normalizable(norm_squared(state))
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         energy = mpo_expectation(state, h).real / den
     if not np.isfinite(energy):
@@ -140,11 +140,13 @@ def _bond_energy(state: MPS | _Chain, pair: np.ndarray) -> tuple[float, float]:
 
 
 def _center_norm_squared(state: MPS | _Chain) -> float:
-    if state.center is None:
-        nrm2 = norm_squared(state)  # no trustworthy gauge; full zipper
-    else:
-        c = state.sites[state.center]
-        nrm2 = float(np.tensordot(c.conj(), c, axes=([0, 1, 2], [0, 1, 2])).real)
+    """<psi|psi> of a state whose sites off its center are isometries, from the center site alone."""
+    c = state.sites[state.center]
+    return _normalizable(float(np.tensordot(c.conj(), c, axes=([0, 1, 2], [0, 1, 2])).real))
+
+
+def _normalizable(nrm2: float) -> float:
+    """``nrm2``, or NumericalFailure unless it is positive and finite."""
     if not (0.0 < nrm2 < np.inf):
         raise NumericalFailure(f"state norm squared is {nrm2}; cannot normalize")
     return nrm2

@@ -618,5 +618,45 @@ def test_verify_command_runs_a_suite(tmp_path, capsys):
     assert "svd_examples" in names and "mera_optimality" in names
 
 
+
+def test_real_time_tebd_record(tmp_path):
+    out = tmp_path / "rt.csv"
+    cfg = {
+        "command": "tebd",
+        "model": {"model": "heisenberg", "n": 8, "j": -1.0},
+        "algorithm": {"mode": "real_time", "chi_max": 2, "dt": 0.05, "n_steps": 6},
+        "output": {"path": str(out), "format": "csv"},
+    }
+    metrics = run(parse_config(json.dumps(cfg)))["metrics"]
+    rows = load_record(str(out))
+    assert [int(r["step"]) for r in rows] == list(range(6))
+    np.testing.assert_allclose([float(r["time"]) for r in rows], 0.05 * np.arange(1, 7), rtol=1e-15, atol=0.0)
+    assert metrics["max_discarded_weight"] > 0.0  # chi 2 truncates, and truncation only loses norm
+    assert metrics["final_norm"] < 1.0
+    assert metrics["final_bond_dims"] == [2] * 7
+
+
+@pytest.mark.parametrize(
+    "state, n, chi, entropy",
+    [("ghz", 20, 2, 1.0), ("neel", 9, 1, 0.0), ("all_up", 9, 1, 0.0)],
+)
+def test_mps_info_records_of_the_named_states(state, n, chi, entropy):
+    cfg = {"command": "mps-info", "algorithm": {"state": state, "n": n}}
+    metrics = run(parse_config(json.dumps(cfg)))["metrics"]
+    assert metrics["n_sites"] == n and metrics["bond_dims"] == [chi] * (n - 1)
+    np.testing.assert_allclose(metrics["entropies"], entropy, atol=1e-12)
+    assert metrics["norm"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_more_exit_codes(tmp_path, capsys):
+    ghz = write_cfg(tmp_path, {"command": "mps-info", "algorithm": {"state": "ghz", "n": 21}}, "ghz.json")
+    assert main(["--config", ghz]) == 4
+    assert main(["--config", write_cfg(tmp_path, ED_CFG), "--seed", "-1"]) == 1
+    assert "--seed must be non-negative" in capsys.readouterr().err
+    corr = {"command": "corr", "model": {"model": "ising_nn", "n": 12}, "algorithm": {"fit_range": [4, 2]}}
+    assert main(["--config", write_cfg(tmp_path, corr, "corr.json")]) == 2
+    assert "entries must increase" in capsys.readouterr().err
+
+
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])

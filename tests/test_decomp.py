@@ -301,3 +301,23 @@ def test_mera_update_maximizes_the_trace():
         q, r = np.linalg.qr(random_matrix(5, 5))
         q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
         assert np.real(np.trace(q @ gamma)) <= best + 1e-10
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: TruncationSpec(chi_max=0), ValueError, id="chi-max-zero"),
+        pytest.param(lambda: TruncationSpec(cutoff=-0.1), ValueError, id="cutoff-negative"),
+        pytest.param(lambda: TruncationSpec(cutoff=1.0), ValueError, id="cutoff-one"),
+        pytest.param(lambda: TruncationSpec(cutoff=float("nan")), ValueError, id="cutoff-nan"),
+        pytest.param(lambda: mera_update(np.ones((2, 3))), NotSquare, id="mera-non-square"),
+    ],
+)
+def test_decomp_guards(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_an_all_zero_spectrum_keeps_the_cap_whatever_the_cutoff():
+    assert select_rank(np.zeros(5), TruncationSpec(cutoff=0.1)) == 5
+    assert select_rank(np.zeros(5), TruncationSpec(chi_max=3, cutoff=0.1)) == 3

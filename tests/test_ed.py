@@ -270,5 +270,14 @@ def test_size_caps():
         solve_iterative(build_ising_nn(40, j=1.0))
 
 
+
+def test_iterative_stops_once_the_basis_spans_the_space():
+    # tol = 0 is never met, so only the exhausted space ends the loop, after dim matvecs
+    op = build_heisenberg(3, j=-1.0)
+    res = solve_iterative(op, n_states=2, tol=0.0, max_iter=400, seed=3)
+    assert res.n_matvecs == 8
+    np.testing.assert_allclose(res.energies, solve_dense(op, n_states=2).energies, atol=1e-12)
+
+
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])

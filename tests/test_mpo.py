@@ -16,7 +16,7 @@ from tnkit import (
     product_mps,
     two_site_matrix,
 )
-from tnkit.errors import BadXi, TooFewSites, TooLarge
+from tnkit.errors import BadXi, ExtentMismatch, ShapeMismatch, TooFewSites, TooLarge
 
 rng = np.random.default_rng(404)
 
@@ -131,6 +131,30 @@ def test_bad_arguments():
         build_ising_nn(1)
     with pytest.raises(TooFewSites):
         build_heisenberg(0)
+
+
+
+def _mpo(*shapes, left=3, right=3):
+    return MPO(tuple(np.zeros(sh) for sh in shapes), np.zeros(left), np.zeros(right))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: _mpo((3, 2, 2, 3)), TooFewSites, id="one-site"),
+        pytest.param(lambda: _mpo((3, 2, 2, 3), (3, 2, 2)), ShapeMismatch, id="site-rank"),
+        pytest.param(lambda: _mpo((3, 2, 2, 3), (3, 2, 3, 3)), ShapeMismatch, id="phys-extent"),
+        pytest.param(lambda: _mpo((3, 2, 2, 4), (3, 2, 2, 3)), ExtentMismatch, id="link-extent"),
+        pytest.param(lambda: _mpo((3, 2, 2, 3), (3, 2, 2, 3), left=2), ExtentMismatch, id="left-bvec"),
+        pytest.param(lambda: _mpo((3, 2, 2, 3), (3, 2, 2, 3), right=4), ExtentMismatch, id="right-bvec"),
+        pytest.param(
+            lambda: mpo_expectation(product_mps([[1.0, 0.0]] * 5), build_ising_nn(4)), ShapeMismatch, id="expectation-sites"
+        ),
+    ],
+)
+def test_mpo_guards(call, error):
+    with pytest.raises(error):
+        call()
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from tnkit import (
     gauge_insert,
     initial_product_state,
     inner_product,
+    measure_energy,
     move_center,
     mps_from_json,
     mps_from_state_vector,
@@ -45,7 +46,17 @@ from tnkit import (
     truncated_svd,
 )
 from tnkit.decomp import _layout
-from tnkit.errors import AllZero, BadLength, BadOrder, NotNormalized, NumericalFailure, ShapeMismatch, Singular
+from tnkit.errors import (
+    AllZero,
+    BadLength,
+    BadOrder,
+    ExtentMismatch,
+    NotNormalized,
+    NumericalFailure,
+    ShapeMismatch,
+    Singular,
+    TooLarge,
+)
 from tnkit.mps import _split
 from tnkit.verify import off_block_max
 
@@ -562,6 +573,113 @@ def test_labels_are_dropped_where_the_charge_is_not_conserved(rng):
     # a charge-conserving gate keeps them
     out, _ = apply_two_site_gate(neel, bond_gate("heisenberg", -1.0, 0.3, "real"), 2)
     assert not unlabelled(out) and off_block_max(out) == 0.0
+
+
+
+def test_measurements_never_factorize(monkeypatch, rng):
+    m = random_mps(7, 2, 5, rng)
+    chi = m.sites[3].shape[2]
+    g = gauge_insert(m, 3, np.eye(chi) + 0.4 * rng.standard_normal((chi, chi)))
+    h = build_heisenberg(7, j=-1.0)
+    measurements = {
+        "inner_product": lambda: inner_product(m, g),
+        "norm_squared": lambda: norm_squared(g),
+        "expect_local": lambda: expect_local(g, SZ, 4),
+        "expect_two_site": lambda: expect_two_site(g, SX, 1, SZ, 5),
+        "connected_correlation": lambda: connected_correlation(g, SZ, 2, 6),
+        "measure_energy": lambda: measure_energy(g, h),
+    }
+    want = {name: measure() for name, measure in measurements.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a measurement factorized the state")
+
+    monkeypatch.setattr("tnkit.mps.block_svd", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for name, measure in measurements.items():
+        assert abs(measure() - want[name]) <= 1e-12, name
+
+
+def test_measurements_hold_in_any_gauge(rng):
+    # the claimed center 2 is not an orthogonality center: no site is an isometry
+    n, dims = 6, (1, 2, 4, 4, 4, 2, 1)
+    shapes = [(dims[s], 2, dims[s + 1]) for s in range(n)]
+    m = MPS(tuple(rng.standard_normal(sh) + 1j * rng.standard_normal(sh) for sh in shapes), center=2)
+    psi = to_state_vector(m)
+    nrm2 = np.vdot(psi, psi).real
+    for state in (m, mps_from_json(mps_to_json(m))):
+        assert state.center == 2
+        for s in range(n):
+            want = np.vdot(psi, kron_site(SZ, s, n) @ psi) / nrm2
+            assert abs(expect_local(state, SZ, s) - want) <= 1e-12
+        for i, j in ((0, 5), (1, 2), (2, 4), (3, 5)):
+            want = np.vdot(psi, kron_site(SX, i, n) @ kron_site(SZ, j, n) @ psi) / nrm2
+            assert abs(expect_two_site(state, SX, i, SZ, j) - want) <= 1e-12
+
+
+def test_state_vectors_are_peeled_without_the_block_layout_cache(rng):
+    before = _layout.cache_info()
+    m = mps_from_state_vector(random_state(rng, 9), 2, TruncationSpec(chi_max=6))
+    assert max(m.bond_dims()) == 6
+    assert _layout.cache_info() == before
+
+
+def _no_square_site():
+    """4 sites with links (2, 4, 2): every site's links differ."""
+    return mps_from_state_vector(np.eye(16)[3], 2)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda m: MPS((), center=None), BadLength, id="no-sites"),
+        pytest.param(lambda m: MPS((np.ones((1, 2)),), center=0), ShapeMismatch, id="site-rank"),
+        pytest.param(lambda m: MPS((np.ones((1, 2, 1)), np.ones((1, 3, 1))), 0), ShapeMismatch, id="phys-extent"),
+        pytest.param(lambda m: MPS((np.ones((1, 2, 2)), np.ones((3, 2, 1))), 0), ExtentMismatch, id="link-extent"),
+        pytest.param(lambda m: MPS((np.ones((2, 2, 1)),), 0), ExtentMismatch, id="boundary-extent"),
+        pytest.param(lambda m: MPS(m.sites, center=5), ValueError, id="center-past-end"),
+        pytest.param(lambda m: MPS(m.sites, center=-1), ValueError, id="center-negative"),
+        pytest.param(lambda m: mps_from_state_vector([1.0], 1), BadLength, id="from-vector-d1"),
+        pytest.param(lambda m: to_state_vector(product_mps([[1.0, 0.0]] * 21)), TooLarge, id="densify-21-sites"),
+        pytest.param(lambda m: move_center(m, 5), ValueError, id="move-center-target"),
+        pytest.param(lambda m: canonicalize(m, -1), ValueError, id="canonicalize-target"),
+        pytest.param(lambda m: gauge_insert(m, 4, np.eye(1)), ValueError, id="gauge-bond"),
+        pytest.param(lambda m: gauge_insert(m, 1, np.eye(3)), ShapeMismatch, id="gauge-shape"),
+        pytest.param(lambda m: inner_product(m, product_mps([[1.0, 0.0]] * 4)), ShapeMismatch, id="inner-sites"),
+        pytest.param(lambda m: inner_product(m, product_mps([[1.0, 0.0, 0.0]] * 5)), ShapeMismatch, id="inner-phys"),
+        pytest.param(lambda m: expect_local(m, SZ, 5), ValueError, id="local-site"),
+        pytest.param(lambda m: expect_local(m, np.eye(3), 0), ShapeMismatch, id="local-op"),
+        pytest.param(lambda m: expect_two_site(m, SZ, -1, SZ, 2), ValueError, id="two-site-i"),
+        pytest.param(lambda m: expect_two_site(m, SZ, 0, SZ, 5), ValueError, id="two-site-j"),
+        pytest.param(lambda m: expect_two_site(m, np.eye(3), 0, SZ, 1), ShapeMismatch, id="two-site-op-i"),
+        pytest.param(lambda m: expect_two_site(m, SZ, 0, np.eye(3), 1), ShapeMismatch, id="two-site-op-j"),
+        pytest.param(lambda m: apply_two_site_gate(m, np.eye(4), 4), ValueError, id="gate-site"),
+        pytest.param(lambda m: apply_two_site_gate(m, np.eye(2), 0), ShapeMismatch, id="gate-shape"),
+        pytest.param(lambda m: apply_two_site_gate(m, np.eye(4), 0, direction="up"), ValueError, id="gate-direction"),
+        pytest.param(lambda m: correlation_length(_no_square_site()), ShapeMismatch, id="transfer-no-square-site"),
+    ],
+)
+def test_mps_guards(rng, call, error):
+    with pytest.raises(error):
+        call(random_mps(5, 2, 4, rng))
+
+
+def test_mps_edge_cases_return_their_flags():
+    one = mps_from_state_vector([0.6, 0.8j], 2)
+    assert one.n_sites == 1 and one.center == 0
+    np.testing.assert_array_equal(to_state_vector(one), [0.6, 0.8j])
+    ghz = np.zeros(2**7)
+    ghz[0] = ghz[-1] = 1 / np.sqrt(2)
+    assert correlation_length(mps_from_state_vector(ghz, 2)).xi == np.inf  # degenerate leading pair
+    # a left isometry on chi = 2 whose transfer matrix is triangular with spectrum (1, 0, 0, 0)
+    bulk = np.zeros((2, 2, 2))
+    bulk[0, 0, 0] = bulk[0, 1, 1] = 1.0
+    right = np.zeros((2, 2, 1))
+    right[0, 0, 0] = right[1, 1, 0] = 1.0
+    rep = correlation_length(MPS((bulk[:1],) + (bulk,) * 5 + (right,), center=None))
+    assert rep.xi == 0.0 and rep.transfer_eigs.size == 4
+    xs = np.arange(1.0, 6.0)
+    assert fit_exponential_decay(xs, 0.1 * np.exp(xs / 3.0))[0] == np.inf  # growing data: no decay
 
 
 if __name__ == "__main__":

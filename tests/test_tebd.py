@@ -409,5 +409,18 @@ def test_small_ground_search_and_quench_keep_their_trajectory():
     np.testing.assert_allclose(quench.energy_trace[[0, 9, 19, 39]], want, rtol=1e-12, atol=0.0)
 
 
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: model_mpo("exp_decay", 6), id="model-mpo"),
+        pytest.param(lambda: initial_product_state("ising_nnn", 6), id="initial-state"),
+    ],
+)
+def test_tebd_guards(call):
+    with pytest.raises(UnsupportedModel):
+        call()
+
+
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])

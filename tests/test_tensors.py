@@ -151,3 +151,23 @@ def test_dump_load_round_trip():
     back = DenseTensor.load(t.dump())
     assert back.shape == t.shape
     np.testing.assert_array_equal(back.data, t.data)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda t: DenseTensor((2, 0), []), ExtentMismatch, id="zero-extent"),
+        pytest.param(lambda t: t[0, 1], InvalidAxis, id="index-count"),
+        pytest.param(lambda t: t[0, 3, 0], InvalidAxis, id="index-past-end"),
+        pytest.param(lambda t: t[-1, 0, 0], InvalidAxis, id="index-negative"),
+        pytest.param(lambda t: contract(t, [0, 0], t, [0, 1]), InvalidAxis, id="axes-repeated"),
+        pytest.param(lambda t: contract(t, [0, 1], t, [0]), InvalidAxis, id="axes-unequal"),
+    ],
+)
+def test_tensor_guards(call, error):
+    with pytest.raises(error):
+        call(DenseTensor((2, 3, 2), np.arange(12.0)))
+
+
+def test_a_vector_takes_a_scalar_index():
+    assert DenseTensor((3,), [1.0, 2.0, 3.0])[2] == 3.0

@@ -340,5 +340,12 @@ def test_matches_onsager_solution():
         assert abs(rep.lnz_per_site - onsager_lnz_per_site(beta)) < tol
 
 
+
+@pytest.mark.parametrize("j", [float("inf"), float("-inf"), float("nan")])
+def test_a_non_finite_coupling_is_rejected(j):
+    with pytest.raises(BadBeta, match="coupling"):
+        initial_state(0.4, j)
+
+
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])
