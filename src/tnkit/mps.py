@@ -2,13 +2,13 @@
 
 Site tensors are rank-3 read-only numpy arrays with axes ``(left link,
 physical, right link)``; both chain ends carry dummy links of extent 1. The
-algorithms below call numpy on them directly. A state built from a vector is
-in mixed-canonical form: every site left of the orthogonality ``center`` is a
-left isometry, every site right of it a right isometry. Gauge moves,
-gates, ``bond_entropies`` and ``correlation_length`` trust that claim, so a
-state in no such form must carry ``center=None``. Measurements trust no
-gauge: every overlap, norm and expectation value is one zipper of the chain
-with its conjugate, O(N d chi^3), which runs no SVD.
+algorithms below call numpy on them directly. tnkit records the
+orthogonality ``center`` of every state it makes: every site left of it is a
+left isometry, every site right of it a right isometry. A state built from
+its sites alone, ``MPS(sites)``, has ``center=None``, and the first gauge
+move canonicalizes it. Measurements read no gauge: every overlap, norm and
+expectation value is one zipper of the chain with its conjugate, O(N d
+chi^3), which runs no SVD.
 
 Flat state vectors use the package-wide linearization: site 0 is the fastest
 index, i.e. ``psi[s0 + d*(s1 + d*(s2 + ...))]``. Construction peels one site
@@ -17,36 +17,35 @@ push ``D·V†`` rightward; the finished state has its center on the last site.
 
 Charges. An :class:`MPS` carries one integer charge per index of each of its
 N+1 links (``charges``, the boundary links included) and one per physical
-index (``phys_charges``); site i may be nonzero only where ``charges[i][l] +
+index (``phys_charges``); site i is nonzero only where ``charges[i][l] +
 phys_charges[s] == charges[i + 1][r]``, so a link's charge is the total
-charge of the sites to its left. Every SVD of a gauge move or a two-site
-gate is :func:`~tnkit.decomp.block_svd` in these charge sectors, never
-sketched, so each sector of a kept link is a contiguous range. Storage and
-contractions stay dense. A state built without labels has every charge 0:
-one sector, the plain truncated SVD, which ``mps_from_state_vector`` calls
+charge of the sites to its left. Like the center, the labels are recorded by
+tnkit on the states it makes, never passed in. Every SVD of a gauge move or
+a two-site gate is :func:`~tnkit.decomp.block_svd` in these charge sectors,
+never sketched, so each sector of a kept link is a contiguous range. Storage
+and contractions stay dense. An unlabelled state has every charge 0: one
+sector, the plain truncated SVD, which ``mps_from_state_vector`` calls
 directly. ``tebd.initial_product_state`` labels the Heisenberg Néel state
-by 2·Sz; every other constructor here returns an unlabelled state. Labels are
-dropped wherever the charge is not known to be conserved: ``gauge_insert``
-and ``mps_from_json`` return unlabelled states (the JSON format has no
-charges), and a gate with a nonzero entry between pair states of different
-total charge unlabels the state before it acts. ``correlation_length``
-drops them too, so its transfer matrix sees both links in descending
-Schmidt-value order.
+by 2·Sz; every other constructor here, ``MPS(sites)`` included, returns an
+unlabelled state. Labels are dropped wherever the charge is not known to be
+conserved: ``gauge_insert`` and ``mps_from_json`` return ``MPS(sites)``, and
+a gate with a nonzero entry between pair states of different total charge
+unlabels the state before it acts. ``correlation_length`` drops them too,
+so its transfer matrix sees both links in descending Schmidt-value order.
 
 Operations never mutate: each returns a fresh :class:`MPS`, and every site
 an :class:`MPS` holds is a read-only view. Operators and gates are passed in
 as arrays and shape-checked once, where they enter. ``gauge_insert``
 deliberately breaks canonical structure (it is a test hook for gauge
-invariance), so the state it returns carries ``center=None``, which only
-gauge moves read: they canonicalize such a state first. ``mps_to_json``
-writes each site in :meth:`~tnkit.tensors.DenseTensor.dump` form.
+invariance). ``mps_to_json`` writes each site in
+:meth:`~tnkit.tensors.DenseTensor.dump` form, and no center or labels.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,26 +69,23 @@ _FIT_ZERO = 1e-14  # correlation magnitudes at or below this are rounding noise
 
 @dataclass(frozen=True)
 class MPS:
-    """Immutable matrix product state.
+    """Immutable matrix product state; the public constructor is ``MPS(sites)``.
 
     sites : tuple of rank-3 arrays, axes (left, physical, right). Each is
         stored as a read-only view; the array passed in is neither copied
         nor frozen.
-    center : index of the orthogonality center, or None when the gauge has
-        been deliberately broken and no canonical structure can be assumed.
-    charges : N+1 integer vectors, one charge per index of each link, the
-        two boundary links included; all zero by default. Site i may be
-        nonzero only where ``charges[i][l] + phys_charges[s] ==
-        charges[i + 1][r]``. The labels are the constructor's promise and
-        are not checked against the site data.
-    phys_charges : one integer charge per physical index; zeros by default.
+    center : the orthogonality center recorded by the tnkit operation that
+        made the state; None for ``MPS(sites)``, whose gauge is not known.
+    charges, phys_charges : read-only int64 labels, one per index of each of
+        the N+1 links and one per physical index, recorded like ``center``;
+        all zero for ``MPS(sites)``, and so after ``dataclasses.replace``.
     phys_dim : (property) the physical extent d, read off the first site.
     """
 
     sites: tuple[np.ndarray, ...]
-    center: int | None
-    charges: tuple[np.ndarray, ...] | None = None
-    phys_charges: np.ndarray | None = None
+    center: int | None = field(init=False, default=None)
+    charges: tuple[np.ndarray, ...] = field(init=False)
+    phys_charges: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sites", tuple(_read_only(t) for t in self.sites))
@@ -109,16 +105,9 @@ class MPS:
                 )
         if self.sites[0].shape[0] != 1 or self.sites[-1].shape[2] != 1:
             raise ExtentMismatch("boundary links must have extent 1")
-        if self.center is not None and not 0 <= self.center < len(self.sites):
-            raise ValueError(f"center {self.center} out of range")
         extents = [1] + [t.shape[2] for t in self.sites]
-        charges = [np.zeros(e, np.int64) for e in extents] if self.charges is None else self.charges
-        if len(charges) != len(extents):
-            raise BadLength(f"{len(charges)} link charge vectors for {len(extents)} links")
-        labels = tuple(_labels(q, e, f"link {i}") for i, (q, e) in enumerate(zip(charges, extents)))
-        object.__setattr__(self, "charges", labels)
-        qp = np.zeros(self.phys_dim, np.int64) if self.phys_charges is None else self.phys_charges
-        object.__setattr__(self, "phys_charges", _labels(qp, self.phys_dim, "physical"))
+        object.__setattr__(self, "charges", tuple(_labels(np.zeros(e, np.int64)) for e in extents))
+        object.__setattr__(self, "phys_charges", _labels(np.zeros(self.phys_dim, np.int64)))
 
     @property
     def phys_dim(self) -> int:
@@ -136,18 +125,21 @@ class MPS:
         return math.sqrt(max(norm_squared(self), 0.0))
 
 
-def _labels(q, extent: int, what: str) -> np.ndarray:
-    """``q`` as a read-only int64 vector of length ``extent``."""
-    arr = np.asarray(q)
-    if arr.shape != (extent,) or arr.dtype.kind not in "iu":
-        raise ShapeMismatch(f"{what} charges must be {extent} integers, got {arr.dtype} {arr.shape}")
-    arr = arr.astype(np.int64, copy=False).view()
+def _recorded(sites, center: int, charges=None, phys_charges=None) -> MPS:
+    """``MPS(sites)`` with the center, and the labels if given, that the calling tnkit operation made."""
+    m = MPS(tuple(sites))
+    object.__setattr__(m, "center", center)
+    if charges is not None:
+        object.__setattr__(m, "charges", tuple(_labels(q) for q in charges))
+        object.__setattr__(m, "phys_charges", _labels(phys_charges))
+    return m
+
+
+def _labels(q) -> np.ndarray:
+    """A read-only int64 view of ``q``."""
+    arr = np.asarray(q, np.int64).view()
     arr.flags.writeable = False
     return arr
-
-
-def _scalar(t: np.ndarray) -> complex:
-    return complex(t.item())
 
 
 def _split(
@@ -194,7 +186,7 @@ def mps_from_state_vector(
 
     d = phys_dim
     if n == 1:
-        return MPS(sites=(flat.reshape(1, d, 1),), center=0)
+        return _recorded((flat.reshape(1, d, 1),), 0)
 
     sites: list[np.ndarray] = []
     lind = 1
@@ -211,7 +203,7 @@ def mps_from_state_vector(
             lind = k
             rest //= d
             m = dv.reshape(k * d, rest, order="F")
-    return MPS(sites=tuple(sites), center=n - 1)
+    return _recorded(sites, n - 1)
 
 
 def to_state_vector(m: MPS) -> np.ndarray:
@@ -250,7 +242,7 @@ def product_mps(site_vectors) -> MPS:
         if not abs(nrm - 1.0) <= _NORM_TOL:  # NaN fails this too
             raise NotNormalized(f"site {i} ket has norm {nrm}")
         sites.append(ket.reshape(1, ket.size, 1))
-    return MPS(tuple(sites), center=len(sites) - 1)
+    return _recorded(sites, len(sites) - 1)
 
 
 def random_mps(n_sites: int, phys_dim: int, chi_max: int, rng) -> MPS:
@@ -264,11 +256,12 @@ def random_mps(n_sites: int, phys_dim: int, chi_max: int, rng) -> MPS:
         shape = (dims[i], phys_dim, dims[i + 1])
         data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         sites.append(data)
-    m = canonicalize(MPS(tuple(sites), center=None), n_sites - 1)
-    c = m.sites[m.center]
-    nrm = math.sqrt(_scalar(np.tensordot(c.conj(), c, axes=([0, 1, 2], [0, 1, 2]))).real)
-    scaled = c * (1.0 / nrm)
-    return replace(m, sites=m.sites[: m.center] + (scaled,) + m.sites[m.center + 1 :])
+    chain = _Chain(MPS(tuple(sites)))
+    _move(chain, n_sites - 1)
+    c = chain.sites[-1]
+    nrm = math.sqrt(float(np.tensordot(c.conj(), c, axes=([0, 1, 2], [0, 1, 2])).real))
+    chain.sites[-1] = c * (1.0 / nrm)
+    return chain.freeze()
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +287,7 @@ class _Chain:
         return (self.charges[link][None, :] - self.phys_charges[:, None]).ravel()
 
     def freeze(self) -> MPS:
-        return MPS(tuple(self.sites), self.center, tuple(self.charges), self.phys_charges)
+        return _recorded(self.sites, self.center, self.charges, self.phys_charges)
 
 
 def _shift_right(chain: _Chain, c: int, spec: TruncationSpec) -> np.ndarray:
@@ -365,9 +358,8 @@ def gauge_insert(m: MPS, bond: int, x) -> MPS:
 
     ``bond`` b joins sites b and b+1; ``x`` must be a square matrix matching
     the link extent and numerically invertible. The represented state is
-    unchanged, but the canonical structure is destroyed, so the result
-    carries ``center=None``. X mixes charge sectors, so the result is
-    unlabelled: every charge is zero.
+    unchanged, but the canonical structure is destroyed and X mixes charge
+    sectors, so the result is ``MPS(sites)``: ``center=None`` and unlabelled.
     """
     if not 0 <= bond < m.n_sites - 1:
         raise ValueError(f"bond {bond} out of range")
@@ -381,7 +373,7 @@ def gauge_insert(m: MPS, bond: int, x) -> MPS:
     tensors = list(m.sites)
     tensors[bond] = np.tensordot(tensors[bond], x, axes=([2], [0]))
     tensors[bond + 1] = np.tensordot(np.linalg.inv(x), tensors[bond + 1], axes=([1], [0]))
-    return MPS(tuple(tensors), center=None)
+    return MPS(tuple(tensors))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +392,7 @@ def _sandwich(bra: MPS, ket: MPS, ops: dict[int, np.ndarray]) -> complex:
             tb = np.tensordot(ops[s], tb, axes=([1], [1])).transpose(1, 0, 2)  # (l, phys', r)
         t1 = np.tensordot(env, ta.conj(), axes=([0], [0]))  # (ket, phys, bra')
         env = np.tensordot(t1, tb, axes=([0, 1], [0, 1]))  # (bra', ket')
-    return _scalar(env)
+    return complex(env.item())
 
 
 def inner_product(a: MPS, b: MPS) -> complex:
@@ -426,16 +418,20 @@ def expect_local(m: MPS, op, site: int) -> complex:
 
 def expect_two_site(m: MPS, op_i, i: int, op_j, j: int) -> complex:
     """<psi| O_i O_j |psi> / <psi|psi> for i < j, each a zipper over the whole chain; any gauge."""
+    return _sandwich(m, m, _two_site_ops(m, op_i, i, op_j, j)) / norm_squared(m)
+
+
+def _two_site_ops(m: MPS, op_i, i: int, op_j, j: int) -> dict[int, np.ndarray]:
+    """``{i: op_i, j: op_j}`` as arrays, once the sites and shapes are checked for ``m``."""
     if not (0 <= i < m.n_sites and 0 <= j < m.n_sites):
         raise ValueError(f"sites ({i}, {j}) out of range")
     if i >= j:
         raise BadOrder(f"need i < j, got i={i}, j={j}")
-    d = m.phys_dim
-    op_i, op_j = np.asarray(op_i), np.asarray(op_j)
-    for name, op in (("op_i", op_i), ("op_j", op_j)):
+    ops, d = {i: np.asarray(op_i), j: np.asarray(op_j)}, m.phys_dim
+    for name, op in zip(("op_i", "op_j"), ops.values()):
         if op.shape != (d, d):
             raise ShapeMismatch(f"{name} must be ({d}, {d})")
-    return _sandwich(m, m, {i: op_i, j: op_j}) / norm_squared(m)
+    return ops
 
 
 def apply_two_site_gate(
@@ -536,13 +532,14 @@ def correlation_length(m: MPS) -> CorrelationReport:
     state the report is flagged zero-range instead of raising.
 
     E pairs the bulk tensor's left and right link bases index by index, so
-    both links must be laid out alike: the labels are dropped and the chain
-    is swept to site 0 and back with dense splits, which leaves every link
-    in descending Schmidt-value order whatever order it came in. On a chain
-    that is not translation-invariant the pairing is still a convention:
-    the basis inside a degenerate Schmidt multiplet is the SVD's choice.
+    both links must be laid out alike: ``MPS(m.sites)``, with no labels and
+    no center, is canonicalized to site 0 and swept back with dense splits,
+    which leaves every link in descending Schmidt-value order whatever gauge
+    and order it came in. On a chain that is not translation-invariant the
+    pairing is still a convention: the phase of each Schmidt vector, and the
+    basis inside a degenerate multiplet, are the SVD's choice.
     """
-    mc = move_center(move_center(MPS(m.sites, m.center), 0), m.n_sites - 1)
+    mc = move_center(move_center(MPS(m.sites), 0), m.n_sites - 1)
     mid = m.n_sites // 2
     # prefer the mid-chain tensor; fall back to the nearest square one
     order = sorted(range(m.n_sites), key=lambda s: (abs(s - mid), s))
@@ -572,9 +569,10 @@ def correlation_length(m: MPS) -> CorrelationReport:
 
 
 def connected_correlation(m: MPS, op, i: int, j: int) -> float:
-    """<O_i O_j> - <O_i><O_j> (real part)."""
-    raw = expect_two_site(m, op, i, op, j).real
-    return raw - expect_local(m, op, i).real * expect_local(m, op, j).real
+    """<O_i O_j> - <O_i><O_j> (real part): three zippers, each divided by one norm_squared."""
+    ops, nrm2 = _two_site_ops(m, op, i, op, j), norm_squared(m)
+    raw, o_i, o_j = ((_sandwich(m, m, o) / nrm2).real for o in (ops, {i: ops[i]}, {j: ops[j]}))
+    return raw - o_i * o_j
 
 
 def fit_exponential_decay(xs, values) -> tuple[float, float]:
@@ -614,21 +612,18 @@ def fit_power_law(xs, values) -> tuple[float, float]:
 
 
 def mps_to_json(m: MPS) -> str:
-    """JSON form: per-site tensor dumps plus {center, phys_dim}."""
-    return json.dumps(
-        {
-            "phys_dim": m.phys_dim,
-            "center": m.center,
-            "sites": [json.loads(DenseTensor.from_ndarray(t).dump()) for t in m.sites],
-        }
-    )
+    """JSON form: per-site tensor dumps plus ``phys_dim``; no center and no labels."""
+    sites = [json.loads(DenseTensor.from_ndarray(t).dump()) for t in m.sites]
+    return json.dumps({"phys_dim": m.phys_dim, "sites": sites})
 
 
 def mps_from_json(text: str) -> MPS:
-    """Inverse of :func:`mps_to_json`, unlabelled; ShapeMismatch if ``phys_dim`` disagrees with the sites."""
+    """``MPS(sites)`` from :func:`mps_to_json` text, ignoring the ``center`` key of older files.
+
+    ShapeMismatch if ``phys_dim`` disagrees with the sites.
+    """
     obj = json.loads(text)
-    sites = tuple(DenseTensor.load(json.dumps(site)).to_ndarray() for site in obj["sites"])
-    m = MPS(sites=sites, center=obj["center"])
+    m = MPS(tuple(DenseTensor.load(json.dumps(site)).to_ndarray() for site in obj["sites"]))
     if m.phys_dim != int(obj["phys_dim"]):
         raise ShapeMismatch(f"header phys_dim {obj['phys_dim']} != site physical extent {m.phys_dim}")
     return m

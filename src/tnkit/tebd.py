@@ -20,14 +20,14 @@ from its seed to its end, checks each gate once and builds one MPS on return.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .decomp import UNTRUNCATED, TruncationSpec, eig_hermitian
 from .errors import NumericalFailure, UnsupportedModel
 from .mpo import MPO, SM, SP, SZ, build_model, mpo_expectation, two_site_matrix
-from .mps import MPS, _Chain, _gate_matrix, _gate_pair, _move, norm_squared, product_mps
+from .mps import MPS, _Chain, _gate_matrix, _gate_pair, _move, _recorded, norm_squared, product_mps
 
 _UP = np.array([1.0, 0.0])
 _DOWN = np.array([0.0, 1.0])
@@ -167,7 +167,7 @@ def initial_product_state(model: str, n_sites: int) -> MPS:
         kets = [_UP if i % 2 == 0 else _DOWN for i in range(n_sites)]
         spins = [1 if i % 2 == 0 else -1 for i in range(n_sites)]
         links = np.cumsum([0] + spins)[:, None]  # one index per link
-        return replace(product_mps(kets), charges=tuple(links), phys_charges=np.array([1, -1]))
+        return _recorded(product_mps(kets).sites, n_sites - 1, links, np.array([1, -1]))
     if model == "ising_nn":
         return product_mps([_PLUS] * n_sites)
     raise UnsupportedModel(f"no default seed for model {model!r}")

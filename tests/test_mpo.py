@@ -100,10 +100,7 @@ def test_expectation_is_a_raw_quadratic_form():
     psi /= np.linalg.norm(psi)
     m = mps_from_state_vector(psi, 2)
     doubled = mps_from_state_vector(psi, 2)
-    scaled = type(doubled)(
-        sites=(doubled.sites[0] * 2.0, doubled.sites[1]),
-        center=doubled.center,
-    )
+    scaled = type(doubled)(sites=(doubled.sites[0] * 2.0, doubled.sites[1]))
     op = build_ising_nn(2, j=1.0)
     assert np.isclose(mpo_expectation(scaled, op), 4.0 * mpo_expectation(m, op), atol=1e-12)
 

@@ -5,12 +5,15 @@ same computation done on the full 2^N state vector.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import tnkit.mps
 from conftest import SX, SZ, dense_split, failing_svd, kron_site
 from tnkit import (
+    DenseTensor,
     MPS,
     UNTRUNCATED,
     TruncationSpec,
@@ -23,6 +26,7 @@ from tnkit import (
     correlation_length,
     eig_hermitian,
     entanglement_entropy,
+    evolve_real_time,
     expect_local,
     expect_two_site,
     fit_exponential_decay,
@@ -125,7 +129,7 @@ def test_sites_and_factors_are_read_only(rng):
     # the MPS holds a read-only view; the caller's own array is neither copied nor frozen
     site = np.zeros((1, 2, 1))
     site[0, 0, 0] = 1.0
-    m = MPS(sites=(site,), center=0)
+    m = MPS(sites=(site,))
     site[0, 1, 0] = 0.0
     assert np.shares_memory(m.sites[0], site) and not m.sites[0].flags.writeable
 
@@ -202,10 +206,7 @@ def test_expectations_match_dense_oracle(rng):
 def test_expectations_renormalize_unnormalized_states(rng):
     psi = random_state(rng, 5)
     m = mps_from_state_vector(psi, 2)
-    scaled = MPS(
-        sites=tuple(t * (3.0 if i == m.center else 1.0) for i, t in enumerate(m.sites)),
-        center=m.center,
-    )
+    scaled = MPS(tuple(t * (3.0 if i == m.center else 1.0) for i, t in enumerate(m.sites)))
     ref = np.vdot(psi, kron_site(SZ, 2, 5) @ psi)
     assert np.isclose(expect_local(scaled, SZ, 2), ref, atol=1e-12)
 
@@ -290,7 +291,7 @@ def test_correlation_length_of_hand_built_uniform_mps():
     right = np.zeros((chi, 2, 1), dtype=complex)
     right[0, 0, 0] = 1.0
     right[1, 1, 0] = 1.0
-    m = MPS(sites=(left,) + (bulk,) * (n - 2) + (right,), center=None)
+    m = MPS(sites=(left,) + (bulk,) * (n - 2) + (right,))
     rep = correlation_length(m)
     assert np.isclose(rep.xi, 1.0, atol=1e-8)
     mags = np.abs(rep.transfer_eigs)
@@ -340,7 +341,7 @@ def test_fits_treat_rounding_noise_as_zero():
 def test_json_round_trip(rng):
     m = random_mps(5, 2, 3, rng)
     back = mps_from_json(mps_to_json(m))
-    assert back.center == m.center and back.phys_dim == 2
+    assert back.center is None and back.phys_dim == 2
     assert np.isclose(abs(inner_product(back, m)), norm_squared(m), atol=1e-12)
 
 
@@ -526,16 +527,23 @@ def test_split_retries_each_sector_when_a_stacked_svd_fails(monkeypatch, rng):
 
 
 def test_charge_labels_are_validated(rng):
+    # the center and the labels are recorded by tnkit, never passed in
     sites = random_mps(4, 2, 2, rng).sites
-    m = MPS(sites, center=3)
+    m = MPS(sites)
+    assert m.center is None
     assert [q.tolist() for q in m.charges] == [[0], [0, 0], [0, 0], [0, 0], [0]]
     assert m.phys_charges.tolist() == [0, 0]
-    with pytest.raises(BadLength):
-        MPS(sites, center=3, charges=m.charges[:-1])
-    with pytest.raises(ShapeMismatch):
-        MPS(sites, center=3, charges=(np.zeros(1, int), np.zeros(3, int)) + m.charges[2:])
-    with pytest.raises(ShapeMismatch):
-        MPS(sites, center=3, phys_charges=np.array([0.5, -0.5]))
+    for claim in ({"center": 3}, {"charges": m.charges}, {"phys_charges": np.array([1, -1])}):
+        with pytest.raises(TypeError):
+            MPS(sites, **claim)
+    # replace builds through MPS(sites), so it forgets all three
+    neel = initial_product_state("heisenberg", 4)
+    assert neel.center == 3 and neel.phys_charges.tolist() == [1, -1]
+    forgot = replace(neel, sites=neel.sites)
+    assert forgot.center is None and not np.any(forgot.phys_charges)
+    assert [q.tolist() for q in forgot.charges] == [[0]] * 5
+    for q in forgot.charges + (forgot.phys_charges, neel.phys_charges) + neel.charges:
+        assert q.dtype == np.int64 and not q.flags.writeable
 
 
 def test_neel_labels_are_the_running_sz(rng):
@@ -600,21 +608,63 @@ def test_measurements_never_factorize(monkeypatch, rng):
         assert abs(measure() - want[name]) <= 1e-12, name
 
 
+def test_connected_correlation_takes_one_norm(monkeypatch, rng):
+    m = random_mps(7, 2, 5, rng)
+    want = expect_two_site(m, SZ, 2, SZ, 5).real - expect_local(m, SZ, 2).real * expect_local(m, SZ, 5).real
+    real, calls = tnkit.mps._sandwich, []
+
+    def counted(bra, ket, ops):
+        calls.append(sorted(ops))
+        return real(bra, ket, ops)
+
+    monkeypatch.setattr(tnkit.mps, "_sandwich", counted)
+    assert connected_correlation(m, SZ, 2, 5) == want
+    assert sorted(calls) == [[], [2], [2, 5], [5]]
+
+
 def test_measurements_hold_in_any_gauge(rng):
-    # the claimed center 2 is not an orthogonality center: no site is an isometry
+    # no site is an isometry, so the state has no orthogonality center
     n, dims = 6, (1, 2, 4, 4, 4, 2, 1)
     shapes = [(dims[s], 2, dims[s + 1]) for s in range(n)]
-    m = MPS(tuple(rng.standard_normal(sh) + 1j * rng.standard_normal(sh) for sh in shapes), center=2)
+    m = MPS(tuple(rng.standard_normal(sh) + 1j * rng.standard_normal(sh) for sh in shapes))
     psi = to_state_vector(m)
     nrm2 = np.vdot(psi, psi).real
     for state in (m, mps_from_json(mps_to_json(m))):
-        assert state.center == 2
+        assert state.center is None
         for s in range(n):
             want = np.vdot(psi, kron_site(SZ, s, n) @ psi) / nrm2
             assert abs(expect_local(state, SZ, s) - want) <= 1e-12
         for i, j in ((0, 5), (1, 2), (2, 4), (3, 5)):
             want = np.vdot(psi, kron_site(SX, i, n) @ kron_site(SZ, j, n) @ psi) / nrm2
             assert abs(expect_two_site(state, SX, i, SZ, j) - want) <= 1e-12
+
+
+def test_a_claimed_center_is_never_read():
+    # a file claims center 2 for real sites of which none is an isometry
+    rng = np.random.default_rng(0)
+    dims = (1, 2, 4, 4, 4, 2, 1)
+    sites = tuple(rng.standard_normal((dims[s], 2, dims[s + 1])) for s in range(6))
+    text = json.dumps({"phys_dim": 2, "center": 2, "sites": [json.loads(DenseTensor.from_ndarray(t).dump()) for t in sites]})
+    loaded, ref = mps_from_json(text), canonicalize(MPS(sites), 0)
+    assert loaded.center is None
+    psi = to_state_vector(loaded)
+    for b, got in enumerate(bond_entropies(loaded)):
+        w = np.linalg.svd(psi.reshape(2 ** (b + 1), -1, order="F"), compute_uv=False) ** 2
+        w = w[w > 0] / w.sum()
+        assert abs(got + np.sum(w * np.log2(w))) <= 1e-12
+
+    def close(a, b):
+        return np.linalg.norm(np.asarray(a) - b) <= 1e-12 * np.linalg.norm(b)
+
+    assert close(correlation_length(loaded).xi, correlation_length(ref).xi)
+    chi2 = TruncationSpec(chi_max=2)
+    gate = bond_gate("heisenberg", -1.0, 0.05, "real")
+    (got, got_lost), (want, want_lost) = (apply_two_site_gate(m, gate, 3, chi2) for m in (loaded, ref))
+    assert close(to_state_vector(got), to_state_vector(want)) and close(got_lost, want_lost)
+    got, want = (evolve_real_time(m, "heisenberg", j=-1.0, dt=0.05, n_steps=2, spec=chi2) for m in (loaded, ref))
+    assert close(got.energy_trace, want.energy_trace) and close(got.norm_trace, want.norm_trace)
+    assert close(got.max_discarded_weight, want.max_discarded_weight)
+    assert close(to_state_vector(got.state), to_state_vector(want.state))
 
 
 def test_state_vectors_are_peeled_without_the_block_layout_cache(rng):
@@ -632,13 +682,11 @@ def _no_square_site():
 @pytest.mark.parametrize(
     "call, error",
     [
-        pytest.param(lambda m: MPS((), center=None), BadLength, id="no-sites"),
-        pytest.param(lambda m: MPS((np.ones((1, 2)),), center=0), ShapeMismatch, id="site-rank"),
-        pytest.param(lambda m: MPS((np.ones((1, 2, 1)), np.ones((1, 3, 1))), 0), ShapeMismatch, id="phys-extent"),
-        pytest.param(lambda m: MPS((np.ones((1, 2, 2)), np.ones((3, 2, 1))), 0), ExtentMismatch, id="link-extent"),
-        pytest.param(lambda m: MPS((np.ones((2, 2, 1)),), 0), ExtentMismatch, id="boundary-extent"),
-        pytest.param(lambda m: MPS(m.sites, center=5), ValueError, id="center-past-end"),
-        pytest.param(lambda m: MPS(m.sites, center=-1), ValueError, id="center-negative"),
+        pytest.param(lambda m: MPS(()), BadLength, id="no-sites"),
+        pytest.param(lambda m: MPS((np.ones((1, 2)),)), ShapeMismatch, id="site-rank"),
+        pytest.param(lambda m: MPS((np.ones((1, 2, 1)), np.ones((1, 3, 1)))), ShapeMismatch, id="phys-extent"),
+        pytest.param(lambda m: MPS((np.ones((1, 2, 2)), np.ones((3, 2, 1)))), ExtentMismatch, id="link-extent"),
+        pytest.param(lambda m: MPS((np.ones((2, 2, 1)),)), ExtentMismatch, id="boundary-extent"),
         pytest.param(lambda m: mps_from_state_vector([1.0], 1), BadLength, id="from-vector-d1"),
         pytest.param(lambda m: to_state_vector(product_mps([[1.0, 0.0]] * 21)), TooLarge, id="densify-21-sites"),
         pytest.param(lambda m: move_center(m, 5), ValueError, id="move-center-target"),
@@ -676,7 +724,7 @@ def test_mps_edge_cases_return_their_flags():
     bulk[0, 0, 0] = bulk[0, 1, 1] = 1.0
     right = np.zeros((2, 2, 1))
     right[0, 0, 0] = right[1, 1, 0] = 1.0
-    rep = correlation_length(MPS((bulk[:1],) + (bulk,) * 5 + (right,), center=None))
+    rep = correlation_length(MPS((bulk[:1],) + (bulk,) * 5 + (right,)))
     assert rep.xi == 0.0 and rep.transfer_eigs.size == 4
     xs = np.arange(1.0, 6.0)
     assert fit_exponential_decay(xs, 0.1 * np.exp(xs / 3.0))[0] == np.inf  # growing data: no decay

@@ -310,7 +310,7 @@ def test_correlation_length_reads_the_state_not_its_labels():
     gate = bond_gate("heisenberg", -1.0, 0.1, "imaginary")
     state, _ = sweeps(initial_product_state("heisenberg", 10), gate, TruncationSpec(chi_max=12, cutoff=1e-12), 30)
     for m in (state, move_center(state, 9)):  # a labelled move sorts every link it passes by charge
-        got, want = correlation_length(m), correlation_length(MPS(m.sites, m.center))
+        got, want = correlation_length(m), correlation_length(MPS(m.sites))
         assert got.xi == want.xi and np.isfinite(got.xi)
         np.testing.assert_array_equal(got.transfer_eigs, want.transfer_eigs)
 
@@ -336,7 +336,7 @@ def test_zero_or_nan_norm_is_a_numerical_failure():
         sites = list(state.sites)
         sites[state.center] = sites[state.center] * bad
         with pytest.raises(NumericalFailure):
-            measure_energy(MPS(tuple(sites), center=state.center), h)
+            measure_energy(MPS(tuple(sites)), h)
 
 
 def end_centred_states(n=7):
@@ -351,7 +351,7 @@ def end_centred_states(n=7):
         if dtype is complex:
             psi = psi + 1j * rng.standard_normal(2**n)
         m = mps_from_state_vector(psi / np.linalg.norm(psi), 2)
-        states.append(MPS(m.sites[:-1] + (1.7 * m.sites[-1],), m.center))
+        states.append(MPS(m.sites[:-1] + (1.7 * m.sites[-1],)))
     assert any(np.any(q) for q in imaginary.charges) and imaginary.sites[0].dtype == np.float64
     assert np.iscomplexobj(real_time.sites[0]) and np.iscomplexobj(states[-1].sites[0])
     return [move_center(s, c) for s in states for c in (0, n - 1)]

@@ -2,6 +2,7 @@
 
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.integrate import dblquad
 
 from tnkit import UNTRUNCATED, TruncationSpec, select_rank, truncated_svd
 from tnkit import decomp, trg
-from tnkit.errors import BadBeta, TooLarge
+from tnkit.errors import BadBeta, NumericalFailure, TooLarge
 from tnkit.trg import (
     brute_force_lnz,
     close_torus,
@@ -302,6 +303,14 @@ def test_oversized_step_is_refused_before_it_allocates(monkeypatch):
     monkeypatch.setattr(trg, "_STEP_ELEMENT_CAP", 16**4 - 1)
     with pytest.raises(TooLarge):
         free_energy_per_site(0.44, 1.0, steps=2, spec=UNTRUNCATED)
+
+
+def test_a_vanished_or_negative_network_is_a_numerical_failure():
+    start = initial_state(0.44)
+    with pytest.raises(NumericalFailure, match="coarse tensor vanished"):
+        trg_step(replace(start, tensor=np.zeros_like(start.tensor)), UNTRUNCATED)
+    with pytest.raises(NumericalFailure, match="non-positive torus trace -1.99"):
+        close_torus(replace(start, tensor=-start.tensor))
 
 
 def test_report_metadata():
