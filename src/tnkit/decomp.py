@@ -20,6 +20,7 @@ sector at a time and cut on the merged spectrum (Singh, Pfeifer and Vidal, arXiv
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -187,7 +188,8 @@ def _layout(row_key: bytes, col_key: bytes, sketch: int | None) -> tuple[np.ndar
     and ``sketch`` in the second, for min(m, n) >= 2 (sketch + SKETCH_OVERSAMPLING).
     """
     row_q, col_q = np.frombuffer(row_key, np.int64), np.frombuffer(col_key, np.int64)
-    charges = np.intersect1d(row_q, col_q)  # a row or column without partners is zero
+    # a row or column without partners is zero; np.intersect1d would import numpy.ma
+    charges = np.array(sorted(set(row_q.tolist()) & set(col_q.tolist())), np.int64)
     sectors = [(np.flatnonzero(row_q == q), np.flatnonzero(col_q == q)) for q in charges]
     sizes = [min(r.size, c.size) for r, c in sectors]
     sizes = [sketch if sketch and 2 * (sketch + SKETCH_OVERSAMPLING) <= n else n for n in sizes]
@@ -207,6 +209,13 @@ def _layout(row_key: bytes, col_key: bytes, sketch: int | None) -> tuple[np.ndar
     return np.repeat(charges, sizes), exact, sketched
 
 
+def _gather(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``mat[rows, cols]``; a rank-4 ``mat`` fuses axes (0, 1) into the rows and (2, 3) into the columns."""
+    if mat.ndim == 2:
+        return mat[rows, cols]
+    return mat[(*divmod(rows, mat.shape[1]), *divmod(cols, mat.shape[3]))]
+
+
 def _each(blocks: np.ndarray, decompose) -> list[np.ndarray]:
     """``decompose`` applied to each matrix of a stack, its factors stacked as ``numpy.linalg.svd`` returns them."""
     res = [decompose(b) for b in blocks]
@@ -218,7 +227,10 @@ def block_svd(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """Truncated SVD of a matrix that vanishes between rows and columns of different charge.
 
-    ``row_q`` and ``col_q`` are the integer charges of the rows and columns.
+    ``mat`` is a matrix, or a rank-4 array read as the matrix whose rows fuse
+    its first two axes and whose columns its last two (as ``reshape`` would,
+    but gathered from any view without a copy). ``row_q`` and ``col_q`` are
+    the integer charges of the rows and columns.
     Each sector (the rows and columns of one charge) is decomposed on its
     own, sectors of equal shape in one stacked ``numpy.linalg.svd`` call laid
     out by :func:`_layout`, and the merged spectrum is cut by
@@ -227,7 +239,8 @@ def block_svd(
     matrix before NumericalFailure. With ``partial`` and a ``chi_max``, a
     sector at least 2 (chi_max + 17) wide gets only its chi_max + 1 largest
     values from :func:`partial_svd`, and its residual ‖B - U_k S_k V_k†‖²_F
-    counts as discarded.
+    counts as discarded; ‖M‖²_F is then summed over the sectors, since M
+    vanishes off them.
 
     Returns (u, kept values, v_dag, link charges, absolute discarded weight),
     both factors C-contiguous, the link ordered by charge, then by descending
@@ -236,23 +249,24 @@ def block_svd(
     """
     sketch = spec.chi_max + 1 if partial and spec.chi_max is not None else None
     link_q, exact, sketched = _layout(np.asarray(row_q, np.int64).tobytes(), np.asarray(col_q, np.int64).tobytes(), sketch)
-    blocks = [mat[rows, cols] for rows, cols, _ in exact]
+    n_rows, n_cols = math.prod(mat.shape[: mat.ndim // 2]), math.prod(mat.shape[mat.ndim // 2 :])
+    blocks = [_gather(mat, rows, cols) for rows, cols, _ in exact]
     try:
         factors = [np.linalg.svd(b, full_matrices=False) for b in blocks]
     except np.linalg.LinAlgError:
         factors = [_each(b, svd) for b in blocks]
     if sketched:
-        wide = [mat[rows, cols] for rows, cols, _ in sketched]
+        wide = [_gather(mat, rows, cols) for rows, cols, _ in sketched]
         factors += [_each(b, lambda m: partial_svd(m, sketch)) for b in wide]
     d = np.empty(link_q.size, mat.real.dtype)
-    u = np.zeros((mat.shape[0], link_q.size), mat.dtype)  # the untruncated factors
-    v = np.zeros((link_q.size, mat.shape[1]), mat.dtype)
+    u = np.zeros((n_rows, link_q.size), mat.dtype)  # the untruncated factors
+    v = np.zeros((link_q.size, n_cols), mat.dtype)
     for (rows, cols, pos), (bu, bd, bv) in zip(exact + sketched, factors):
         d[pos] = bd
         u[rows, pos[:, None, :]] = bu
         v[pos[:, :, None], cols] = bv
     order = np.argsort(-d, kind="stable")
-    k = select_rank(d[order], spec, float(np.vdot(mat, mat).real) if sketched else None)
+    k = select_rank(d[order], spec, sum(float(np.vdot(b, b).real) for b in blocks + wide) if sketched else None)
     # every sector's kept values are a prefix of it, so sorted indices give the link order
     keep = np.sort(order[:k])
     counted, residuals = d, []  # values whose squares count as discarded once cut
@@ -262,8 +276,10 @@ def block_svd(
             counted[pos] = 0.0  # a sketched sector's residual stands for all its dropped values
             for m, mu, md, mv, p in zip(b, bu, bd, bv, pos):
                 n = np.count_nonzero(np.isin(p, keep, assume_unique=True))
-                residual = m - (mu[:, :n] * md[:n]) @ mv[:n]
-                residuals.append(float(np.vdot(residual, residual).real))
+                r = (mu[:, :n] * md[:n]) @ mv[:n]
+                np.subtract(m, r, out=r)  # B - U_k S_k V_k† in place
+                residuals.append(float(np.vdot(r, r).real))
+                del r  # before the next sector's is formed
     discarded = float(np.sum(counted[order[k:]] ** 2)) + sum(residuals)
     if k < d.size:
         u, v = u.take(keep, axis=1), v.take(keep, axis=0)
@@ -281,7 +297,7 @@ def eig_hermitian(m) -> EigResult:
     herm = 0.5 * (arr + arr.conj().T)
     try:
         omega, u = np.linalg.eigh(herm)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
+    except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigh did not converge: {exc}") from exc
     u.flags.writeable = False
     return EigResult(u=u, omega=omega)

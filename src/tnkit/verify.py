@@ -110,7 +110,7 @@ def _oracle_hamiltonian(model: str, n: int, **kw) -> np.ndarray:
         for i in range(n - 1):
             for op in (_SX, _SY, _SZ):
                 h -= kw["j"] * _pair_term(op, i, i + 1, n)
-    else:  # pragma: no cover - internal misuse
+    else:
         raise ValueError(model)
     return h
 

@@ -618,6 +618,16 @@ def test_verify_command_runs_a_suite(tmp_path, capsys):
     assert "svd_examples" in names and "mera_optimality" in names
 
 
+def test_verify_internals_refuse_unknown_names():
+    # the CLI refuses both earlier, as usage errors; these are the library's own guards
+    from tnkit import verify
+
+    with pytest.raises(ValueError, match="^bogus$"):
+        verify._oracle_hamiltonian("bogus", 2)
+    with pytest.raises(KeyError, match="unknown suite 'bogus'; choose from"):
+        verify.run_suite("bogus", echo=None)
+
+
 
 def test_real_time_tebd_record(tmp_path):
     out = tmp_path / "rt.csv"

@@ -1,5 +1,10 @@
 """SVD/eig, truncation rules, entropy, and the polar-style trace optimizer."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -270,6 +275,39 @@ def test_block_svd_redoes_a_failed_stacked_call_one_sector_at_a_time(monkeypatch
         block_svd(mat, pair, pair, spec, partial=True)
 
 
+@pytest.mark.parametrize("partial", [False, True])
+def test_block_svd_reads_a_rank_4_array_as_its_fused_matrix(partial):
+    # the split matrices of the sixth TRG step at chi_max 32: two 512x512 parity blocks, sketched if partial
+    spec = TruncationSpec(chi_max=32, cutoff=1e-12)
+    state = trg.initial_state(0.44)
+    for _ in range(5):
+        state = trg.trg_step(state, spec)
+    t = state.tensor
+    assert t.shape == (32,) * 4
+    pair = (state.parity_ud[:, None] ^ state.parity_lr[None, :]).ravel()
+    for view in (t, t.transpose(2, 1, 0, 3)):  # the B and the A split
+        want = block_svd(view.reshape(1024, 1024), pair, pair, spec, partial=partial)
+        got = block_svd(view, pair, pair, spec, partial=partial)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+
+def test_layouts_never_import_numpy_ma():
+    # np.intersect1d imports numpy.ma on its first call, 12-17 ms of every run
+    code = (
+        "import sys\n"
+        "from tnkit import TruncationSpec, tebd, trg\n"
+        "gate = tebd.bond_gate('heisenberg', -1.0, 0.1, 'imaginary')\n"
+        "tebd.sweep(tebd.initial_product_state('heisenberg', 6), gate, TruncationSpec(chi_max=4))\n"
+        "trg.trg_step(trg.initial_state(0.44), TruncationSpec(chi_max=4))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(decomp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("op", [svd, lambda m: partial_svd(m, 1), mera_update], ids=["svd", "partial_svd", "mera_update"])
 @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)], ids=["rank1", "rank3"])
 def test_matrix_routines_refuse_other_ranks(op, shape):
@@ -288,6 +326,15 @@ def test_eig_hermitian_reconstructs():
         eig_hermitian(random_matrix(4, 4))
     with pytest.raises(NotSquare):
         eig_hermitian(random_matrix(4, 3))
+
+
+def test_eigh_that_never_converges_is_a_numerical_failure(monkeypatch):
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericalFailure, match="eigh did not converge: Eigenvalues did not converge"):
+        eig_hermitian(np.eye(3))
 
 
 def test_mera_update_maximizes_the_trace():

@@ -255,6 +255,21 @@ def test_iterative_raises_when_starved_of_iterations():
         solve_iterative(build_heisenberg(10, j=-1.0), n_states=2, max_iter=2)
 
 
+def test_a_basis_that_cannot_grow_is_no_convergence(monkeypatch):
+    # every QR pivot zero: each row of w is dropped and redrawn, and extend gives up after 50 tries
+    real_qr, calls = np.linalg.qr, []
+
+    def zero_pivots(a):
+        calls.append(a.shape)
+        f, r = real_qr(a)
+        return f, np.zeros_like(r)
+
+    monkeypatch.setattr(np.linalg, "qr", zero_pivots)
+    with pytest.raises(NoConvergence, match="could not extend the Krylov basis"):
+        solve_iterative(build_heisenberg(4, j=-1.0), n_states=2)
+    assert len(calls) == 50
+
+
 def test_both_routes_refuse_more_states_than_the_space_holds():
     op = build_heisenberg(2, j=-1.0)
     for solve in (solve_dense, solve_iterative):

@@ -1,6 +1,7 @@
 """Plaquette coarse-graining against enumeration and the analytic solution."""
 
 import itertools
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -279,6 +280,34 @@ def test_a_sketched_scan_keeps_its_trajectory():
     assert rep.lnz_per_site == 0.9336821779146981
     assert rep.chi_history == ((4, 4), (4, 4), (16, 16), (16, 16), (32, 32), (32, 32))
     assert max(max(pair) for pair in rep.discarded_weights) == pytest.approx(7.659610712225012e-06, rel=1e-14, abs=0.0)
+
+
+def test_a_step_holds_one_chi4_tensor_at_a_time():
+    # each split reads the old tensor in place, and it is dropped before the contraction, whose
+    # largest arrays are p2 and the parity blocks gathered from p1 and p2: 2.17 chi^4 doubles. A
+    # transposed copy for the A split and the old tensor kept through the contraction read 3.46.
+    spec = TruncationSpec(chi_max=32, cutoff=1e-12)
+    free_energy_per_site(0.44, 1.0, steps=2, spec=spec)  # the layouts of the small steps
+    tracemalloc.start()
+    try:
+        rep = free_energy_per_site(0.44, 1.0, steps=7, spec=spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.chi_history[-1] == (32, 32)
+    assert peak < 2.75 * 32**4 * 8
+
+
+def test_the_driver_and_a_loop_of_public_steps_agree_exactly():
+    spec = TruncationSpec(chi_max=16, cutoff=1e-12)
+    for beta in (0.2, 0.44, 0.8):
+        state, weights = initial_state(beta), []
+        for _ in range(6):
+            state = trg_step(state, spec)
+            weights.append(state.discarded_weight)
+        rep = free_energy_per_site(beta, 1.0, steps=6, spec=spec)
+        assert rep.lnz_per_site == close_torus(state)
+        assert rep.discarded_weights == tuple(weights)
 
 
 def test_discarded_weight_per_step():
