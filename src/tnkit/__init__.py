@@ -25,30 +25,7 @@ from .decomp import (
     truncated_svd,
 )
 from .ed import EDResult, mpo_matvec, solve_dense, solve_iterative
-from .errors import (
-    BadBeta,
-    BadLength,
-    BadOrder,
-    BadXi,
-    ElementCountMismatch,
-    ExtentMismatch,
-    InvalidAxis,
-    InvalidPermutation,
-    NoConvergence,
-    NotHermitian,
-    NotNormalized,
-    NotSquare,
-    NumericalFailure,
-    ParseError,
-    RankUnsupported,
-    ShapeMismatch,
-    Singular,
-    TnkitError,
-    TooFewSites,
-    TooLarge,
-    UnsupportedModel,
-    ValidationError,
-)
+from .errors import NoConvergence, NumericalFailure, TnkitError, TooLarge, ValidationError
 from .mpo import (
     ID2,
     MPO,
@@ -97,7 +74,6 @@ from .tebd import (
     find_ground_state,
     initial_product_state,
     measure_energy,
-    model_mpo,
     pair_hamiltonian,
     sweep,
 )

@@ -39,14 +39,7 @@ import numpy as np
 from . import __version__
 from .decomp import TruncationSpec
 from .ed import solve_dense, solve_iterative
-from .errors import (
-    NoConvergence,
-    NumericalFailure,
-    ParseError,
-    TnkitError,
-    TooLarge,
-    ValidationError,
-)
+from .errors import NoConvergence, NumericalFailure, TnkitError, TooLarge, ValidationError
 from .mpo import MODELS, SZ, build_model
 from .mps import (
     bond_entropies,
@@ -160,7 +153,7 @@ def parse_config(text: str) -> dict:
     try:
         raw = json.loads(text)
     except ValueError as exc:  # malformed JSON, or an integer literal beyond Python's digit limit
-        raise ParseError(f"config is not valid JSON: {exc}") from exc
+        raise ValidationError(f"config is not valid JSON: {exc}") from exc
     cfg = _resolve(raw, _CONFIG, "config")
     alg, n = cfg["algorithm"], cfg.get("model", {}).get("n")
     if "n_states" in alg and alg["n_states"] > 2**n:
@@ -454,7 +447,7 @@ def load_record(path: str):
 
 
 #: exception type -> (exit code, stderr label); ``main`` takes the first entry on the exception's MRO, so any
-#: other TnkitError (ParseError, ValidationError, and anything else the library rejects) traces back to the config
+#: ValidationError, and any other TnkitError the library raises, traces back to the config
 EXIT_CODES = {
     UsageError: (1, "error"),
     **dict.fromkeys((NumericalFailure, NoConvergence, np.linalg.LinAlgError), (3, "numerical failure")),

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AllZero, NotHermitian, NotSquare, NumericalFailure, RankUnsupported
+from .errors import NumericalFailure, ValidationError
 
 _ZERO_CLAMP = 1e-14  # relative to the largest singular value
 _HERMITIAN_TOL = 1e-10
@@ -51,9 +51,9 @@ class TruncationSpec:
 
     def __post_init__(self) -> None:
         if self.chi_max is not None and self.chi_max < 1:
-            raise ValueError(f"chi_max must be >= 1, got {self.chi_max}")
+            raise ValidationError(f"chi_max must be >= 1, got {self.chi_max}")
         if not 0.0 <= self.cutoff < 1.0:
-            raise ValueError(f"cutoff must lie in [0, 1), got {self.cutoff}")
+            raise ValidationError(f"cutoff must lie in [0, 1), got {self.cutoff}")
 
 
 #: keep everything — the identity truncation
@@ -87,7 +87,7 @@ class EigResult:
 def _as_matrix(m, op: str) -> np.ndarray:
     arr = np.asarray(m)
     if arr.ndim != 2:
-        raise RankUnsupported(f"{op} needs a rank-2 tensor, got rank {arr.ndim}")
+        raise ValidationError(f"{op} needs a rank-2 tensor, got rank {arr.ndim}")
     return arr
 
 
@@ -290,10 +290,10 @@ def eig_hermitian(m) -> EigResult:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
     arr = _as_matrix(m, "eig_hermitian")
     if arr.shape[0] != arr.shape[1]:
-        raise NotSquare(f"matrix is {arr.shape}, not square")
+        raise ValidationError(f"matrix is {arr.shape}, not square")
     scale = max(1.0, float(np.abs(arr).max()))
     if float(np.abs(arr - arr.conj().T).max()) > _HERMITIAN_TOL * scale:
-        raise NotHermitian("matrix deviates from M == M† beyond 1e-10 (relative)")
+        raise ValidationError("matrix deviates from M == M† beyond 1e-10 (relative)")
     herm = 0.5 * (arr + arr.conj().T)
     try:
         omega, u = np.linalg.eigh(herm)
@@ -314,9 +314,9 @@ def entanglement_entropy(d) -> float:
     """
     lam = np.asarray(d, dtype=np.float64).reshape(-1)
     if lam.size == 0 or not np.any(lam):
-        raise AllZero("entropy of an all-zero spectrum is undefined")
+        raise ValidationError("entropy of an all-zero spectrum is undefined")
     if np.any(lam < 0):
-        raise ValueError("singular values must be non-negative")
+        raise ValidationError("singular values must be non-negative")
     lam = np.where(lam < _ZERO_CLAMP * lam.max(), 0.0, lam)
     rho = lam**2 / np.sum(lam**2)
     nz = rho[rho > 0.0]
@@ -331,6 +331,6 @@ def mera_update(gamma) -> np.ndarray:
     """
     arr = _as_matrix(gamma, "mera_update")
     if arr.shape[0] != arr.shape[1]:
-        raise NotSquare(f"environment is {arr.shape}, not square")
+        raise ValidationError(f"environment is {arr.shape}, not square")
     res = svd(arr)
     return res.v_dag.conj().T @ res.u.conj().T

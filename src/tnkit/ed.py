@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import eig_hermitian
-from .errors import NoConvergence, ShapeMismatch, TooLarge
+from .errors import NoConvergence, TooLarge, ValidationError
 from .mpo import MPO, mpo_to_dense
 
 _ITER_DIM_CAP = 2**20
@@ -54,7 +54,7 @@ class EDResult:
 def mpo_matvec(op: MPO, psi: np.ndarray) -> np.ndarray:
     """Apply an MPO to a vector, or to each row of a ``(p, d^N)`` block.
 
-    The result has the shape of ``psi``; ShapeMismatch unless ``psi`` is
+    The result has the shape of ``psi``; ValidationError unless ``psi`` is
     1-D or 2-D with a last axis d^N long. The leading sites, up to a fused
     physical extent of 16 (the whole chain if it is shorter), are contracted
     into one ``(1, d^k, d^k, D)`` site with the left boundary vector folded
@@ -71,7 +71,7 @@ def mpo_matvec(op: MPO, psi: np.ndarray) -> np.ndarray:
     dim = op.phys_dim**op.n_sites
     psi = np.asarray(psi)
     if psi.ndim not in (1, 2) or psi.shape[-1] != dim:
-        raise ShapeMismatch(f"shape {psi.shape} does not end in {op.phys_dim}^{op.n_sites}")
+        raise ValidationError(f"shape {psi.shape} does not end in {op.phys_dim}^{op.n_sites}")
     sites = list(op.sites)
     sites[-1] = np.tensordot(sites[-1], op.right_bvec, axes=(3, 0))[..., None]
     lead = np.tensordot(op.left_bvec, sites[0], axes=(0, 0))  # (o, i, b)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadXi, ExtentMismatch, ShapeMismatch, TooFewSites, TooLarge
+from .errors import TooLarge, ValidationError
 from .tensors import _read_only
 
 # spin-1/2 operator library (factor 1/2 included); only SY is complex
@@ -68,18 +68,18 @@ class MPO:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sites", tuple(_read_only(t) for t in self.sites))
         if len(self.sites) < 2:
-            raise TooFewSites("an MPO needs at least two sites")
+            raise ValidationError("an MPO needs at least two sites")
         for i, t in enumerate(self.sites):
             if t.ndim != 4:
-                raise ShapeMismatch(f"site {i} has rank {t.ndim}, expected 4")
+                raise ValidationError(f"site {i} has rank {t.ndim}, expected 4")
             if t.shape[1] != self.phys_dim or t.shape[2] != self.phys_dim:
-                raise ShapeMismatch(f"site {i} physical extents != {self.phys_dim}")
+                raise ValidationError(f"site {i} physical extents != {self.phys_dim}")
             if i + 1 < len(self.sites) and t.shape[3] != self.sites[i + 1].shape[0]:
-                raise ExtentMismatch(f"link between sites {i} and {i + 1} mismatched")
+                raise ValidationError(f"link between sites {i} and {i + 1} mismatched")
         if self.left_bvec.shape != (self.sites[0].shape[0],):
-            raise ExtentMismatch("left boundary vector does not match first link")
+            raise ValidationError("left boundary vector does not match first link")
         if self.right_bvec.shape != (self.sites[-1].shape[3],):
-            raise ExtentMismatch("right boundary vector does not match last link")
+            raise ValidationError("right boundary vector does not match last link")
 
     @property
     def phys_dim(self) -> int:
@@ -93,7 +93,7 @@ class MPO:
 def _uniform_mpo(blocks: dict[tuple[int, int], np.ndarray], dim: int, n: int) -> MPO:
     """Assemble a translation-invariant MPO from a block matrix (promoted dtype)."""
     if n < 2:
-        raise TooFewSites(f"need at least 2 sites, got {n}")
+        raise ValidationError(f"need at least 2 sites, got {n}")
     w = np.zeros((dim, 2, 2, dim), dtype=np.result_type(*blocks.values()))
     for (row, col), mat in blocks.items():
         w[row, :, :, col] = mat
@@ -140,7 +140,7 @@ def build_exp_decay(n: int, xi: float, j: float = 1.0) -> MPO:
     kappa so the nearest-neighbor coefficient is exp(-1/xi) rather than 1.
     """
     if not (xi > 0.0) or not math.isfinite(xi):
-        raise BadXi(f"decay length must be positive and finite, got {xi}")
+        raise ValidationError(f"decay length must be positive and finite, got {xi}")
     kappa = math.exp(-1.0 / xi)
     blocks = {
         (0, 0): ID2,
@@ -215,7 +215,7 @@ def mpo_expectation(state, op: MPO) -> complex:
     wanted; energy drivers do this explicitly.
     """
     if state.n_sites != op.n_sites or state.phys_dim != op.phys_dim:
-        raise ShapeMismatch("state and operator live on different site spaces")
+        raise ValidationError("state and operator live on different site spaces")
     env = op.left_bvec.reshape(1, -1, 1)  # (ket, a, bra)
     for a, w in zip(state.sites, op.sites):
         k, d, k2 = a.shape

@@ -50,16 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomp import UNTRUNCATED, TruncationSpec, block_svd, entanglement_entropy, truncated_svd
-from .errors import (
-    AllZero,
-    BadLength,
-    BadOrder,
-    ExtentMismatch,
-    NotNormalized,
-    ShapeMismatch,
-    Singular,
-    TooLarge,
-)
+from .errors import TooLarge, ValidationError
 from .tensors import DenseTensor, _inexact, _read_only
 
 _DENSE_SITE_CAP = 20  # to_state_vector guard: d**N grows fast
@@ -90,21 +81,21 @@ class MPS:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sites", tuple(_read_only(t) for t in self.sites))
         if not self.sites:
-            raise BadLength("an MPS needs at least one site")
+            raise ValidationError("an MPS needs at least one site")
         for i, t in enumerate(self.sites):
             if t.ndim != 3:
-                raise ShapeMismatch(f"site {i} has rank {t.ndim}, expected 3")
+                raise ValidationError(f"site {i} has rank {t.ndim}, expected 3")
             if t.shape[1] != self.phys_dim:
-                raise ShapeMismatch(
+                raise ValidationError(
                     f"site {i} physical extent {t.shape[1]} != {self.phys_dim}"
                 )
             if i + 1 < len(self.sites) and t.shape[2] != self.sites[i + 1].shape[0]:
-                raise ExtentMismatch(
+                raise ValidationError(
                     f"link between sites {i} and {i + 1}: "
                     f"{t.shape[2]} != {self.sites[i + 1].shape[0]}"
                 )
         if self.sites[0].shape[0] != 1 or self.sites[-1].shape[2] != 1:
-            raise ExtentMismatch("boundary links must have extent 1")
+            raise ValidationError("boundary links must have extent 1")
         extents = [1] + [t.shape[2] for t in self.sites]
         object.__setattr__(self, "charges", tuple(_labels(np.zeros(e, np.int64)) for e in extents))
         object.__setattr__(self, "phys_charges", _labels(np.zeros(self.phys_dim, np.int64)))
@@ -175,14 +166,14 @@ def mps_from_state_vector(
     returned state has its center at site N-1.
     """
     if phys_dim < 2:
-        raise BadLength(f"physical dimension must be >= 2, got {phys_dim}")
+        raise ValidationError(f"physical dimension must be >= 2, got {phys_dim}")
     flat = _inexact(np.array(psi)).reshape(-1)
     n = round(math.log(flat.size, phys_dim)) if flat.size > 1 else 1
     if phys_dim**n != flat.size:
-        raise BadLength(f"length {flat.size} is not a power of d={phys_dim}")
+        raise ValidationError(f"length {flat.size} is not a power of d={phys_dim}")
     nrm = float(np.linalg.norm(flat))
     if not abs(nrm - 1.0) <= _NORM_TOL:  # NaN fails this too
-        raise NotNormalized(f"|psi| = {nrm}, expected 1 within {_NORM_TOL}")
+        raise ValidationError(f"|psi| = {nrm}, expected 1 within {_NORM_TOL}")
 
     d = phys_dim
     if n == 1:
@@ -240,7 +231,7 @@ def product_mps(site_vectors) -> MPS:
         ket = _inexact(np.array(v)).reshape(-1)
         nrm = float(np.linalg.norm(ket))
         if not abs(nrm - 1.0) <= _NORM_TOL:  # NaN fails this too
-            raise NotNormalized(f"site {i} ket has norm {nrm}")
+            raise ValidationError(f"site {i} ket has norm {nrm}")
         sites.append(ket.reshape(1, ket.size, 1))
     return _recorded(sites, len(sites) - 1)
 
@@ -331,7 +322,7 @@ def move_center(m: MPS, target: int) -> MPS:
     center is already ``target`` is returned as it is.
     """
     if not 0 <= target < m.n_sites:
-        raise ValueError(f"target {target} out of range")
+        raise ValidationError(f"target {target} out of range")
     if m.center == target:
         return m
     chain = _Chain(m)
@@ -346,7 +337,7 @@ def canonicalize(m: MPS, target: int, spec: TruncationSpec = UNTRUNCATED) -> MPS
     followed by a right-to-left pass down to ``target``.
     """
     if not 0 <= target < m.n_sites:
-        raise ValueError(f"target {target} out of range")
+        raise ValidationError(f"target {target} out of range")
     chain = _Chain(m)
     chain.center = None
     _move(chain, target, spec)
@@ -362,14 +353,14 @@ def gauge_insert(m: MPS, bond: int, x) -> MPS:
     sectors, so the result is ``MPS(sites)``: ``center=None`` and unlabelled.
     """
     if not 0 <= bond < m.n_sites - 1:
-        raise ValueError(f"bond {bond} out of range")
+        raise ValidationError(f"bond {bond} out of range")
     chi = m.sites[bond].shape[2]
     x = np.asarray(x)
     if x.shape != (chi, chi):
-        raise ShapeMismatch(f"gauge matrix must be ({chi}, {chi}), got {x.shape}")
+        raise ValidationError(f"gauge matrix must be ({chi}, {chi}), got {x.shape}")
     svals = np.linalg.svd(x, compute_uv=False)
     if svals[-1] <= 0.0 or svals[0] / svals[-1] > 1e12:
-        raise Singular("gauge matrix is singular or too ill-conditioned")
+        raise ValidationError("gauge matrix is singular or too ill-conditioned")
     tensors = list(m.sites)
     tensors[bond] = np.tensordot(tensors[bond], x, axes=([2], [0]))
     tensors[bond + 1] = np.tensordot(np.linalg.inv(x), tensors[bond + 1], axes=([1], [0]))
@@ -398,7 +389,7 @@ def _sandwich(bra: MPS, ket: MPS, ops: dict[int, np.ndarray]) -> complex:
 def inner_product(a: MPS, b: MPS) -> complex:
     """Zipper overlap <a|b>, O(N * d * chi^3)."""
     if a.n_sites != b.n_sites or a.phys_dim != b.phys_dim:
-        raise ShapeMismatch("states live on different site spaces")
+        raise ValidationError("states live on different site spaces")
     return _sandwich(a, b, {})
 
 
@@ -409,10 +400,10 @@ def norm_squared(m: MPS) -> float:
 def expect_local(m: MPS, op, site: int) -> complex:
     """<psi| O_site |psi> / <psi|psi>, each a zipper over the whole chain; any gauge."""
     if not 0 <= site < m.n_sites:
-        raise ValueError(f"site {site} out of range")
+        raise ValidationError(f"site {site} out of range")
     op = np.asarray(op)
     if op.shape != (m.phys_dim, m.phys_dim):
-        raise ShapeMismatch(f"operator must be ({m.phys_dim}, {m.phys_dim})")
+        raise ValidationError(f"operator must be ({m.phys_dim}, {m.phys_dim})")
     return _sandwich(m, m, {site: op}) / norm_squared(m)
 
 
@@ -424,13 +415,13 @@ def expect_two_site(m: MPS, op_i, i: int, op_j, j: int) -> complex:
 def _two_site_ops(m: MPS, op_i, i: int, op_j, j: int) -> dict[int, np.ndarray]:
     """``{i: op_i, j: op_j}`` as arrays, once the sites and shapes are checked for ``m``."""
     if not (0 <= i < m.n_sites and 0 <= j < m.n_sites):
-        raise ValueError(f"sites ({i}, {j}) out of range")
+        raise ValidationError(f"sites ({i}, {j}) out of range")
     if i >= j:
-        raise BadOrder(f"need i < j, got i={i}, j={j}")
+        raise ValidationError(f"need i < j, got i={i}, j={j}")
     ops, d = {i: np.asarray(op_i), j: np.asarray(op_j)}, m.phys_dim
     for name, op in zip(("op_i", "op_j"), ops.values()):
         if op.shape != (d, d):
-            raise ShapeMismatch(f"{name} must be ({d}, {d})")
+            raise ValidationError(f"{name} must be ({d}, {d})")
     return ops
 
 
@@ -450,7 +441,7 @@ def apply_two_site_gate(
     Returns the new state and the absolute discarded weight of the split.
     """
     if not 0 <= site < m.n_sites - 1:
-        raise ValueError(f"gate needs sites ({site}, {site + 1}) in range")
+        raise ValidationError(f"gate needs sites ({site}, {site + 1}) in range")
     chain = _Chain(m)
     g = _gate_matrix(gate, chain, direction)
     _move(chain, site if direction == "right" else site + 1)
@@ -467,9 +458,9 @@ def _gate_matrix(gate, chain: _Chain, direction: str) -> np.ndarray:
     d = chain.sites[0].shape[1]
     gate = np.asarray(gate)
     if gate.shape != (d * d, d * d):
-        raise ShapeMismatch(f"gate must be ({d * d}, {d * d}), got {gate.shape}")
+        raise ValidationError(f"gate must be ({d * d}, {d * d}), got {gate.shape}")
     if direction not in ("right", "left"):
-        raise ValueError(f"direction must be 'right' or 'left', got {direction!r}")
+        raise ValidationError(f"direction must be 'right' or 'left', got {direction!r}")
     pair_q = (chain.phys_charges[:, None] + chain.phys_charges[None, :]).ravel(order="F")
     if np.any(gate[pair_q[:, None] != pair_q[None, :]]):
         chain.charges = [np.zeros_like(q) for q in chain.charges]
@@ -547,7 +538,7 @@ def correlation_length(m: MPS) -> CorrelationReport:
         (s for s in order if mc.sites[s].shape[0] == mc.sites[s].shape[2]), None
     )
     if site is None:
-        raise ShapeMismatch("no site has matching left/right links to build a transfer matrix")
+        raise ValidationError("no site has matching left/right links to build a transfer matrix")
     a = mc.sites[site]
     chi = a.shape[0]
     if chi == 1:
@@ -579,13 +570,13 @@ def fit_exponential_decay(xs, values) -> tuple[float, float]:
     """Least-squares fit of |values| ~ A * exp(-x / xi).
 
     Returns (xi, log A). Entries with |value| <= 1e-14 (rounding noise) are
-    excluded; fewer than two usable points raise AllZero.
+    excluded; fewer than two usable points raise ValidationError.
     """
     xs = np.asarray(xs, dtype=np.float64)
     vals = np.abs(np.asarray(values, dtype=np.float64))
     keep = vals > _FIT_ZERO
     if keep.sum() < 2:
-        raise AllZero("need at least two samples above 1e-14 in magnitude to fit a decay rate")
+        raise ValidationError("need at least two samples above 1e-14 in magnitude to fit a decay rate")
     slope, intercept = np.polyfit(xs[keep], np.log(vals[keep]), 1)
     if slope >= 0.0:
         return math.inf, float(intercept)
@@ -595,13 +586,13 @@ def fit_exponential_decay(xs, values) -> tuple[float, float]:
 def fit_power_law(xs, values) -> tuple[float, float]:
     """Least-squares fit of |values| ~ A * x^(-gamma); returns (gamma, log A).
 
-    Excludes x <= 0 and |value| <= 1e-14; AllZero if fewer than two points remain.
+    Excludes x <= 0 and |value| <= 1e-14; ValidationError if fewer than two points remain.
     """
     xs = np.asarray(xs, dtype=np.float64)
     vals = np.abs(np.asarray(values, dtype=np.float64))
     keep = (vals > _FIT_ZERO) & (xs > 0.0)
     if keep.sum() < 2:
-        raise AllZero("need at least two samples above 1e-14 in magnitude to fit a power law")
+        raise ValidationError("need at least two samples above 1e-14 in magnitude to fit a power law")
     slope, intercept = np.polyfit(np.log(xs[keep]), np.log(vals[keep]), 1)
     return -float(slope), float(intercept)
 
@@ -620,10 +611,10 @@ def mps_to_json(m: MPS) -> str:
 def mps_from_json(text: str) -> MPS:
     """``MPS(sites)`` from :func:`mps_to_json` text, ignoring the ``center`` key of older files.
 
-    ShapeMismatch if ``phys_dim`` disagrees with the sites.
+    ValidationError if ``phys_dim`` disagrees with the sites.
     """
     obj = json.loads(text)
     m = MPS(tuple(DenseTensor.load(json.dumps(site)).to_ndarray() for site in obj["sites"]))
     if m.phys_dim != int(obj["phys_dim"]):
-        raise ShapeMismatch(f"header phys_dim {obj['phys_dim']} != site physical extent {m.phys_dim}")
+        raise ValidationError(f"header phys_dim {obj['phys_dim']} != site physical extent {m.phys_dim}")
     return m

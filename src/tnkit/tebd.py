@@ -9,7 +9,7 @@ second-order bias in the step size.
 
 Only Hamiltonians that decompose into nearest-neighbor pair terms can be
 evolved this way; asking for the longer-range models raises
-UnsupportedModel. Imaginary-time evolution renormalizes the state after
+ValidationError. Imaginary-time evolution renormalizes the state after
 every sweep (the gates are not unitary; each is divided by its spectral norm
 so no sweep overflows); real-time evolution leaves the norm alone so
 truncation loss stays visible to the caller.
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import UNTRUNCATED, TruncationSpec, eig_hermitian
-from .errors import NumericalFailure, UnsupportedModel
-from .mpo import MPO, SM, SP, SZ, build_model, mpo_expectation, two_site_matrix
+from .errors import NumericalFailure, ValidationError
+from .mpo import MPO, SM, SP, SZ, mpo_expectation, two_site_matrix
 from .mps import MPS, _Chain, _gate_matrix, _gate_pair, _move, _recorded, norm_squared, product_mps
 
 _UP = np.array([1.0, 0.0])
@@ -44,15 +44,8 @@ SWEEPABLE = tuple(_PAIR_TERMS)
 def pair_hamiltonian(model: str, j: float = 1.0) -> np.ndarray:
     """(4, 4) real two-site term of a nearest-neighbor model (left site fastest)."""
     if model not in _PAIR_TERMS:
-        raise UnsupportedModel(f"{model!r} is not one of the nearest-neighbor models {SWEEPABLE}")
+        raise ValidationError(f"{model!r} is not one of the nearest-neighbor models {SWEEPABLE}")
     return -j * _PAIR_TERMS[model]
-
-
-def model_mpo(model: str, n_sites: int, j: float = 1.0) -> MPO:
-    """The full-chain MPO matching :func:`pair_hamiltonian`'s convention."""
-    if model not in SWEEPABLE:
-        raise UnsupportedModel(f"no sweepable MPO for model {model!r}")
-    return build_model(model, n_sites, j=j)
 
 
 def bond_gate(model: str, j: float, step: float, mode: str) -> np.ndarray:
@@ -61,7 +54,7 @@ def bond_gate(model: str, j: float, step: float, mode: str) -> np.ndarray:
     The (4, 4) gate is returned read-only.
     """
     if mode not in ("imaginary", "real"):
-        raise ValueError(f"mode must be 'imaginary' or 'real', got {mode!r}")
+        raise ValidationError(f"mode must be 'imaginary' or 'real', got {mode!r}")
     res = eig_hermitian(pair_hamiltonian(model, j))
     factor = -step if mode == "imaginary" else -1j * step
     gate = (res.u * np.exp(factor * res.omega)[None, :]) @ res.u.conj().T
@@ -170,7 +163,7 @@ def initial_product_state(model: str, n_sites: int) -> MPS:
         return _recorded(product_mps(kets).sites, n_sites - 1, links, np.array([1, -1]))
     if model == "ising_nn":
         return product_mps([_PLUS] * n_sites)
-    raise UnsupportedModel(f"no default seed for model {model!r}")
+    raise ValidationError(f"no default seed for model {model!r}")
 
 
 @dataclass(frozen=True)

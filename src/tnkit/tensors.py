@@ -32,19 +32,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ElementCountMismatch,
-    ExtentMismatch,
-    InvalidAxis,
-    InvalidPermutation,
-)
+from .errors import ValidationError
 
 
 def _as_shape(shape: Iterable[int]) -> tuple[int, ...]:
     out = tuple(int(s) for s in shape)
     for s in out:
         if s < 1:
-            raise ExtentMismatch(f"extents must be >= 1, got {out}")
+            raise ValidationError(f"extents must be >= 1, got {out}")
     return out
 
 
@@ -78,7 +73,7 @@ class DenseTensor:
         shp = _as_shape(shape)
         flat = _inexact(np.array(data)).reshape(-1)
         if flat.size != math.prod(shp):
-            raise ElementCountMismatch(
+            raise ValidationError(
                 f"shape {shp} holds {math.prod(shp)} elements, data has {flat.size}"
             )
         self._arr = flat.reshape(shp, order="F")
@@ -132,10 +127,10 @@ class DenseTensor:
             multi_index = (multi_index,)
         idx = tuple(int(i) for i in multi_index)
         if len(idx) != self.rank:
-            raise InvalidAxis(f"expected {self.rank} indices, got {len(idx)}")
+            raise ValidationError(f"expected {self.rank} indices, got {len(idx)}")
         for i, w in zip(idx, self.shape):
             if not 0 <= i < w:
-                raise InvalidAxis(f"index {idx} out of bounds for shape {self.shape}")
+                raise ValidationError(f"index {idx} out of bounds for shape {self.shape}")
         return self._arr[idx].item()
 
     def to_ndarray(self) -> np.ndarray:
@@ -179,7 +174,7 @@ def reshape(t: DenseTensor, new_shape: Sequence[int]) -> DenseTensor:
     """
     shp = _as_shape(new_shape)
     if math.prod(shp) != t.size:
-        raise ElementCountMismatch(
+        raise ValidationError(
             f"cannot reshape {t.shape} ({t.size} elements) to {shp} ({math.prod(shp)})"
         )
     return DenseTensor._wrap(t.to_ndarray().reshape(shp, order="F"))
@@ -194,7 +189,7 @@ def permute(t: DenseTensor, perm: Sequence[int]) -> DenseTensor:
     """
     p = tuple(int(x) for x in perm)
     if sorted(p) != list(range(t.rank)):
-        raise InvalidPermutation(f"{p} is not a permutation of 0..{t.rank - 1}")
+        raise ValidationError(f"{p} is not a permutation of 0..{t.rank - 1}")
     return DenseTensor._wrap(t.to_ndarray().transpose(p))
 
 
@@ -203,9 +198,9 @@ def _check_axes(t: DenseTensor, axes: Sequence[int], name: str) -> tuple[int, ..
     seen = set()
     for a in ax:
         if not 0 <= a < t.rank:
-            raise InvalidAxis(f"{name}: axis {a} out of range for rank {t.rank}")
+            raise ValidationError(f"{name}: axis {a} out of range for rank {t.rank}")
         if a in seen:
-            raise InvalidAxis(f"{name}: axis {a} repeated")
+            raise ValidationError(f"{name}: axis {a} repeated")
         seen.add(a)
     return ax
 
@@ -217,10 +212,10 @@ def _paired_axes(
     ax_a = _check_axes(a, axes_a, "axes_a")
     ax_b = _check_axes(b, axes_b, "axes_b")
     if len(ax_a) != len(ax_b):
-        raise InvalidAxis(f"axis lists differ in length: {len(ax_a)} vs {len(ax_b)}")
+        raise ValidationError(f"axis lists differ in length: {len(ax_a)} vs {len(ax_b)}")
     for pa, pb in zip(ax_a, ax_b):
         if a.shape[pa] != b.shape[pb]:
-            raise ExtentMismatch(
+            raise ValidationError(
                 f"contracted axes {pa},{pb} have extents {a.shape[pa]} != {b.shape[pb]}"
             )
     return ax_a, ax_b

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import TruncationSpec, block_svd
-from .errors import BadBeta, NumericalFailure, TooLarge
+from .errors import NumericalFailure, TooLarge, ValidationError
 
 _BRUTE_SPIN_CAP = 20
 _STEP_ELEMENT_CAP = 100**4
@@ -74,9 +74,9 @@ _SPIN_PARITY = np.array([0, 1], dtype=np.int8)  # of the Hadamard-rotated spin i
 def _plaquette_exponent(beta: float, j: float) -> np.ndarray:
     """bJ(su+sd)(sl+sr) over the 16 corner-spin configurations of a face."""
     if not (beta > 0.0) or not math.isfinite(beta):
-        raise BadBeta(f"inverse temperature must be positive and finite, got {beta}")
+        raise ValidationError(f"inverse temperature must be positive and finite, got {beta}")
     if not math.isfinite(j):
-        raise BadBeta(f"coupling must be finite, got {j}")
+        raise ValidationError(f"coupling must be finite, got {j}")
     s = np.array([1.0, -1.0])
     pair_sum = np.add.outer(s, s)  # [u, d] -> su + sd, and likewise for l, r
     return beta * j * pair_sum[:, None, :, None] * pair_sum[None, :, None, :]
@@ -315,7 +315,7 @@ def brute_force_lnz(beta: float, j: float, lx: int, ly: int) -> float:
     are binned by their total bond alignment, then summed in log space.
     """
     if not (beta > 0.0) or not math.isfinite(beta):
-        raise BadBeta(f"inverse temperature must be positive and finite, got {beta}")
+        raise ValidationError(f"inverse temperature must be positive and finite, got {beta}")
     n = lx * ly
     if n > _BRUTE_SPIN_CAP:
         raise TooLarge(f"{n} spins exceeds the enumeration cap {_BRUTE_SPIN_CAP}")

@@ -26,6 +26,7 @@ from .decomp import (
     truncated_svd,
 )
 from .ed import solve_dense, solve_iterative
+from .errors import ValidationError
 from .mpo import (
     SZ,
     build_exp_decay,
@@ -111,7 +112,7 @@ def _oracle_hamiltonian(model: str, n: int, **kw) -> np.ndarray:
             for op in (_SX, _SY, _SZ):
                 h -= kw["j"] * _pair_term(op, i, i + 1, n)
     else:
-        raise ValueError(model)
+        raise ValidationError(model)
     return h
 
 

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from conftest import dense_hamiltonian, failing_svd
+import tnkit
 from tnkit import cli
 from tnkit.cli import load_record, main, parse_config, run
 from tnkit import errors
-from tnkit.errors import ParseError, ValidationError
+from tnkit.errors import ValidationError
 from tnkit.mps import gauge_insert
 
 ED_CFG = {"command": "ed", "model": {"model": "heisenberg", "n": 4, "j": -1.0}}
@@ -36,7 +37,7 @@ def test_parse_fills_in_defaults():
 
 
 def test_parse_error_carries_line_and_column():
-    with pytest.raises(ParseError) as e:
+    with pytest.raises(ValidationError, match="not valid JSON") as e:
         parse_config('{"command": "ed",}')
     assert "line 1" in str(e.value)
 
@@ -467,6 +468,10 @@ def test_readme_exit_code_table_is_what_main_returns(tmp_path, monkeypatch, caps
             assert "raised on purpose" in capsys.readouterr().err
             named[cls] = code
     assert set(cli.EXIT_CODES) <= set(named)  # the table names every type main maps
+    # every class tnkit.errors defines has a row, and tnkit exports exactly those classes
+    defined = {c for c in vars(errors).values() if isinstance(c, type) and c.__module__ == errors.__name__}
+    assert defined <= set(named)
+    assert {c for c in vars(tnkit).values() if isinstance(c, type) and issubclass(c, BaseException)} == defined
 
 
 def test_strong_coupling_tebd_exits_cleanly(tmp_path):
@@ -622,7 +627,7 @@ def test_verify_internals_refuse_unknown_names():
     # the CLI refuses both earlier, as usage errors; these are the library's own guards
     from tnkit import verify
 
-    with pytest.raises(ValueError, match="^bogus$"):
+    with pytest.raises(ValidationError, match="^bogus$"):
         verify._oracle_hamiltonian("bogus", 2)
     with pytest.raises(KeyError, match="unknown suite 'bogus'; choose from"):
         verify.run_suite("bogus", echo=None)

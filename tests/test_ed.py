@@ -20,7 +20,7 @@ from tnkit import (
     solve_dense,
     solve_iterative,
 )
-from tnkit.errors import NoConvergence, ShapeMismatch, TooLarge
+from tnkit.errors import NoConvergence, TooLarge, ValidationError
 from tnkit.mpo import MODELS, build_model
 
 rng = np.random.default_rng(808)
@@ -76,7 +76,7 @@ def test_mpo_matvec_agrees_with_dense_matrix():
 
 def test_mpo_matvec_rejects_a_wrong_length_vector():
     # a shape error (CLI exit 2 path), not a resource limit (exit 4)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValidationError, match=r"shape \(17,\) does not end in 2\^4"):
         mpo_matvec(build_heisenberg(4, j=-1.0), np.ones(2**4 + 1))
 
 
@@ -117,7 +117,7 @@ def test_mpo_matvec_applies_a_vector_or_a_block_of_rows(name):
     assert rows.shape == block.shape
     np.testing.assert_allclose(rows, block @ h.T, atol=1e-10)
     np.testing.assert_allclose(rows, [mpo_matvec(op, v) for v in block], atol=1e-13, rtol=0)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValidationError, match=r"shape \(3, 63\) does not end in 2\^6"):
         mpo_matvec(op, block[:, 1:])
     assert mpo_matvec(op, block.real).dtype == (np.complex128 if np.iscomplexobj(h) else np.float64)
 

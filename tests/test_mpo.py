@@ -16,7 +16,7 @@ from tnkit import (
     product_mps,
     two_site_matrix,
 )
-from tnkit.errors import BadXi, ExtentMismatch, ShapeMismatch, TooFewSites, TooLarge
+from tnkit.errors import TooLarge, ValidationError
 
 rng = np.random.default_rng(404)
 
@@ -120,13 +120,13 @@ def test_dense_cap_counts_basis_states_not_sites():
 
 
 def test_bad_arguments():
-    with pytest.raises(BadXi):
+    with pytest.raises(ValidationError, match="decay length must be positive and finite, got 0.0"):
         build_exp_decay(6, xi=0.0)
-    with pytest.raises(BadXi):
+    with pytest.raises(ValidationError, match="decay length must be positive and finite, got -2.0"):
         build_exp_decay(6, xi=-2.0)
-    with pytest.raises(TooFewSites):
+    with pytest.raises(ValidationError, match="need at least 2 sites, got 1"):
         build_ising_nn(1)
-    with pytest.raises(TooFewSites):
+    with pytest.raises(ValidationError, match="need at least 2 sites, got 0"):
         build_heisenberg(0)
 
 
@@ -136,21 +136,27 @@ def _mpo(*shapes, left=3, right=3):
 
 
 @pytest.mark.parametrize(
-    "call, error",
+    "call, match",
     [
-        pytest.param(lambda: _mpo((3, 2, 2, 3)), TooFewSites, id="one-site"),
-        pytest.param(lambda: _mpo((3, 2, 2, 3), (3, 2, 2)), ShapeMismatch, id="site-rank"),
-        pytest.param(lambda: _mpo((3, 2, 2, 3), (3, 2, 3, 3)), ShapeMismatch, id="phys-extent"),
-        pytest.param(lambda: _mpo((3, 2, 2, 4), (3, 2, 2, 3)), ExtentMismatch, id="link-extent"),
-        pytest.param(lambda: _mpo((3, 2, 2, 3), (3, 2, 2, 3), left=2), ExtentMismatch, id="left-bvec"),
-        pytest.param(lambda: _mpo((3, 2, 2, 3), (3, 2, 2, 3), right=4), ExtentMismatch, id="right-bvec"),
+        pytest.param(lambda: _mpo((3, 2, 2, 3)), "an MPO needs at least two sites", id="one-site"),
+        pytest.param(lambda: _mpo((3, 2, 2, 3), (3, 2, 2)), "site 1 has rank 3, expected 4", id="site-rank"),
+        pytest.param(lambda: _mpo((3, 2, 2, 3), (3, 2, 3, 3)), "site 1 physical extents != 2", id="phys-extent"),
+        pytest.param(lambda: _mpo((3, 2, 2, 4), (3, 2, 2, 3)), "link between sites 0 and 1 mismatched", id="link-extent"),
         pytest.param(
-            lambda: mpo_expectation(product_mps([[1.0, 0.0]] * 5), build_ising_nn(4)), ShapeMismatch, id="expectation-sites"
+            lambda: _mpo((3, 2, 2, 3), (3, 2, 2, 3), left=2), "left boundary vector does not match first link", id="left-bvec"
+        ),
+        pytest.param(
+            lambda: _mpo((3, 2, 2, 3), (3, 2, 2, 3), right=4), "right boundary vector does not match last link", id="right-bvec"
+        ),
+        pytest.param(
+            lambda: mpo_expectation(product_mps([[1.0, 0.0]] * 5), build_ising_nn(4)),
+            "state and operator live on different site spaces",
+            id="expectation-sites",
         ),
     ],
 )
-def test_mpo_guards(call, error):
-    with pytest.raises(error):
+def test_mpo_guards(call, match):
+    with pytest.raises(ValidationError, match=match):
         call()
 
 

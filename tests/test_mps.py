@@ -50,17 +50,7 @@ from tnkit import (
     truncated_svd,
 )
 from tnkit.decomp import _layout
-from tnkit.errors import (
-    AllZero,
-    BadLength,
-    BadOrder,
-    ExtentMismatch,
-    NotNormalized,
-    NumericalFailure,
-    ShapeMismatch,
-    Singular,
-    TooLarge,
-)
+from tnkit.errors import NumericalFailure, TooLarge, ValidationError
 from tnkit.mps import _split
 from tnkit.verify import off_block_max
 
@@ -91,9 +81,9 @@ def test_three_level_sites(rng):
 
 
 def test_bad_inputs_rejected(rng):
-    with pytest.raises(BadLength):
+    with pytest.raises(ValidationError, match="length 6 is not a power of d=2"):
         mps_from_state_vector(np.ones(6) / np.sqrt(6.0), 2)
-    with pytest.raises(NotNormalized):
+    with pytest.raises(ValidationError, match=r"\|psi\| = 2.82.*, expected 1 within"):
         mps_from_state_vector(np.ones(8), 2)
 
 
@@ -106,9 +96,9 @@ def test_product_state_vector_is_little_endian():
 
 
 def test_nan_input_is_not_normalized():
-    with pytest.raises(NotNormalized):
+    with pytest.raises(ValidationError, match="site 1 ket has norm nan"):
         product_mps([np.array([1.0, 0.0]), np.array([np.nan, 0.0])])
-    with pytest.raises(NotNormalized):
+    with pytest.raises(ValidationError, match=r"\|psi\| = nan, expected 1 within"):
         mps_from_state_vector(np.full(8, np.nan), 2)
 
 
@@ -141,7 +131,7 @@ def test_product_mps_avoids_the_dense_vector(rng):
     assert m.bond_dims() == (1,) * 39
     assert np.isclose(norm_squared(m), 1.0)
     assert np.isclose(expect_local(m, SX, 20).real, 0.5)
-    with pytest.raises(NotNormalized):
+    with pytest.raises(ValidationError, match="site 0 ket has norm 1.41"):
         product_mps([np.array([1.0, 1.0])] * 3)
 
 
@@ -199,7 +189,7 @@ def test_expectations_match_dense_oracle(rng):
         assert np.isclose(expect_local(m, SZ, site), ref, atol=1e-12)
     ref = np.vdot(psi, kron_site(SX, 1, n) @ kron_site(SX, 4, n) @ psi)
     assert np.isclose(expect_two_site(m, SX, 1, SX, 4), ref, atol=1e-12)
-    with pytest.raises(BadOrder):
+    with pytest.raises(ValidationError, match="need i < j, got i=4, j=4"):
         expect_two_site(m, SZ, 4, SZ, 4)
 
 
@@ -231,7 +221,7 @@ def test_gauge_insert_rejects_singular_matrices(rng):
     chi = m.sites[2].shape[2]
     x = np.zeros((chi, chi))
     x[0, 0] = 1.0
-    with pytest.raises(Singular):
+    with pytest.raises(ValidationError, match="gauge matrix is singular or too ill-conditioned"):
         gauge_insert(m, 2, x)
 
 
@@ -329,7 +319,7 @@ def test_fits_treat_rounding_noise_as_zero():
     xs = np.arange(1.0, 6.0)
     for fit in (fit_exponential_decay, fit_power_law):
         for noise in (np.zeros(5), 1e-31 * np.exp(-xs), np.array([0.3, 1e-15, -1e-20, 0.0, 1e-14])):
-            with pytest.raises(AllZero):
+            with pytest.raises(ValidationError, match="need at least two samples above 1e-14 in magnitude to fit a"):
                 fit(xs, noise)
     # a noise-level sample among real ones is left out of the fit
     vals = 0.7 * np.exp(-xs / 2.5)
@@ -348,7 +338,7 @@ def test_json_round_trip(rng):
 def test_json_header_must_match_the_sites(rng):
     obj = json.loads(mps_to_json(random_mps(4, 2, 2, rng)))
     obj["phys_dim"] = 3
-    with pytest.raises(ShapeMismatch, match="phys_dim"):
+    with pytest.raises(ValidationError, match="header phys_dim 3 != site physical extent 2"):
         mps_from_json(json.dumps(obj))
 
 
@@ -680,35 +670,92 @@ def _no_square_site():
 
 
 @pytest.mark.parametrize(
-    "call, error",
+    "call, error, match",
     [
-        pytest.param(lambda m: MPS(()), BadLength, id="no-sites"),
-        pytest.param(lambda m: MPS((np.ones((1, 2)),)), ShapeMismatch, id="site-rank"),
-        pytest.param(lambda m: MPS((np.ones((1, 2, 1)), np.ones((1, 3, 1)))), ShapeMismatch, id="phys-extent"),
-        pytest.param(lambda m: MPS((np.ones((1, 2, 2)), np.ones((3, 2, 1)))), ExtentMismatch, id="link-extent"),
-        pytest.param(lambda m: MPS((np.ones((2, 2, 1)),)), ExtentMismatch, id="boundary-extent"),
-        pytest.param(lambda m: mps_from_state_vector([1.0], 1), BadLength, id="from-vector-d1"),
-        pytest.param(lambda m: to_state_vector(product_mps([[1.0, 0.0]] * 21)), TooLarge, id="densify-21-sites"),
-        pytest.param(lambda m: move_center(m, 5), ValueError, id="move-center-target"),
-        pytest.param(lambda m: canonicalize(m, -1), ValueError, id="canonicalize-target"),
-        pytest.param(lambda m: gauge_insert(m, 4, np.eye(1)), ValueError, id="gauge-bond"),
-        pytest.param(lambda m: gauge_insert(m, 1, np.eye(3)), ShapeMismatch, id="gauge-shape"),
-        pytest.param(lambda m: inner_product(m, product_mps([[1.0, 0.0]] * 4)), ShapeMismatch, id="inner-sites"),
-        pytest.param(lambda m: inner_product(m, product_mps([[1.0, 0.0, 0.0]] * 5)), ShapeMismatch, id="inner-phys"),
-        pytest.param(lambda m: expect_local(m, SZ, 5), ValueError, id="local-site"),
-        pytest.param(lambda m: expect_local(m, np.eye(3), 0), ShapeMismatch, id="local-op"),
-        pytest.param(lambda m: expect_two_site(m, SZ, -1, SZ, 2), ValueError, id="two-site-i"),
-        pytest.param(lambda m: expect_two_site(m, SZ, 0, SZ, 5), ValueError, id="two-site-j"),
-        pytest.param(lambda m: expect_two_site(m, np.eye(3), 0, SZ, 1), ShapeMismatch, id="two-site-op-i"),
-        pytest.param(lambda m: expect_two_site(m, SZ, 0, np.eye(3), 1), ShapeMismatch, id="two-site-op-j"),
-        pytest.param(lambda m: apply_two_site_gate(m, np.eye(4), 4), ValueError, id="gate-site"),
-        pytest.param(lambda m: apply_two_site_gate(m, np.eye(2), 0), ShapeMismatch, id="gate-shape"),
-        pytest.param(lambda m: apply_two_site_gate(m, np.eye(4), 0, direction="up"), ValueError, id="gate-direction"),
-        pytest.param(lambda m: correlation_length(_no_square_site()), ShapeMismatch, id="transfer-no-square-site"),
+        pytest.param(lambda m: MPS(()), ValidationError, "an MPS needs at least one site", id="no-sites"),
+        pytest.param(
+            lambda m: MPS((np.ones((1, 2)),)),
+            ValidationError, "site 0 has rank 2, expected 3", id="site-rank",
+        ),
+        pytest.param(
+            lambda m: MPS((np.ones((1, 2, 1)), np.ones((1, 3, 1)))),
+            ValidationError, "site 1 physical extent 3 != 2", id="phys-extent",
+        ),
+        pytest.param(
+            lambda m: MPS((np.ones((1, 2, 2)), np.ones((3, 2, 1)))),
+            ValidationError, "link between sites 0 and 1: 2 != 3", id="link-extent",
+        ),
+        pytest.param(
+            lambda m: MPS((np.ones((2, 2, 1)),)),
+            ValidationError, "boundary links must have extent 1", id="boundary-extent",
+        ),
+        pytest.param(
+            lambda m: mps_from_state_vector([1.0], 1),
+            ValidationError, "physical dimension must be >= 2, got 1", id="from-vector-d1",
+        ),
+        pytest.param(
+            lambda m: to_state_vector(product_mps([[1.0, 0.0]] * 21)),
+            TooLarge, r"refusing to densify 21 sites \(cap 20\)", id="densify-21-sites",
+        ),
+        pytest.param(lambda m: move_center(m, 5), ValidationError, "target 5 out of range", id="move-center-target"),
+        pytest.param(
+            lambda m: canonicalize(m, -1),
+            ValidationError, "target -1 out of range", id="canonicalize-target",
+        ),
+        pytest.param(lambda m: gauge_insert(m, 4, np.eye(1)), ValidationError, "bond 4 out of range", id="gauge-bond"),
+        pytest.param(
+            lambda m: gauge_insert(m, 1, np.eye(3)),
+            ValidationError, r"gauge matrix must be \(4, 4\), got \(3, 3\)", id="gauge-shape",
+        ),
+        pytest.param(
+            lambda m: inner_product(m, product_mps([[1.0, 0.0]] * 4)),
+            ValidationError, "states live on different site spaces", id="inner-sites",
+        ),
+        pytest.param(
+            lambda m: inner_product(m, product_mps([[1.0, 0.0, 0.0]] * 5)),
+            ValidationError, "states live on different site spaces", id="inner-phys",
+        ),
+        pytest.param(lambda m: expect_local(m, SZ, 5), ValidationError, "site 5 out of range", id="local-site"),
+        pytest.param(
+            lambda m: expect_local(m, np.eye(3), 0),
+            ValidationError, r"operator must be \(2, 2\)", id="local-op",
+        ),
+        pytest.param(
+            lambda m: expect_two_site(m, SZ, -1, SZ, 2),
+            ValidationError, r"sites \(-1, 2\) out of range", id="two-site-i",
+        ),
+        pytest.param(
+            lambda m: expect_two_site(m, SZ, 0, SZ, 5),
+            ValidationError, r"sites \(0, 5\) out of range", id="two-site-j",
+        ),
+        pytest.param(
+            lambda m: expect_two_site(m, np.eye(3), 0, SZ, 1),
+            ValidationError, r"op_i must be \(2, 2\)", id="two-site-op-i",
+        ),
+        pytest.param(
+            lambda m: expect_two_site(m, SZ, 0, np.eye(3), 1),
+            ValidationError, r"op_j must be \(2, 2\)", id="two-site-op-j",
+        ),
+        pytest.param(
+            lambda m: apply_two_site_gate(m, np.eye(4), 4),
+            ValidationError, r"gate needs sites \(4, 5\) in range", id="gate-site",
+        ),
+        pytest.param(
+            lambda m: apply_two_site_gate(m, np.eye(2), 0),
+            ValidationError, r"gate must be \(4, 4\), got \(2, 2\)", id="gate-shape",
+        ),
+        pytest.param(
+            lambda m: apply_two_site_gate(m, np.eye(4), 0, direction="up"),
+            ValidationError, "direction must be 'right' or 'left', got 'up'", id="gate-direction",
+        ),
+        pytest.param(
+            lambda m: correlation_length(_no_square_site()),
+            ValidationError, "no site has matching left/right links", id="transfer-no-square-site",
+        ),
     ],
 )
-def test_mps_guards(rng, call, error):
-    with pytest.raises(error):
+def test_mps_guards(rng, call, error, match):
+    with pytest.raises(error, match=match):
         call(random_mps(5, 2, 4, rng))
 
 

@@ -18,7 +18,6 @@ from tnkit import (
     MPS,
     initial_product_state,
     measure_energy,
-    model_mpo,
     move_center,
     mpo_matvec,
     mps_from_state_vector,
@@ -29,8 +28,8 @@ from tnkit import (
     sweep,
     to_state_vector,
 )
-from tnkit.errors import NumericalFailure, UnsupportedModel
-from tnkit.mpo import mpo_expectation
+from tnkit.errors import NumericalFailure, ValidationError
+from tnkit.mpo import build_model, mpo_expectation
 from tnkit.tebd import _bond_energy
 from tnkit.verify import off_block_max
 
@@ -64,15 +63,15 @@ def test_gate_matches_scipy_expm():
 
 
 def test_gate_mode_is_validated():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="mode must be 'imaginary' or 'real', got 'sideways'"):
         bond_gate("ising_nn", 1.0, 0.1, "sideways")
 
 
 def test_long_range_models_are_refused():
     for model in ("ising_nnn", "exp_decay", "xyz"):
-        with pytest.raises(UnsupportedModel):
+        with pytest.raises(ValidationError, match=f"'{model}' is not one of the nearest-neighbor models"):
             pair_hamiltonian(model)
-    with pytest.raises(UnsupportedModel):
+    with pytest.raises(ValidationError, match="'exp_decay' is not one of the nearest-neighbor models"):
         find_ground_state("exp_decay", 6)
 
 
@@ -220,7 +219,7 @@ def test_real_models_stay_real_and_only_real_time_turns_complex():
 
     f64, c128 = np.dtype(np.float64), np.dtype(np.complex128)
     for model in ("ising_nn", "heisenberg"):
-        assert dtypes(model_mpo(model, 6, j=-1.0).sites) == {f64}
+        assert dtypes(build_model(model, 6, j=-1.0).sites) == {f64}
         assert dtypes(initial_product_state(model, 6).sites) == {f64}
         assert dtypes([bond_gate(model, -1.0, 0.1, "imaginary")]) == {f64}
         assert dtypes([bond_gate(model, -1.0, 0.1, "real")]) == {c128}
@@ -228,7 +227,7 @@ def test_real_models_stay_real_and_only_real_time_turns_complex():
         assert dtypes(rep.state.sites) == {f64}
         quench = evolve_real_time(initial_product_state(model, 4), model, j=-1.0, dt=0.05, n_steps=2)
         assert dtypes(quench.state.sites) == {c128}
-        assert solve_iterative(model_mpo(model, 6, j=-1.0), n_states=2).vectors.dtype == f64
+        assert solve_iterative(build_model(model, 6, j=-1.0), n_states=2).vectors.dtype == f64
     assert mpo_matvec(build_ising_nn(6, j=1.0), rng.standard_normal(2**6)).dtype == f64
 
 
@@ -360,7 +359,7 @@ def end_centred_states(n=7):
 @pytest.mark.parametrize("model", ["heisenberg", "ising_nn"])
 def test_bond_energy_is_the_mpo_energy(model):
     for state in end_centred_states():
-        h = model_mpo(model, state.n_sites, j=-1.3)
+        h = build_model(model, state.n_sites, j=-1.3)
         nrm2 = norm_squared(state)
         energy, got_nrm2 = _bond_energy(state, pair_hamiltonian(model, -1.3))
         assert energy == pytest.approx(mpo_expectation(state, h).real / nrm2, rel=1e-12, abs=0.0)
@@ -411,14 +410,13 @@ def test_small_ground_search_and_quench_keep_their_trajectory():
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, match",
     [
-        pytest.param(lambda: model_mpo("exp_decay", 6), id="model-mpo"),
-        pytest.param(lambda: initial_product_state("ising_nnn", 6), id="initial-state"),
+        pytest.param(lambda: initial_product_state("ising_nnn", 6), "no default seed for model 'ising_nnn'", id="initial-state"),
     ],
 )
-def test_tebd_guards(call):
-    with pytest.raises(UnsupportedModel):
+def test_tebd_guards(call, match):
+    with pytest.raises(ValidationError, match=match):
         call()
 
 

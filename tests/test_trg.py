@@ -11,7 +11,7 @@ from scipy.integrate import dblquad
 
 from tnkit import UNTRUNCATED, TruncationSpec, select_rank, truncated_svd
 from tnkit import decomp, trg
-from tnkit.errors import BadBeta, NumericalFailure, TooLarge
+from tnkit.errors import NumericalFailure, TooLarge, ValidationError
 from tnkit.trg import (
     brute_force_lnz,
     close_torus,
@@ -123,9 +123,9 @@ def test_plaquette_cyclic_symmetry():
 
 def test_bad_beta_rejected():
     for bad in (0.0, -1.0, float("inf"), float("nan")):
-        with pytest.raises(BadBeta):
+        with pytest.raises(ValidationError, match=f"inverse temperature must be positive and finite, got {bad}"):
             initial_state(bad)
-        with pytest.raises(BadBeta):
+        with pytest.raises(ValidationError, match=f"inverse temperature must be positive and finite, got {bad}"):
             brute_force_lnz(bad, 1.0, 2, 2)
 
 
@@ -381,7 +381,7 @@ def test_matches_onsager_solution():
 
 @pytest.mark.parametrize("j", [float("inf"), float("-inf"), float("nan")])
 def test_a_non_finite_coupling_is_rejected(j):
-    with pytest.raises(BadBeta, match="coupling"):
+    with pytest.raises(ValidationError, match=f"coupling must be finite, got {j}"):
         initial_state(0.4, j)
 
 
