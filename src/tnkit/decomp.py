@@ -21,6 +21,7 @@ sector at a time and cut on the merged spectrum (Singh, Pfeifer and Vidal, arXiv
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,7 +40,7 @@ _POWER_ITERATIONS = 2
 class TruncationSpec:
     """How to cut a singular-value spectrum.
 
-    chi_max : hard cap on the number of kept values (None = unlimited).
+    chi_max : hard cap on the number of kept values, an int >= 1 (None = unlimited).
     cutoff : maximum *relative* discarded weight sum(dropped lambda^2) /
         sum(all lambda^2); 0 disables weight-based truncation entirely. A
         cut by weight moves past values within 1e-12 (relative to the
@@ -50,6 +51,8 @@ class TruncationSpec:
     cutoff: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.chi_max is not None and (not isinstance(self.chi_max, numbers.Integral) or isinstance(self.chi_max, bool)):
+            raise ValidationError(f"chi_max must be an integer, got {self.chi_max!r}")
         if self.chi_max is not None and self.chi_max < 1:
             raise ValidationError(f"chi_max must be >= 1, got {self.chi_max}")
         if not 0.0 <= self.cutoff < 1.0:
@@ -315,6 +318,8 @@ def entanglement_entropy(d) -> float:
     lam = np.asarray(d, dtype=np.float64).reshape(-1)
     if lam.size == 0 or not np.any(lam):
         raise ValidationError("entropy of an all-zero spectrum is undefined")
+    if not np.all(np.isfinite(lam)):
+        raise ValidationError("singular values must be finite")
     if np.any(lam < 0):
         raise ValidationError("singular values must be non-negative")
     lam = np.where(lam < _ZERO_CLAMP * lam.max(), 0.0, lam)

@@ -57,24 +57,24 @@ def mpo_matvec(op: MPO, psi: np.ndarray) -> np.ndarray:
     The result has the shape of ``psi``; ValidationError unless ``psi`` is
     1-D or 2-D with a last axis d^N long. The leading sites, up to a fused
     physical extent of 16 (the whole chain if it is shorter), are contracted
-    into one ``(1, d^k, d^k, D)`` site with the left boundary vector folded
-    in, and applied as one 2-D GEMM ``psi.reshape(-1, d^k) @ M``. Its result
-    is already the loop's C-order layout ``(row · sites still to apply · i_j,
-    a, sites applied)``: site 0 is the fastest index, so the next site's input
-    sits just above the MPO link ``a``. Each remaining site is one broadcast
-    ``np.matmul`` of ``W`` as a ``(b·o, i·a)`` matrix, and the product
-    reshapes into the next site's layout, so past the first product the state
-    is never transposed or copied. The right boundary vector is folded into
-    the last site. The cost per vector is O(D d^(k+N)) for the fused sites
-    and O(N D^2 d^(N+1)) for the rest.
+    into one ``(1, d^k, d^k, D)`` site, which starts from the first site's
+    extent-1 left link, and applied as one 2-D GEMM ``psi.reshape(-1, d^k) @
+    M``. Its result is already the loop's C-order layout ``(row · sites
+    still to apply · i_j, a, sites applied)``: site 0 is the fastest index,
+    so the next site's input sits just above the MPO link ``a``. Each
+    remaining site is one broadcast ``np.matmul`` of ``W`` as a ``(b·o,
+    i·a)`` matrix, and the product reshapes into the next site's layout, so
+    past the first product the state is never transposed or copied; the
+    last site's right link has extent 1, so nothing is folded in at the end.
+    The cost per vector is O(D d^(k+N)) for the fused sites and O(N D^2
+    d^(N+1)) for the rest.
     """
     dim = op.phys_dim**op.n_sites
     psi = np.asarray(psi)
     if psi.ndim not in (1, 2) or psi.shape[-1] != dim:
         raise ValidationError(f"shape {psi.shape} does not end in {op.phys_dim}^{op.n_sites}")
-    sites = list(op.sites)
-    sites[-1] = np.tensordot(sites[-1], op.right_bvec, axes=(3, 0))[..., None]
-    lead = np.tensordot(op.left_bvec, sites[0], axes=(0, 0))  # (o, i, b)
+    sites = op.sites
+    lead = sites[0][0]  # (o, i, b): the first site's left link has extent 1
     k = 1
     while k < len(sites) and lead.shape[1] < _FOLD_EXTENT:
         w = sites[k]  # new site's indices are slower than the fused ones
@@ -137,9 +137,7 @@ def solve_iterative(
         raise TooLarge(f"asked for {n_states} states in a {dim}-dim space")
     rng = np.random.default_rng(seed)
     p = n_states
-    dtype = np.result_type(
-        np.float64, op.left_bvec, op.right_bvec, *op.sites
-    )
+    dtype = np.result_type(np.float64, *op.sites)
     # basis vectors are rows; the pages of rows never written are never mapped
     q = np.empty((min(dim, max_iter + p), dim), dtype=dtype)
     proj = np.zeros((q.shape[0], q.shape[0]), dtype=dtype)

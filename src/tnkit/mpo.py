@@ -1,11 +1,11 @@
 """Matrix product operators for 1D spin-1/2 chains.
 
 Site tensors are rank-4 read-only numpy arrays with axes ``(left link, phys
-out, phys in, right link)``, contracted with numpy directly. An operator is
-stored as one tensor per site plus two boundary vectors; the
-translation-invariant builders below use the same bulk tensor everywhere,
-with the boundary vectors selecting the standard triangular block
-structure's last row on the left and first column on the right.
+out, phys in, right link)``, contracted with numpy directly. As for an MPS,
+both chain ends carry dummy links of extent 1. The translation-invariant
+builders below use one bulk tensor W of the standard triangular block
+structure: the first site is W's last row, the last site its first column,
+and every other site W itself, all views of the one array.
 
 Hamiltonian sign convention: every builder produces ``H = -J * sum(...)`` of
 spin-product terms, so positive couplings favor alignment (for the Ising
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooLarge, ValidationError
-from .tensors import _read_only
+from .mps import _chain_sites, _sandwich
 
 # spin-1/2 operator library (factor 1/2 included); only SY is complex
 ID2 = np.eye(2)
@@ -54,32 +54,18 @@ def two_site_matrix(op_left: np.ndarray, op_right: np.ndarray) -> np.ndarray:
 class MPO:
     """Immutable matrix product operator.
 
-    sites : rank-4 arrays, axes (left, phys out, phys in, right), each
-        stored as a read-only view of the array passed in.
-    left_bvec / right_bvec : boundary vectors contracted onto the first
-        site's left link and the last site's right link.
+    sites : at least two rank-4 arrays, axes (left, phys out, phys in,
+        right), each stored as a read-only view of the array passed in; the
+        first site's left link and the last site's right link have extent 1.
     phys_dim : (property) the physical extent, read off the first site.
     """
 
     sites: tuple[np.ndarray, ...]
-    left_bvec: np.ndarray
-    right_bvec: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sites", tuple(_read_only(t) for t in self.sites))
         if len(self.sites) < 2:
             raise ValidationError("an MPO needs at least two sites")
-        for i, t in enumerate(self.sites):
-            if t.ndim != 4:
-                raise ValidationError(f"site {i} has rank {t.ndim}, expected 4")
-            if t.shape[1] != self.phys_dim or t.shape[2] != self.phys_dim:
-                raise ValidationError(f"site {i} physical extents != {self.phys_dim}")
-            if i + 1 < len(self.sites) and t.shape[3] != self.sites[i + 1].shape[0]:
-                raise ValidationError(f"link between sites {i} and {i + 1} mismatched")
-        if self.left_bvec.shape != (self.sites[0].shape[0],):
-            raise ValidationError("left boundary vector does not match first link")
-        if self.right_bvec.shape != (self.sites[-1].shape[3],):
-            raise ValidationError("right boundary vector does not match last link")
+        object.__setattr__(self, "sites", _chain_sites(self.sites, 4))
 
     @property
     def phys_dim(self) -> int:
@@ -91,17 +77,13 @@ class MPO:
 
 
 def _uniform_mpo(blocks: dict[tuple[int, int], np.ndarray], dim: int, n: int) -> MPO:
-    """Assemble a translation-invariant MPO from a block matrix (promoted dtype)."""
+    """Translation-invariant MPO of a block matrix W (promoted dtype): last row, W, ..., W, first column."""
     if n < 2:
         raise ValidationError(f"need at least 2 sites, got {n}")
     w = np.zeros((dim, 2, 2, dim), dtype=np.result_type(*blocks.values()))
     for (row, col), mat in blocks.items():
         w[row, :, :, col] = mat
-    left = np.zeros(dim)
-    left[dim - 1] = 1.0
-    right = np.zeros(dim)
-    right[0] = 1.0
-    return MPO(sites=(w,) * n, left_bvec=left, right_bvec=right)
+    return MPO((w[dim - 1 :],) + (w,) * (n - 2) + (w[..., :1],))
 
 
 def build_ising_nn(n: int, j: float = 1.0) -> MPO:
@@ -183,6 +165,8 @@ MODELS = {
 
 def build_model(model: str, n: int, **params: float) -> MPO:
     """The ``n``-site MPO of a :data:`MODELS` entry, e.g. ``build_model("exp_decay", 8, xi=2.0)``."""
+    if model not in MODELS:
+        raise ValidationError(f"unknown model {model!r}; expected one of {tuple(MODELS)}")
     return MODELS[model][0](n, **params)
 
 
@@ -195,35 +179,23 @@ def mpo_to_dense(op: MPO) -> np.ndarray:
     d = op.phys_dim
     if d**n > _DENSE_DIM_CAP:
         raise TooLarge(f"refusing to densify {n} sites of extent {d} (dimension cap {_DENSE_DIM_CAP})")
-    acc = op.left_bvec.reshape(1, 1, -1)
+    acc = np.ones((1, 1, 1))  # (out, in, link)
     dim = 1
     for t in op.sites:
         step = np.tensordot(acc, t, axes=([2], [0]))  # (out, in, o, i, link)
         step = step.transpose(0, 2, 1, 3, 4)  # (out, o, in, i, link)
         dim *= d
         acc = step.reshape(dim, dim, step.shape[4], order="F")
-    return np.tensordot(acc, op.right_bvec, axes=([2], [0]))
+    return acc[:, :, 0]
 
 
 def mpo_expectation(state, op: MPO) -> complex:
-    """Raw (unnormalized) <psi| H |psi> by a single left-to-right zipper.
+    """Raw (unnormalized) <psi| H |psi> by the zipper :func:`~tnkit.mps._sandwich`.
 
-    Cost is O(N chi^2 D d (chi + D d)) — never builds the dense operator.
-    The environment is kept C-ordered as (ket, a, bra), so each site is
-    three matrix products and no product's input is a transposed copy. The
+    Cost is O(N chi^2 D d (chi + D d)) — never builds the dense operator. The
     caller divides by the state's norm squared when a normalized value is
     wanted; energy drivers do this explicitly.
     """
     if state.n_sites != op.n_sites or state.phys_dim != op.phys_dim:
         raise ValidationError("state and operator live on different site spaces")
-    env = op.left_bvec.reshape(1, -1, 1)  # (ket, a, bra)
-    for a, w in zip(state.sites, op.sites):
-        k, d, k2 = a.shape
-        da, db = w.shape[0], w.shape[3]
-        b = a.conj()
-        t = env.reshape(k * da, -1) @ b.reshape(-1, d * k2)  # (ket, a, o, bra')
-        wm = w.transpose(2, 3, 0, 1).reshape(d * db, da * d)  # (i, b) x (a, o)
-        t = wm @ t.reshape(k, da * d, k2)  # (ket, i, b, bra')
-        env = a.reshape(k * d, k2).T @ t.reshape(k * d, db * k2)  # (ket', b, bra')
-    out = env.reshape(-1) @ op.right_bvec  # both links have extent 1
-    return complex(out.item())
+    return _sandwich(state, state, dict(enumerate(op.sites)))

@@ -7,8 +7,8 @@ orthogonality ``center`` of every state it makes: every site left of it is a
 left isometry, every site right of it a right isometry. A state built from
 its sites alone, ``MPS(sites)``, has ``center=None``, and the first gauge
 move canonicalizes it. Measurements read no gauge: every overlap, norm and
-expectation value is one zipper of the chain with its conjugate, O(N d
-chi^3), which runs no SVD.
+expectation value, an MPO's too, is one zipper of the chain with its
+conjugate, :func:`_sandwich`, with each operator as an MPO site; no SVD.
 
 Flat state vectors use the package-wide linearization: site 0 is the fastest
 index, i.e. ``psi[s0 + d*(s1 + d*(s2 + ...))]``. Construction peels one site
@@ -45,13 +45,14 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .decomp import UNTRUNCATED, TruncationSpec, block_svd, entanglement_entropy, truncated_svd
 from .errors import TooLarge, ValidationError
-from .tensors import DenseTensor, _inexact, _read_only
+from .tensors import DenseTensor, _inexact, _json_fields, _read_only
 
 _DENSE_SITE_CAP = 20  # to_state_vector guard: d**N grows fast
 _NORM_TOL = 1e-8  # how far from 1 an input vector's norm may be
@@ -79,23 +80,9 @@ class MPS:
     phys_charges: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sites", tuple(_read_only(t) for t in self.sites))
         if not self.sites:
             raise ValidationError("an MPS needs at least one site")
-        for i, t in enumerate(self.sites):
-            if t.ndim != 3:
-                raise ValidationError(f"site {i} has rank {t.ndim}, expected 3")
-            if t.shape[1] != self.phys_dim:
-                raise ValidationError(
-                    f"site {i} physical extent {t.shape[1]} != {self.phys_dim}"
-                )
-            if i + 1 < len(self.sites) and t.shape[2] != self.sites[i + 1].shape[0]:
-                raise ValidationError(
-                    f"link between sites {i} and {i + 1}: "
-                    f"{t.shape[2]} != {self.sites[i + 1].shape[0]}"
-                )
-        if self.sites[0].shape[0] != 1 or self.sites[-1].shape[2] != 1:
-            raise ValidationError("boundary links must have extent 1")
+        object.__setattr__(self, "sites", _chain_sites(self.sites, 3))
         extents = [1] + [t.shape[2] for t in self.sites]
         object.__setattr__(self, "charges", tuple(_labels(np.zeros(e, np.int64)) for e in extents))
         object.__setattr__(self, "phys_charges", _labels(np.zeros(self.phys_dim, np.int64)))
@@ -114,6 +101,26 @@ class MPS:
 
     def norm(self) -> float:
         return math.sqrt(max(norm_squared(self), 0.0))
+
+
+def _chain_sites(sites, rank: int) -> tuple[np.ndarray, ...]:
+    """Read-only views of the sites of an :class:`MPS` (``rank`` 3) or :class:`~tnkit.mpo.MPO` (4).
+
+    ValidationError unless each has ``rank`` axes, the first site's physical extent on every
+    axis between its links, links matching its neighbors', and extent-1 links at both ends.
+    """
+    sites = tuple(_read_only(t) for t in sites)
+    for i, t in enumerate(sites):
+        if t.ndim != rank:
+            raise ValidationError(f"site {i} has rank {t.ndim}, expected {rank}")
+        for e in t.shape[1:-1]:
+            if e != sites[0].shape[1]:
+                raise ValidationError(f"site {i} physical extent {e} != {sites[0].shape[1]}")
+        if i + 1 < len(sites) and t.shape[-1] != sites[i + 1].shape[0]:
+            raise ValidationError(f"link between sites {i} and {i + 1}: {t.shape[-1]} != {sites[i + 1].shape[0]}")
+    if sites[0].shape[0] != 1 or sites[-1].shape[-1] != 1:
+        raise ValidationError("boundary links must have extent 1")
+    return sites
 
 
 def _recorded(sites, center: int, charges=None, phys_charges=None) -> MPS:
@@ -175,25 +182,13 @@ def mps_from_state_vector(
     if not abs(nrm - 1.0) <= _NORM_TOL:  # NaN fails this too
         raise ValidationError(f"|psi| = {nrm}, expected 1 within {_NORM_TOL}")
 
-    d = phys_dim
-    if n == 1:
-        return _recorded((flat.reshape(1, d, 1),), 0)
-
-    sites: list[np.ndarray] = []
-    lind = 1
-    rest = d ** (n - 1)
-    m = flat.reshape(d, rest, order="F")
-    for i in range(n - 1):
-        res = truncated_svd(m, spec)
-        u, dv = res.u, res.d[:, None] * res.v_dag
-        k = u.shape[1]
-        sites.append(u.reshape(lind, d, k, order="F"))
-        if i == n - 2:
-            sites.append(dv.reshape(k, d, 1, order="F"))
-        else:
-            lind = k
-            rest //= d
-            m = dv.reshape(k * d, rest, order="F")
+    d, sites = phys_dim, []
+    m = flat.reshape(1, -1)  # (link, rest of the chain)
+    for _ in range(n - 1):
+        res = truncated_svd(m.reshape(m.shape[0] * d, -1, order="F"), spec)
+        sites.append(res.u.reshape(m.shape[0], d, -1, order="F"))
+        m = res.d[:, None] * res.v_dag
+    sites.append(m.reshape(m.shape[0], d, 1, order="F"))
     return _recorded(sites, n - 1)
 
 
@@ -238,16 +233,9 @@ def product_mps(site_vectors) -> MPS:
 
 def random_mps(n_sites: int, phys_dim: int, chi_max: int, rng) -> MPS:
     """Normalized random MPS with links capped at ``chi_max``."""
-    dims = [1]
-    for i in range(1, n_sites):
-        dims.append(min(chi_max, phys_dim ** i, phys_dim ** (n_sites - i)))
-    dims.append(1)
-    sites = []
-    for i in range(n_sites):
-        shape = (dims[i], phys_dim, dims[i + 1])
-        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        sites.append(data)
-    chain = _Chain(MPS(tuple(sites)))
+    dims = [min(chi_max, phys_dim**i, phys_dim ** (n_sites - i)) for i in range(n_sites + 1)]  # 1 at both ends
+    shapes = [(dims[i], phys_dim, dims[i + 1]) for i in range(n_sites)]
+    chain = _Chain(MPS(tuple(rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes)))
     _move(chain, n_sites - 1)
     c = chain.sites[-1]
     nrm = math.sqrt(float(np.tensordot(c.conj(), c, axes=([0, 1, 2], [0, 1, 2])).real))
@@ -373,16 +361,23 @@ def gauge_insert(m: MPS, bond: int, x) -> MPS:
 
 
 def _sandwich(bra: MPS, ket: MPS, ops: dict[int, np.ndarray]) -> complex:
-    """<bra| prod_s O_s |ket> by one left-to-right zipper, O(N * d * chi^3), in any gauge.
+    """<bra| W |ket> by one left-to-right zipper in any gauge, O(N chi^2 D d (chi + D d)).
 
-    ``ops`` maps a site to the (d, d) operator contracted into the ket there.
+    ``ops`` maps a site to a ``(D, d, d, D')`` tensor in MPO axis order, e.g. a
+    one-site O as ``O[None, :, :, None]``; any other site is the identity on an
+    extent-1 link. The environment is C-ordered (ket, W link, bra): three matrix
+    products per site, two on identity sites, none with a transposed copy.
     """
-    env = np.ones((1, 1))  # (bra link, ket link)
+    env = np.ones((1, 1, 1))  # (ket, a, bra)
     for s, (ta, tb) in enumerate(zip(bra.sites, ket.sites)):
+        k, d, k2 = tb.shape
+        t = env.reshape(-1, ta.shape[0]) @ ta.conj().reshape(ta.shape[0], -1)  # (ket, a, o, bra')
         if s in ops:
-            tb = np.tensordot(ops[s], tb, axes=([1], [1])).transpose(1, 0, 2)  # (l, phys', r)
-        t1 = np.tensordot(env, ta.conj(), axes=([0], [0]))  # (ket, phys, bra')
-        env = np.tensordot(t1, tb, axes=([0, 1], [0, 1]))  # (bra', ket')
+            w = ops[s]
+            da, db = w.shape[0], w.shape[3]
+            wm = w.transpose(2, 3, 0, 1).reshape(d * db, da * d)  # (i, b) x (a, o)
+            t = wm @ t.reshape(k, da * d, -1)  # (ket, i, b, bra')
+        env = tb.reshape(k * d, k2).T @ t.reshape(k * d, -1)  # (ket', b, bra')
     return complex(env.item())
 
 
@@ -399,12 +394,13 @@ def norm_squared(m: MPS) -> float:
 
 def expect_local(m: MPS, op, site: int) -> complex:
     """<psi| O_site |psi> / <psi|psi>, each a zipper over the whole chain; any gauge."""
+    site = _site_index(site)
     if not 0 <= site < m.n_sites:
         raise ValidationError(f"site {site} out of range")
     op = np.asarray(op)
     if op.shape != (m.phys_dim, m.phys_dim):
         raise ValidationError(f"operator must be ({m.phys_dim}, {m.phys_dim})")
-    return _sandwich(m, m, {site: op}) / norm_squared(m)
+    return _sandwich(m, m, {site: op[None, :, :, None]}) / norm_squared(m)
 
 
 def expect_two_site(m: MPS, op_i, i: int, op_j, j: int) -> complex:
@@ -412,8 +408,17 @@ def expect_two_site(m: MPS, op_i, i: int, op_j, j: int) -> complex:
     return _sandwich(m, m, _two_site_ops(m, op_i, i, op_j, j)) / norm_squared(m)
 
 
+def _site_index(site) -> int:
+    """``site`` as an int; ValidationError for a float, or anything else that is not an integer."""
+    try:
+        return operator.index(site)
+    except TypeError:
+        raise ValidationError(f"site {site!r} is not an integer") from None
+
+
 def _two_site_ops(m: MPS, op_i, i: int, op_j, j: int) -> dict[int, np.ndarray]:
-    """``{i: op_i, j: op_j}`` as arrays, once the sites and shapes are checked for ``m``."""
+    """``{i: op_i, j: op_j}`` as :func:`_sandwich` tensors, once the sites and shapes are checked for ``m``."""
+    i, j = _site_index(i), _site_index(j)
     if not (0 <= i < m.n_sites and 0 <= j < m.n_sites):
         raise ValidationError(f"sites ({i}, {j}) out of range")
     if i >= j:
@@ -422,7 +427,7 @@ def _two_site_ops(m: MPS, op_i, i: int, op_j, j: int) -> dict[int, np.ndarray]:
     for name, op in zip(("op_i", "op_j"), ops.values()):
         if op.shape != (d, d):
             raise ValidationError(f"{name} must be ({d}, {d})")
-    return ops
+    return {s: op[None, :, :, None] for s, op in ops.items()}
 
 
 def apply_two_site_gate(
@@ -611,10 +616,11 @@ def mps_to_json(m: MPS) -> str:
 def mps_from_json(text: str) -> MPS:
     """``MPS(sites)`` from :func:`mps_to_json` text, ignoring the ``center`` key of older files.
 
-    ValidationError if ``phys_dim`` disagrees with the sites.
+    ValidationError if the text is not JSON, lacks ``phys_dim`` or ``sites``,
+    or its ``phys_dim`` disagrees with the sites.
     """
-    obj = json.loads(text)
-    m = MPS(tuple(DenseTensor.load(json.dumps(site)).to_ndarray() for site in obj["sites"]))
-    if m.phys_dim != int(obj["phys_dim"]):
-        raise ValidationError(f"header phys_dim {obj['phys_dim']} != site physical extent {m.phys_dim}")
+    phys_dim, sites = _json_fields(text, "MPS text", "phys_dim", "sites")
+    m = MPS(tuple(DenseTensor.load(json.dumps(site)).to_ndarray() for site in sites))
+    if m.phys_dim != int(phys_dim):
+        raise ValidationError(f"header phys_dim {phys_dim} != site physical extent {m.phys_dim}")
     return m

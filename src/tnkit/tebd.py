@@ -93,7 +93,7 @@ def _sweep(chain: _Chain, g: np.ndarray, spec: TruncationSpec, direction: str) -
 
 
 def measure_energy(state: MPS, h: MPO) -> float:
-    """<H> / <psi|psi>, both by zippers over the whole chain; any gauge, any MPO.
+    """<H> / <psi|psi>: the zipper :func:`~tnkit.mps._sandwich` with the MPO's sites, then with none; any gauge.
 
     The TEBD drivers use :func:`_bond_energy` instead. Raises
     NumericalFailure if the norm squared is 0 or not finite, or if <H> is

@@ -158,11 +158,23 @@ class DenseTensor:
 
     @classmethod
     def load(cls, text: str) -> "DenseTensor":
-        """Inverse of :meth:`dump`; an all-zero imaginary part loads as real."""
+        """Inverse of :meth:`dump`; an all-zero imaginary part loads as real. ValidationError for other text."""
+        shape, data_re, data_im = _json_fields(text, "tensor dump", "shape", "data_re", "data_im")
+        re = np.asarray(data_re, dtype=np.float64)
+        im = np.asarray(data_im, dtype=np.float64)
+        return cls(tuple(shape), re + 1j * im if np.any(im) else re)
+
+
+def _json_fields(text: str, what: str, *keys: str) -> list:
+    """The values of ``keys`` in the JSON object ``text``; ValidationError, naming ``what``, if any is missing."""
+    try:
         obj = json.loads(text)
-        re = np.asarray(obj["data_re"], dtype=np.float64)
-        im = np.asarray(obj["data_im"], dtype=np.float64)
-        return cls(tuple(obj["shape"]), re + 1j * im if np.any(im) else re)
+    except ValueError as exc:
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
+    for k in keys:
+        if not isinstance(obj, dict) or k not in obj:
+            raise ValidationError(f"{what} has no key {k!r}")
+    return [obj[k] for k in keys]
 
 
 def reshape(t: DenseTensor, new_shape: Sequence[int]) -> DenseTensor:

@@ -58,6 +58,7 @@ step at bond dimension 100.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,12 +280,14 @@ def free_energy_per_site(
     steps: int = 8,
     spec: TruncationSpec = TruncationSpec(chi_max=16, cutoff=1e-12),
 ) -> TRGReport:
-    """Run ``steps`` coarsening steps and close the torus.
+    """Run ``steps`` (an int >= 0) coarsening steps and close the torus.
 
     With no effective truncation (rank never capped) this is the exact
     partition function of the 2^(steps+1)-spin periodic patch; with a finite
     chi_max it approximates the thermodynamic limit as steps grow.
     """
+    if not isinstance(steps, numbers.Integral) or isinstance(steps, bool) or steps < 0:
+        raise ValidationError(f"steps must be an integer >= 0, got {steps!r}")
     state = initial_state(beta, j)
     chis: list[tuple[int, int]] = []
     weights: list[tuple[float, float]] = []
@@ -316,6 +319,8 @@ def brute_force_lnz(beta: float, j: float, lx: int, ly: int) -> float:
     """
     if not (beta > 0.0) or not math.isfinite(beta):
         raise ValidationError(f"inverse temperature must be positive and finite, got {beta}")
+    if lx < 1 or ly < 1:
+        raise ValidationError(f"torus extents must be >= 1, got {lx} x {ly}")
     n = lx * ly
     if n > _BRUTE_SPIN_CAP:
         raise TooLarge(f"{n} spins exceeds the enumeration cap {_BRUTE_SPIN_CAP}")

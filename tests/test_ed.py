@@ -88,7 +88,7 @@ def xx_dm_mpo(n, j, dm):
     w[2, :, :, 0] = SY
     w[3, :, :, 1] = j * SX - dm * SY
     w[3, :, :, 2] = dm * SX
-    return MPO((w,) * n, left_bvec=np.eye(4)[3], right_bvec=np.eye(4)[0])
+    return MPO((w[3:],) + (w,) * (n - 2) + (w[..., :1],))
 
 
 def xx_dm_dense(n, j, dm):

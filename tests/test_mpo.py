@@ -17,6 +17,7 @@ from tnkit import (
     two_site_matrix,
 )
 from tnkit.errors import TooLarge, ValidationError
+from tnkit.mpo import build_model
 
 rng = np.random.default_rng(404)
 
@@ -60,10 +61,13 @@ def test_exp_decay_coupling_strength_read_off_directly():
         assert np.isclose(coeff, -j * np.exp(-abs(i - k) / xi), atol=1e-12)
 
 
-def test_ising_boundary_vectors():
+def test_ising_end_sites_are_the_last_row_and_first_column():
     m = build_ising_nn(4, 1.0)
-    np.testing.assert_allclose(m.left_bvec, [0, 0, 1])
-    np.testing.assert_allclose(m.right_bvec, [1, 0, 0])
+    w = m.sites[1]
+    assert m.sites[0].shape == (1, 2, 2, 3) and m.sites[-1].shape == (3, 2, 2, 1)
+    np.testing.assert_array_equal(m.sites[0], w[2:])
+    np.testing.assert_array_equal(m.sites[-1], w[..., :1])
+    assert all(np.shares_memory(t, w) for t in m.sites)  # views of the one bulk tensor
 
 
 def test_two_site_matrix_places_left_op_on_fast_index():
@@ -114,8 +118,8 @@ def test_dense_cap_counts_basis_states_not_sites():
     # eight 3-state sites span 3^8 = 6561 > 4096 states, though 8 sites are within a 2^12 cap
     site = np.eye(3).reshape(1, 3, 3, 1)
     with pytest.raises(TooLarge):
-        mpo_to_dense(MPO((site,) * 8, left_bvec=np.ones(1), right_bvec=np.ones(1)))
-    small = mpo_to_dense(MPO((site,) * 7, left_bvec=np.ones(1), right_bvec=np.ones(1)))
+        mpo_to_dense(MPO((site,) * 8))
+    small = mpo_to_dense(MPO((site,) * 7))
     np.testing.assert_array_equal(small, np.eye(3**7))
 
 
@@ -131,22 +135,21 @@ def test_bad_arguments():
 
 
 
-def _mpo(*shapes, left=3, right=3):
-    return MPO(tuple(np.zeros(sh) for sh in shapes), np.zeros(left), np.zeros(right))
+def _mpo(*shapes):
+    return MPO(tuple(np.zeros(sh) for sh in shapes))
 
 
 @pytest.mark.parametrize(
     "call, match",
     [
-        pytest.param(lambda: _mpo((3, 2, 2, 3)), "an MPO needs at least two sites", id="one-site"),
-        pytest.param(lambda: _mpo((3, 2, 2, 3), (3, 2, 2)), "site 1 has rank 3, expected 4", id="site-rank"),
-        pytest.param(lambda: _mpo((3, 2, 2, 3), (3, 2, 3, 3)), "site 1 physical extents != 2", id="phys-extent"),
-        pytest.param(lambda: _mpo((3, 2, 2, 4), (3, 2, 2, 3)), "link between sites 0 and 1 mismatched", id="link-extent"),
+        pytest.param(lambda: _mpo((1, 2, 2, 1)), "an MPO needs at least two sites", id="one-site"),
+        pytest.param(lambda: _mpo((1, 2, 2, 3), (3, 2, 2)), "site 1 has rank 3, expected 4", id="site-rank"),
+        pytest.param(lambda: _mpo((1, 2, 2, 3), (3, 2, 3, 1)), "site 1 physical extent 3 != 2", id="phys-extent"),
+        pytest.param(lambda: _mpo((1, 2, 2, 4), (3, 2, 2, 1)), "link between sites 0 and 1: 4 != 3", id="link-extent"),
+        pytest.param(lambda: _mpo((3, 2, 2, 3), (3, 2, 2, 1)), "boundary links must have extent 1", id="left-end"),
+        pytest.param(lambda: _mpo((1, 2, 2, 3), (3, 2, 2, 3)), "boundary links must have extent 1", id="right-end"),
         pytest.param(
-            lambda: _mpo((3, 2, 2, 3), (3, 2, 2, 3), left=2), "left boundary vector does not match first link", id="left-bvec"
-        ),
-        pytest.param(
-            lambda: _mpo((3, 2, 2, 3), (3, 2, 2, 3), right=4), "right boundary vector does not match last link", id="right-bvec"
+            lambda: build_model("potts", 4), r"unknown model 'potts'; expected one of \('ising_nn'", id="unknown-model"
         ),
         pytest.param(
             lambda: mpo_expectation(product_mps([[1.0, 0.0]] * 5), build_ising_nn(4)),

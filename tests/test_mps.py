@@ -748,6 +748,27 @@ def _no_square_site():
             lambda m: apply_two_site_gate(m, np.eye(4), 0, direction="up"),
             ValidationError, "direction must be 'right' or 'left', got 'up'", id="gate-direction",
         ),
+        pytest.param(lambda m: expect_local(m, SZ, 2.0), ValidationError, "site 2.0 is not an integer", id="local-site-float"),
+        pytest.param(
+            lambda m: expect_two_site(m, SZ, 0.5, SZ, 3),
+            ValidationError, "site 0.5 is not an integer", id="two-site-float",
+        ),
+        pytest.param(
+            lambda m: connected_correlation(m, SZ, 1.5, 4),
+            ValidationError, "site 1.5 is not an integer", id="correlation-float",
+        ),
+        pytest.param(lambda m: mps_from_json(mps_to_json(m)[:-1]), ValidationError, "MPS text is not valid JSON", id="json-malformed"),
+        pytest.param(
+            lambda m: mps_from_json(json.dumps({"sites": []})),
+            ValidationError, "MPS text has no key 'phys_dim'", id="json-no-phys-dim",
+        ),
+        pytest.param(
+            lambda m: mps_from_json(json.dumps({"phys_dim": 2})), ValidationError, "MPS text has no key 'sites'", id="json-no-sites",
+        ),
+        pytest.param(
+            lambda m: mps_from_json(json.dumps({"phys_dim": 2, "sites": [{"shape": [1, 2, 1], "data_im": [0, 0]}]})),
+            ValidationError, "tensor dump has no key 'data_re'", id="json-no-data-re",
+        ),
         pytest.param(
             lambda m: correlation_length(_no_square_site()),
             ValidationError, "no site has matching left/right links", id="transfer-no-square-site",

@@ -157,6 +157,10 @@ def test_dump_load_round_trip():
         pytest.param(lambda t: t[-1, 0, 0], r"index \(-1, 0, 0\) out of bounds", id="index-negative"),
         pytest.param(lambda t: contract(t, [0, 0], t, [0, 1]), "axes_a: axis 0 repeated", id="axes-repeated"),
         pytest.param(lambda t: contract(t, [0, 1], t, [0]), "axis lists differ in length: 2 vs 1", id="axes-unequal"),
+        pytest.param(lambda t: DenseTensor.load(t.dump()[:-1]), "tensor dump is not valid JSON", id="load-malformed"),
+        pytest.param(
+            lambda t: DenseTensor.load('{"shape": [2], "data_im": [0, 0]}'), "tensor dump has no key 'data_re'", id="load-no-data-re"
+        ),
     ],
 )
 def test_tensor_guards(call, match):

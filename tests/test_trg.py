@@ -129,6 +129,20 @@ def test_bad_beta_rejected():
             brute_force_lnz(bad, 1.0, 2, 2)
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: free_energy_per_site(0.44, steps=-3), "steps must be an integer >= 0, got -3", id="steps-negative"),
+        pytest.param(lambda: free_energy_per_site(0.44, steps=2.0), "steps must be an integer >= 0, got 2.0", id="steps-float"),
+        pytest.param(lambda: brute_force_lnz(0.44, 1.0, -1, 2), "torus extents must be >= 1, got -1 x 2", id="torus-negative"),
+        pytest.param(lambda: brute_force_lnz(0.44, 1.0, 2, 0), "torus extents must be >= 1, got 2 x 0", id="torus-zero"),
+    ],
+)
+def test_trg_guards(call, match):
+    with pytest.raises(ValidationError, match=match):
+        call()
+
+
 def test_brute_force_hand_checks():
     beta, j = 0.37, 1.2
     k = beta * j
