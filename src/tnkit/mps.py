@@ -51,8 +51,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomp import UNTRUNCATED, TruncationSpec, block_svd, entanglement_entropy, truncated_svd
-from .errors import TooLarge, ValidationError
-from .tensors import DenseTensor, _inexact, _json_fields, _read_only
+from .errors import NumericalFailure, TooLarge, ValidationError
+from .tensors import _fields, _from_record, _inexact, _is_integer, _json_object, _read_only, _to_record
 
 _DENSE_SITE_CAP = 20  # to_state_vector guard: d**N grows fast
 _NORM_TOL = 1e-8  # how far from 1 an input vector's norm may be
@@ -237,9 +237,7 @@ def random_mps(n_sites: int, phys_dim: int, chi_max: int, rng) -> MPS:
     shapes = [(dims[i], phys_dim, dims[i + 1]) for i in range(n_sites)]
     chain = _Chain(MPS(tuple(rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes)))
     _move(chain, n_sites - 1)
-    c = chain.sites[-1]
-    nrm = math.sqrt(float(np.tensordot(c.conj(), c, axes=([0, 1, 2], [0, 1, 2])).real))
-    chain.sites[-1] = c * (1.0 / nrm)
+    chain.sites[-1] = chain.sites[-1] * (1.0 / math.sqrt(_center_norm_squared(chain)))
     return chain.freeze()
 
 
@@ -406,6 +404,19 @@ def expect_local(m: MPS, op, site: int) -> complex:
 def expect_two_site(m: MPS, op_i, i: int, op_j, j: int) -> complex:
     """<psi| O_i O_j |psi> / <psi|psi> for i < j, each a zipper over the whole chain; any gauge."""
     return _sandwich(m, m, _two_site_ops(m, op_i, i, op_j, j)) / norm_squared(m)
+
+
+def _center_norm_squared(state: MPS | _Chain) -> float:
+    """<psi|psi> of a state whose sites off its center are isometries, from the center site alone."""
+    c = state.sites[state.center]
+    return _normalizable(float(np.tensordot(c.conj(), c, axes=([0, 1, 2], [0, 1, 2])).real))
+
+
+def _normalizable(nrm2: float) -> float:
+    """``nrm2``, or NumericalFailure unless it is positive and finite."""
+    if not (0.0 < nrm2 < np.inf):
+        raise NumericalFailure(f"state norm squared is {nrm2}; cannot normalize")
+    return nrm2
 
 
 def _site_index(site) -> int:
@@ -609,18 +620,21 @@ def fit_power_law(xs, values) -> tuple[float, float]:
 
 def mps_to_json(m: MPS) -> str:
     """JSON form: per-site tensor dumps plus ``phys_dim``; no center and no labels."""
-    sites = [json.loads(DenseTensor.from_ndarray(t).dump()) for t in m.sites]
-    return json.dumps({"phys_dim": m.phys_dim, "sites": sites})
+    return json.dumps({"phys_dim": m.phys_dim, "sites": [_to_record(t) for t in m.sites]})
 
 
 def mps_from_json(text: str) -> MPS:
     """``MPS(sites)`` from :func:`mps_to_json` text, ignoring the ``center`` key of older files.
 
-    ValidationError if the text is not JSON, lacks ``phys_dim`` or ``sites``,
-    or its ``phys_dim`` disagrees with the sites.
+    ValidationError if the text is not JSON, or its integer ``phys_dim`` or its
+    list of tensor dumps ``sites`` is missing, malformed or disagrees with the other.
     """
-    phys_dim, sites = _json_fields(text, "MPS text", "phys_dim", "sites")
-    m = MPS(tuple(DenseTensor.load(json.dumps(site)).to_ndarray() for site in sites))
-    if m.phys_dim != int(phys_dim):
+    phys_dim, sites = _fields(_json_object(text, "MPS text"), "MPS text", "phys_dim", "sites")
+    if not _is_integer(phys_dim):
+        raise ValidationError(f"MPS text phys_dim must be an integer, got {phys_dim!r}")
+    if not isinstance(sites, list):
+        raise ValidationError(f"MPS text sites must be a list of tensor dumps, got {type(sites).__name__}")
+    m = MPS(tuple(_from_record(site).to_ndarray() for site in sites))
+    if m.phys_dim != phys_dim:
         raise ValidationError(f"header phys_dim {phys_dim} != site physical extent {m.phys_dim}")
     return m

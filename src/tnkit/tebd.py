@@ -7,12 +7,12 @@ error is O(tau^2) — while two consecutive sweeps in opposite directions form
 a symmetric composition, so drivers that alternate direction converge with a
 second-order bias in the step size.
 
-Only Hamiltonians that decompose into nearest-neighbor pair terms can be
-evolved this way; asking for the longer-range models raises
-ValidationError. Imaginary-time evolution renormalizes the state after
-every sweep (the gates are not unitary; each is divided by its spectral norm
-so no sweep overflows); real-time evolution leaves the norm alone so
-truncation loss stays visible to the caller.
+Only the nearest-neighbor models of :data:`SWEEPABLE` can be evolved this
+way, and each bond term is the model's own 2-site MPO, densified; asking for
+the longer-range models raises ValidationError. Imaginary-time evolution
+renormalizes the state after every sweep (the gates are not unitary; each
+is divided by its spectral norm so no sweep overflows); real-time evolution
+leaves the norm alone so truncation loss stays visible to the caller.
 
 Sweeps update one writable ``mps._Chain`` in place: a driver run holds one
 from its seed to its end, checks each gate once and builds one MPS on return.
@@ -26,26 +26,25 @@ import numpy as np
 
 from .decomp import UNTRUNCATED, TruncationSpec, eig_hermitian
 from .errors import NumericalFailure, ValidationError
-from .mpo import MPO, SM, SP, SZ, mpo_expectation, two_site_matrix
-from .mps import MPS, _Chain, _gate_matrix, _gate_pair, _move, _recorded, norm_squared, product_mps
+from .mpo import MPO, build_model, mpo_expectation, mpo_to_dense
+from .mps import MPS, _Chain, _center_norm_squared, _gate_matrix, _gate_pair, _move, _normalizable, _recorded
+from .mps import norm_squared, product_mps
 
 _UP = np.array([1.0, 0.0])
 _DOWN = np.array([0.0, 1.0])
 _PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
-# pair term per unit coupling; its keys are the models that sweeps can evolve
-_PAIR_TERMS = {
-    "ising_nn": two_site_matrix(SZ, SZ),
-    "heisenberg": 0.5 * (two_site_matrix(SP, SM) + two_site_matrix(SM, SP)) + two_site_matrix(SZ, SZ),
-}
-SWEEPABLE = tuple(_PAIR_TERMS)
+SWEEPABLE = ("ising_nn", "heisenberg")  # the mpo.MODELS entries whose terms are all nearest-neighbor
 
 
 def pair_hamiltonian(model: str, j: float = 1.0) -> np.ndarray:
-    """(4, 4) real two-site term of a nearest-neighbor model (left site fastest)."""
-    if model not in _PAIR_TERMS:
+    """(4, 4) real two-site term of a nearest-neighbor model (left site fastest): its 2-site MPO, densified.
+
+    A C-contiguous copy: the strided view :func:`~tnkit.mpo.mpo_to_dense` returns would change the rounding downstream.
+    """
+    if model not in SWEEPABLE:
         raise ValidationError(f"{model!r} is not one of the nearest-neighbor models {SWEEPABLE}")
-    return -j * _PAIR_TERMS[model]
+    return np.ascontiguousarray(mpo_to_dense(build_model(model, 2, j=j)))
 
 
 def bond_gate(model: str, j: float, step: float, mode: str) -> np.ndarray:
@@ -130,19 +129,6 @@ def _bond_energy(state: MPS | _Chain, pair: np.ndarray) -> tuple[float, float]:
     if not np.isfinite(total / nrm2):
         raise NumericalFailure(f"energy is {total / nrm2}")
     return total / nrm2, nrm2
-
-
-def _center_norm_squared(state: MPS | _Chain) -> float:
-    """<psi|psi> of a state whose sites off its center are isometries, from the center site alone."""
-    c = state.sites[state.center]
-    return _normalizable(float(np.tensordot(c.conj(), c, axes=([0, 1, 2], [0, 1, 2])).real))
-
-
-def _normalizable(nrm2: float) -> float:
-    """``nrm2``, or NumericalFailure unless it is positive and finite."""
-    if not (0.0 < nrm2 < np.inf):
-        raise NumericalFailure(f"state norm squared is {nrm2}; cannot normalize")
-    return nrm2
 
 
 def initial_product_state(model: str, n_sites: int) -> MPS:

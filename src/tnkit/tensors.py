@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,6 +42,11 @@ def _as_shape(shape: Iterable[int]) -> tuple[int, ...]:
         if s < 1:
             raise ValidationError(f"extents must be >= 1, got {out}")
     return out
+
+
+def _is_integer(x) -> bool:
+    """True for an integer that is not a bool: a Python int, a numpy integer, or a JSON integer once parsed."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _inexact(a: np.ndarray) -> np.ndarray:
@@ -147,30 +153,44 @@ class DenseTensor:
 
     def dump(self) -> str:
         """JSON debug dump: {shape, data_re, data_im} in flat linear order."""
-        flat = self.data
-        return json.dumps(
-            {
-                "shape": list(self.shape),
-                "data_re": flat.real.tolist(),
-                "data_im": flat.imag.tolist(),
-            }
-        )
+        return json.dumps(_to_record(self._arr))
 
     @classmethod
     def load(cls, text: str) -> "DenseTensor":
         """Inverse of :meth:`dump`; an all-zero imaginary part loads as real. ValidationError for other text."""
-        shape, data_re, data_im = _json_fields(text, "tensor dump", "shape", "data_re", "data_im")
-        re = np.asarray(data_re, dtype=np.float64)
-        im = np.asarray(data_im, dtype=np.float64)
-        return cls(tuple(shape), re + 1j * im if np.any(im) else re)
+        return _from_record(_json_object(text, "tensor dump"))
 
 
-def _json_fields(text: str, what: str, *keys: str) -> list:
-    """The values of ``keys`` in the JSON object ``text``; ValidationError, naming ``what``, if any is missing."""
+def _to_record(arr: np.ndarray) -> dict:
+    """The dict that :meth:`DenseTensor.dump` writes for ``arr``, and :func:`~tnkit.mps.mps_to_json` per site."""
+    flat = arr.reshape(-1, order="F")
+    return {"shape": list(arr.shape), "data_re": flat.real.tolist(), "data_im": flat.imag.tolist()}
+
+
+def _from_record(record) -> DenseTensor:
+    """Inverse of :func:`_to_record` for a parsed JSON value; ValidationError unless it is one."""
+    shape, data_re, data_im = _fields(record, "tensor dump", "shape", "data_re", "data_im")
+    if not isinstance(shape, list) or not all(_is_integer(e) for e in shape):
+        raise ValidationError(f"tensor dump shape must be a list of integers, got {shape!r}")
     try:
-        obj = json.loads(text)
+        re, im = (np.asarray(part, dtype=np.float64) for part in (data_re, data_im))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"tensor dump data must be lists of numbers: {exc}") from None
+    if re.shape != im.shape:
+        raise ValidationError(f"tensor dump data_re and data_im differ in shape: {re.shape} != {im.shape}")
+    return DenseTensor(shape, re + 1j * im if np.any(im) else re)
+
+
+def _json_object(text: str, what: str):
+    """``text`` parsed as JSON; ValidationError, naming ``what``, if it is not valid JSON."""
+    try:
+        return json.loads(text)
     except ValueError as exc:
         raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _fields(obj, what: str, *keys: str) -> list:
+    """The values of ``keys`` in the JSON object ``obj``; ValidationError, naming ``what``, if any is missing."""
     for k in keys:
         if not isinstance(obj, dict) or k not in obj:
             raise ValidationError(f"{what} has no key {k!r}")

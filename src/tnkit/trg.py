@@ -58,13 +58,13 @@ step at bond dimension 100.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .decomp import TruncationSpec, block_svd
 from .errors import NumericalFailure, TooLarge, ValidationError
+from .tensors import _is_integer
 
 _BRUTE_SPIN_CAP = 20
 _STEP_ELEMENT_CAP = 100**4
@@ -72,12 +72,17 @@ _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 _SPIN_PARITY = np.array([0, 1], dtype=np.int8)  # of the Hadamard-rotated spin index
 
 
-def _plaquette_exponent(beta: float, j: float) -> np.ndarray:
-    """bJ(su+sd)(sl+sr) over the 16 corner-spin configurations of a face."""
+def _check_couplings(beta: float, j: float) -> None:
+    """ValidationError unless ``beta`` is positive and finite and ``j`` finite."""
     if not (beta > 0.0) or not math.isfinite(beta):
         raise ValidationError(f"inverse temperature must be positive and finite, got {beta}")
     if not math.isfinite(j):
         raise ValidationError(f"coupling must be finite, got {j}")
+
+
+def _plaquette_exponent(beta: float, j: float) -> np.ndarray:
+    """bJ(su+sd)(sl+sr) over the 16 corner-spin configurations of a face."""
+    _check_couplings(beta, j)
     s = np.array([1.0, -1.0])
     pair_sum = np.add.outer(s, s)  # [u, d] -> su + sd, and likewise for l, r
     return beta * j * pair_sum[:, None, :, None] * pair_sum[None, :, None, :]
@@ -286,7 +291,7 @@ def free_energy_per_site(
     partition function of the 2^(steps+1)-spin periodic patch; with a finite
     chi_max it approximates the thermodynamic limit as steps grow.
     """
-    if not isinstance(steps, numbers.Integral) or isinstance(steps, bool) or steps < 0:
+    if not _is_integer(steps) or steps < 0:
         raise ValidationError(f"steps must be an integer >= 0, got {steps!r}")
     state = initial_state(beta, j)
     chis: list[tuple[int, int]] = []
@@ -317,8 +322,9 @@ def brute_force_lnz(beta: float, j: float, lx: int, ly: int) -> float:
     e.g. the 1x2 torus has Z = 2 exp(2 b J) + 2 exp(-2 b J). Configurations
     are binned by their total bond alignment, then summed in log space.
     """
-    if not (beta > 0.0) or not math.isfinite(beta):
-        raise ValidationError(f"inverse temperature must be positive and finite, got {beta}")
+    _check_couplings(beta, j)
+    if not (_is_integer(lx) and _is_integer(ly)):
+        raise ValidationError(f"torus extents must be integers, got {lx!r} x {ly!r}")
     if lx < 1 or ly < 1:
         raise ValidationError(f"torus extents must be >= 1, got {lx} x {ly}")
     n = lx * ly

@@ -9,12 +9,13 @@ run reads as a checklist:
     ...
 
 The checks themselves live in the package (``tnkit verify`` exposes them to
-users); the tests here only assert that every one of them passes.
+users); the tests here only assert that every one of them passes, and that
+the registry keeps its order and suites.
 """
 
 import pytest
 
-from tnkit.verify import CHECKS
+from tnkit.verify import CHECKS, SUITES
 
 
 def _gate(name):
@@ -31,6 +32,23 @@ def _gate(name):
 # module-level names, so the test IDs are test_mps_roundtrip, test_svd_examples, ...
 for _name in CHECKS:
     globals()[f"test_{_name}"] = _gate(_name)
+
+
+def test_registry_order_is_pinned():
+    assert list(CHECKS) == [
+        "mps_roundtrip", "svd_examples", "truncation_identity", "gauge_invariance", "mpo_kron_oracle",
+        "tebd_ground_energy", "trotter_order", "tebd_charge_sectors", "trg_torus_exactness",
+        "correlation_length", "mera_optimality", "contraction_oracle", "ed_iterative",
+    ]
+    assert SUITES == {
+        "core": ["svd_examples", "truncation_identity", "mera_optimality", "contraction_oracle"],
+        "mps": ["mps_roundtrip", "gauge_invariance", "mpo_kron_oracle"],
+        "tebd": ["tebd_ground_energy", "trotter_order", "tebd_charge_sectors", "correlation_length"],
+        "trg": ["trg_torus_exactness"],
+        "ed": ["ed_iterative"],
+        "all": list(CHECKS),
+    }
+    assert list(SUITES) == ["core", "mps", "tebd", "trg", "ed", "all"]
 
 
 if __name__ == "__main__":

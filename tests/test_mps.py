@@ -335,6 +335,19 @@ def test_json_round_trip(rng):
     assert np.isclose(abs(inner_product(back, m)), norm_squared(m), atol=1e-12)
 
 
+def test_json_text_is_pinned():
+    a = np.array([[[1.0, 0.5j], [-0.25, 0.0]]])
+    b = np.array([[[2.0], [0.0]], [[1.5], [-1.0j]]])
+    text = mps_to_json(MPS((a, b)))
+    assert text == (
+        '{"phys_dim": 2, "sites": ['
+        '{"shape": [1, 2, 2], "data_re": [1.0, -0.25, 0.0, 0.0], "data_im": [0.0, 0.0, 0.5, 0.0]}, '
+        '{"shape": [2, 2, 1], "data_re": [2.0, 1.5, 0.0, -0.0], "data_im": [0.0, 0.0, 0.0, -1.0]}]}'
+    )
+    for got, want in zip(mps_from_json(text).sites, (a, b)):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_json_header_must_match_the_sites(rng):
     obj = json.loads(mps_to_json(random_mps(4, 2, 2, rng)))
     obj["phys_dim"] = 3
@@ -768,6 +781,22 @@ def _no_square_site():
         pytest.param(
             lambda m: mps_from_json(json.dumps({"phys_dim": 2, "sites": [{"shape": [1, 2, 1], "data_im": [0, 0]}]})),
             ValidationError, "tensor dump has no key 'data_re'", id="json-no-data-re",
+        ),
+        pytest.param(
+            lambda m: mps_from_json(json.dumps({"phys_dim": 2, "sites": 5})),
+            ValidationError, "MPS text sites must be a list of tensor dumps, got int", id="json-sites-not-a-list",
+        ),
+        pytest.param(
+            lambda m: mps_from_json(json.dumps({"phys_dim": 2, "sites": [{"shape": 3, "data_re": [], "data_im": []}]})),
+            ValidationError, "tensor dump shape must be a list of integers, got 3", id="json-shape-not-a-list",
+        ),
+        pytest.param(
+            lambda m: mps_from_json(json.dumps(dict(json.loads(mps_to_json(m)), phys_dim="x"))),
+            ValidationError, "MPS text phys_dim must be an integer, got 'x'", id="json-phys-dim-text",
+        ),
+        pytest.param(
+            lambda m: mps_from_json(json.dumps(dict(json.loads(mps_to_json(m)), phys_dim=2.5))),
+            ValidationError, "MPS text phys_dim must be an integer, got 2.5", id="json-phys-dim-float",
         ),
         pytest.param(
             lambda m: correlation_length(_no_square_site()),

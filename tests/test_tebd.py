@@ -37,10 +37,11 @@ rng = np.random.default_rng(909)
 
 
 def test_pair_hamiltonian_matches_two_site_dense():
-    np.testing.assert_allclose(pair_hamiltonian("ising_nn", 1.0), dense_hamiltonian("ising_nn", 2, j=1.0), atol=1e-14)
-    np.testing.assert_allclose(
-        pair_hamiltonian("heisenberg", -1.0), dense_hamiltonian("heisenberg", 2, j=-1.0), atol=1e-14
-    )
+    for model in ("ising_nn", "heisenberg"):
+        for j in (1.0, -1.0, 0.7, -1.3, 2.5e-3):
+            h = pair_hamiltonian(model, j)
+            assert h.flags.c_contiguous and h.dtype == np.float64
+            np.testing.assert_array_equal(h, dense_hamiltonian(model, 2, j=j))
 
 
 def test_ising_gate_is_diagonal_with_known_entries():

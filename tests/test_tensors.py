@@ -161,6 +161,22 @@ def test_dump_load_round_trip():
         pytest.param(
             lambda t: DenseTensor.load('{"shape": [2], "data_im": [0, 0]}'), "tensor dump has no key 'data_re'", id="load-no-data-re"
         ),
+        pytest.param(
+            lambda t: DenseTensor.load('{"shape": 3, "data_re": [], "data_im": []}'),
+            "tensor dump shape must be a list of integers, got 3", id="load-shape-not-a-list",
+        ),
+        pytest.param(
+            lambda t: DenseTensor.load('{"shape": [2.0], "data_re": [1, 2], "data_im": [0, 0]}'),
+            r"tensor dump shape must be a list of integers, got \[2.0\]", id="load-shape-float",
+        ),
+        pytest.param(
+            lambda t: DenseTensor.load('{"shape": [2], "data_re": ["a", "b"], "data_im": [0, 0]}'),
+            "tensor dump data must be lists of numbers", id="load-data-text",
+        ),
+        pytest.param(
+            lambda t: DenseTensor.load('{"shape": [2], "data_re": [1, 2], "data_im": [0]}'),
+            r"tensor dump data_re and data_im differ in shape: \(2,\) != \(1,\)", id="load-data-lengths",
+        ),
     ],
 )
 def test_tensor_guards(call, match):

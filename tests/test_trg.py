@@ -136,6 +136,9 @@ def test_bad_beta_rejected():
         pytest.param(lambda: free_energy_per_site(0.44, steps=2.0), "steps must be an integer >= 0, got 2.0", id="steps-float"),
         pytest.param(lambda: brute_force_lnz(0.44, 1.0, -1, 2), "torus extents must be >= 1, got -1 x 2", id="torus-negative"),
         pytest.param(lambda: brute_force_lnz(0.44, 1.0, 2, 0), "torus extents must be >= 1, got 2 x 0", id="torus-zero"),
+        pytest.param(lambda: brute_force_lnz(0.44, np.inf, 2, 2), "coupling must be finite, got inf", id="torus-coupling"),
+        pytest.param(lambda: brute_force_lnz(0.44, 1.0, 2.0, 2), "torus extents must be integers, got 2.0 x 2", id="torus-float"),
+        pytest.param(lambda: brute_force_lnz(0.44, 1.0, 2, True), "torus extents must be integers, got 2 x True", id="torus-bool"),
     ],
 )
 def test_trg_guards(call, match):
