@@ -34,6 +34,7 @@ _HERMITIAN_TOL = 1e-10
 _DEGENERACY_TOL = 1e-12  # relative to the largest value; see TruncationSpec.cutoff
 SKETCH_OVERSAMPLING = 16  # extra sketch columns beyond the wanted rank
 _POWER_ITERATIONS = 2
+_GATHER_ROWS = 32  # rows of a sector gathered per flat take
 
 
 @dataclass(frozen=True)
@@ -116,17 +117,25 @@ def svd(m) -> SVDResult:
     return SVDResult(u=u, d=s, v_dag=vdag, discarded_weight=0.0)
 
 
+@lru_cache(maxsize=8)
+def _sketch(n: int, r: int) -> np.ndarray:
+    """The read-only (n, r) Gaussian sketch of :func:`partial_svd`, drawn from ``default_rng(0)`` once per shape."""
+    sketch = np.random.default_rng(0).standard_normal((n, r))
+    sketch.flags.writeable = False
+    return sketch
+
+
 def partial_svd(m, rank: int) -> SVDResult:
     """The ``rank`` largest singular triplets, from a seeded Gaussian sketch.
 
     ``rank + SKETCH_OVERSAMPLING`` sketch columns are refined by q =
     ``_POWER_ITERATIONS`` QR-orthonormalized power iterations, so the value
-    errors fall as (d[rank + SKETCH_OVERSAMPLING] / d[i])^(2q + 1). Equal
-    inputs give bit-identical results; ``discarded_weight`` is 0 (never computed).
+    errors fall as (d[rank + SKETCH_OVERSAMPLING] / d[i])^(2q + 1). The sketch
+    is drawn from ``default_rng(0)`` once per shape and cached read-only, so
+    equal inputs give bit-identical results; ``discarded_weight`` is 0 (never computed).
     """
     arr = _as_matrix(m, "partial_svd")
-    sketch = np.random.default_rng(0).standard_normal((arr.shape[1], rank + SKETCH_OVERSAMPLING))
-    q = np.linalg.qr(arr @ sketch)[0]
+    q = np.linalg.qr(arr @ _sketch(arr.shape[1], rank + SKETCH_OVERSAMPLING))[0]
     for _ in range(_POWER_ITERATIONS):
         q = np.linalg.qr(arr @ np.linalg.qr(arr.conj().T @ q)[0])[0]
     small = svd(q.conj().T @ arr)
@@ -213,10 +222,27 @@ def _layout(row_key: bytes, col_key: bytes, sketch: int | None) -> tuple[np.ndar
 
 
 def _gather(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``mat[rows, cols]``; a rank-4 ``mat`` fuses axes (0, 1) into the rows and (2, 3) into the columns."""
+    """``mat[rows, cols]`` for rows (g, m, 1) and columns (g, 1, n).
+
+    A rank-4 ``mat`` fuses axes (0, 1) into the rows and (2, 3) into the
+    columns. It is raveled with its axes in memory order, a view of a dense
+    array (a transposed one too) and a copy of any other, and each sector is
+    read from that by one flat ``take`` per ``_GATHER_ROWS`` rows.
+    """
     if mat.ndim == 2:
         return mat[rows, cols]
-    return mat[(*divmod(rows, mat.shape[1]), *divmod(cols, mat.shape[3]))]
+    order = np.argsort([-abs(s) for s in mat.strides], kind="stable")  # outermost axis first
+    flat = mat.transpose(order).reshape(-1)
+    step = np.empty(4, np.int64)  # of each axis of ``mat`` in ``flat``
+    step[order] = [math.prod(np.take(mat.shape, order[k + 1 :])) for k in range(4)]
+    r0, r1 = divmod(rows, mat.shape[1])
+    c0, c1 = divmod(cols, mat.shape[3])
+    row_pos, col_pos = r0 * step[0] + r1 * step[1], c0 * step[2] + c1 * step[3]
+    out = np.empty(np.broadcast_shapes(rows.shape, cols.shape), mat.dtype)
+    for block, r, c in zip(out, row_pos, col_pos):
+        for i in range(0, len(block), _GATHER_ROWS):  # a whole sector's positions would take as much memory as the sector
+            flat.take(r[i : i + _GATHER_ROWS] + c, out=block[i : i + _GATHER_ROWS], mode="clip")  # "raise" would buffer ``out``
+    return out
 
 
 def _each(blocks: np.ndarray, decompose) -> list[np.ndarray]:
@@ -232,7 +258,8 @@ def block_svd(
 
     ``mat`` is a matrix, or a rank-4 array read as the matrix whose rows fuse
     its first two axes and whose columns its last two (as ``reshape`` would,
-    but gathered from any view without a copy). ``row_q`` and ``col_q`` are
+    but each sector gathered by flat positions from a dense view's memory, a
+    transposed one too, with no copy of ``mat``). ``row_q`` and ``col_q`` are
     the integer charges of the rows and columns.
     Each sector (the rows and columns of one charge) is decomposed on its
     own, sectors of equal shape in one stacked ``numpy.linalg.svd`` call laid
@@ -241,7 +268,8 @@ def block_svd(
     each sector is redone by :func:`svd`, which retries on a QR-preconditioned
     matrix before NumericalFailure. With ``partial`` and a ``chi_max``, a
     sector at least 2 (chi_max + 17) wide gets only its chi_max + 1 largest
-    values from :func:`partial_svd`, and its residual ‖B - U_k S_k V_k†‖²_F
+    values from :func:`partial_svd`, whose sketch for each sector shape is
+    drawn once per process, and its residual ‖B - U_k S_k V_k†‖²_F
     counts as discarded; ‖M‖²_F is then summed over the sectors, since M
     vanishes off them.
 

@@ -420,11 +420,13 @@ def _normalizable(nrm2: float) -> float:
 
 
 def _site_index(site) -> int:
-    """``site`` as an int; ValidationError for a float, or anything else that is not an integer."""
-    try:
-        return operator.index(site)
-    except TypeError:
-        raise ValidationError(f"site {site!r} is not an integer") from None
+    """``site`` as an int; ValidationError for a bool, a float, or anything else that is not an integer."""
+    if not isinstance(site, bool):
+        try:
+            return operator.index(site)
+        except TypeError:
+            pass
+    raise ValidationError(f"site {site!r} is not an integer")
 
 
 def _two_site_ops(m: MPS, op_i, i: int, op_j, j: int) -> dict[int, np.ndarray]:

@@ -37,7 +37,10 @@ from .errors import ValidationError
 
 
 def _as_shape(shape: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(s) for s in shape)
+    out = tuple(shape)
+    if not all(_is_integer(s) for s in out):
+        raise ValidationError(f"extents must be integers, got {out!r}")
+    out = tuple(int(s) for s in out)
     for s in out:
         if s < 1:
             raise ValidationError(f"extents must be >= 1, got {out}")
@@ -172,9 +175,12 @@ def _from_record(record) -> DenseTensor:
     shape, data_re, data_im = _fields(record, "tensor dump", "shape", "data_re", "data_im")
     if not isinstance(shape, list) or not all(_is_integer(e) for e in shape):
         raise ValidationError(f"tensor dump shape must be a list of integers, got {shape!r}")
+    for part in (data_re, data_im):  # numpy would also read numeric strings and bools
+        if not isinstance(part, list) or not all(type(x) in (int, float) for x in part):
+            raise ValidationError(f"tensor dump data must be lists of numbers, got {part!r:.60}")
     try:
         re, im = (np.asarray(part, dtype=np.float64) for part in (data_re, data_im))
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise ValidationError(f"tensor dump data must be lists of numbers: {exc}") from None
     if re.shape != im.shape:
         raise ValidationError(f"tensor dump data_re and data_im differ in shape: {re.shape} != {im.shape}")

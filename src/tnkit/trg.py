@@ -43,11 +43,14 @@ what the brute-force reference below enumerates.
 
 A step is a split phase, then a contract phase, and holds one chi^4 array
 at a time beside arrays of half that size: the splits hold the old tensor and
-its parity blocks, gathered in place (the A split from the (d, l, u, r) view);
-:func:`free_energy_per_site` then drops it; the contraction holds p1, then p2,
-with the parity blocks gathered from them, then the per-parity products and
-the coarse tensor. The traced peak is about 2.2 chi^4 doubles at chi 32 (18 MB,
-beta 0.44). A caller of :func:`trg_step` that keeps ``state`` keeps its tensor.
+its parity blocks, each block copied out of the tensor's memory by flat
+positions, a few rows at a time (the A split reads the (d, l, u, r) view, which
+needs no copy of the tensor); :func:`free_energy_per_site` then drops it; the
+contraction drops each corner piece once contracted and holds p1, then p2,
+with the parity blocks gathered from them in the same way, then the per-parity
+products, which one flat assignment per parity writes into the coarse tensor.
+The traced peak is about 2.2 chi^4 doubles at chi 32 (18 MB, beta 0.44). A
+caller of :func:`trg_step` that keeps ``state`` keeps its tensor.
 
 All tensors are plain real float64 numpy arrays; no complex arithmetic ever
 enters. A step refuses with TooLarge, before it contracts, when the largest
@@ -62,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import TruncationSpec, block_svd
+from .decomp import TruncationSpec, _gather, block_svd
 from .errors import NumericalFailure, TooLarge, ValidationError
 from .tensors import _is_integer
 
@@ -165,12 +168,13 @@ def _split(mat: np.ndarray, parity: np.ndarray, spec: TruncationSpec) -> tuple[n
 class _Split:
     """The split phase of a step: the four corner pieces and the old network's bookkeeping, not its tensor.
 
-    pieces : S1[d,l,m], S2[m,u,r], S3[u,l,m], S4[m,d,r] (see :func:`trg_step`).
+    pieces : S1[d,l,m], S2[m,u,r], S3[u,l,m], S4[m,d,r] (see :func:`trg_step`); the
+        contract phase empties the list, so each piece dies once it is contracted.
     parity_ud, parity_lr : parities of the A-split and B-split links.
     inner_parity : parities of the old l/r legs, which the contraction sums over.
     """
 
-    pieces: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    pieces: list[np.ndarray]
     parity_ud: np.ndarray
     parity_lr: np.ndarray
     inner_parity: np.ndarray
@@ -184,11 +188,11 @@ def _split_phase(state: TRGState, spec: TruncationSpec) -> _Split:
     arr = state.tensor
     cu, cl, cd, cr = arr.shape
     pair_parity = (state.parity_ud[:, None] ^ state.parity_lr[None, :]).ravel()
-    # the A split gathers its blocks from the (d, l, u, r) view, not from a transposed copy
+    # both splits gather their blocks from the tensor's memory; the A split reads the (d, l, u, r) view
     s1, s2, p_ud, w1 = _split(arr.transpose(2, 1, 0, 3), pair_parity, spec)
-    s3, s4, p_lr, w2 = _split(arr.reshape(cu * cl, cd * cr), pair_parity, spec)
+    s3, s4, p_lr, w2 = _split(arr, pair_parity, spec)
     k1, k2 = p_ud.size, p_lr.size
-    pieces = (s1.reshape(cd, cl, k1), s2.reshape(k1, cu, cr), s3.reshape(cu, cl, k2), s4.reshape(k2, cd, cr))
+    pieces = [s1.reshape(cd, cl, k1), s2.reshape(k1, cu, cr), s3.reshape(cu, cl, k2), s4.reshape(k2, cd, cr)]
     return _Split(pieces, p_ud, p_lr, state.parity_lr, state.log_norm_per_site, state.step, (w1, w2))
 
 
@@ -200,21 +204,27 @@ def _contract_phase(split: _Split) -> TRGState:
     largest = k1 * k2 * max(cr * cr, cl * cl, k1 * k2)  # of p1, p2 and new below
     if largest > _STEP_ELEMENT_CAP:
         raise TooLarge(f"TRG step would build {largest} elements (cap {_STEP_ELEMENT_CAP})")
+    split.pieces.clear()
 
-    # index pairs (d', l'), alias (u', r'), and (b, e) of each parity; p1, p2 are freed once gathered
-    rows = [np.nonzero((p_ud[:, None] ^ p_lr[None, :]) == q) for q in (0, 1)]
-    inner = [np.nonzero((split.inner_parity[:, None] ^ split.inner_parity[None, :]) == q) for q in (0, 1)]
-    p1 = np.tensordot(s2, s4, axes=([1], [1]))  # (d', b, l', e)
-    m1 = [p1[d[:, None], b[None, :], l[:, None], e[None, :]] for (d, l), (b, e) in zip(rows, inner)]
+    # fused pairs d' k2 + l', alias u' k2 + r', and b cl + e of each parity; p1, p2 are freed once gathered
+    pair = (p_ud[:, None] ^ p_lr[None, :]).ravel()
+    inner = (split.inner_parity[:, None] ^ split.inner_parity[None, :]).ravel()
+    sectors = [(np.flatnonzero(pair == q), np.flatnonzero(inner == q)) for q in (0, 1)]
+    p1 = np.tensordot(s2, s4, axes=([1], [1])).transpose(0, 2, 1, 3)  # (d', l', b, e)
+    del s2, s4
+    m1 = [_gather(p1, rows[None, :, None], cols[None, None, :])[0] for rows, cols in sectors]
     del p1
-    p2 = np.tensordot(s1, s3, axes=([0], [0]))  # (e, u', b, r')
-    m2 = [p2[e[:, None], u[None, :], b[:, None], r[None, :]] for (u, r), (b, e) in zip(rows, inner)]
+    p2 = np.tensordot(s1, s3, axes=([0], [0])).transpose(2, 0, 1, 3)  # (b, e, u', r')
+    del s1, s3
+    m2 = [_gather(p2, cols[None, :, None], rows[None, None, :])[0] for rows, cols in sectors]
     del p2
     products = [a @ b for a, b in zip(m1, m2)]  # rows (d', l'), columns (u', r')
     del m1, m2  # before the coarse tensor is allocated
-    new = np.zeros((k1, k2, k1, k2))  # (u', l', d', r')
-    for (i, j), prod in zip(rows, products):
-        new[i[None, :], j[:, None], i[:, None], j[None, :]] = prod
+    new = np.zeros(k1 * k2 * k1 * k2)  # (u', l', d', r'), raveled
+    for (rows, _), prod in zip(sectors, products):
+        d, l = divmod(rows, k2)  # of the rows (d', l'), and as (u', r') of the columns
+        new[(l * k1 * k2 + d * k2)[:, None] + (d * k2 * k1 * k2 + l)[None, :]] = prod  # at u' k2 k1 k2 + l' k1 k2 + d' k2 + r'
+    new = new.reshape(k1, k2, k1, k2)
     c = float(max(new.max(), -new.min()))
     if c == 0.0:
         raise NumericalFailure("coarse tensor vanished; cannot renormalize")

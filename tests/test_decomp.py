@@ -292,6 +292,47 @@ def test_block_svd_reads_a_rank_4_array_as_its_fused_matrix(partial):
             np.testing.assert_array_equal(g, w)
 
 
+def rank_4_views(m4):
+    """Arrays equal to ``m4`` laid out in memory in different ways, keyed by kind."""
+    wide = np.zeros((m4.shape[0], 2 * m4.shape[1], m4.shape[2], 3 * m4.shape[3]), m4.dtype)
+    wide[:, ::2, :, ::3] = m4
+    flipped = m4[::-1, :, :, ::-1].copy()
+    return {
+        "c-contiguous": m4.copy(),
+        "transposed": np.ascontiguousarray(m4.transpose(2, 1, 0, 3)).transpose(2, 1, 0, 3),
+        "negative-stride": flipped[::-1, :, :, ::-1],
+        "strided-slice": wide[:, ::2, :, ::3],
+        "fortran": np.asfortranarray(m4),
+    }
+
+
+@pytest.mark.parametrize("partial", [False, True])
+@pytest.mark.parametrize("kind", ["c-contiguous", "transposed", "negative-stride", "strided-slice", "fortran"])
+def test_block_svd_reads_every_rank_4_view_as_its_matrix_copy(kind, partial):
+    # rows fuse (6, 14) and columns (12, 7); charge 0 is 60 x 70 (sketched at chi_max 10 if partial)
+    r = np.random.default_rng(11)
+    row_q = r.permutation(np.repeat([-1, 0, 1, 2], [12, 60, 8, 4]))
+    col_q = r.permutation(np.repeat([-1, 0, 1, 3], [5, 70, 8, 1]))
+    spectra = {-1: [0.9, 0.3, 0.1], 0: 0.95 * np.exp(-0.4 * np.arange(60)), 1: 0.5 ** np.arange(8)}
+    mat = sectored_matrix(row_q, col_q, spectra)
+    view = rank_4_views(mat.reshape(6, 14, 12, 7))[kind]
+    assert np.array_equal(view.reshape(84, 84), mat)
+    spec = TruncationSpec(chi_max=10, cutoff=1e-12)
+    want = block_svd(np.ascontiguousarray(mat), row_q, col_q, spec, partial=partial)
+    got = block_svd(view, row_q, col_q, spec, partial=partial)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_the_cached_sketch_is_a_read_only_seeded_draw():
+    sketch = decomp._sketch(84, 27)
+    assert not sketch.flags.writeable
+    assert np.array_equal(sketch, np.random.default_rng(0).standard_normal((84, 27)))
+    assert decomp._sketch(84, 27) is sketch
+    with pytest.raises(ValueError):
+        sketch[0, 0] = 1.0
+
+
 def test_layouts_never_import_numpy_ma():
     # np.intersect1d imports numpy.ma on its first call, 12-17 ms of every run
     code = (

@@ -762,6 +762,10 @@ def _no_square_site():
             ValidationError, "direction must be 'right' or 'left', got 'up'", id="gate-direction",
         ),
         pytest.param(lambda m: expect_local(m, SZ, 2.0), ValidationError, "site 2.0 is not an integer", id="local-site-float"),
+        pytest.param(lambda m: expect_local(m, SZ, True), ValidationError, "site True is not an integer", id="local-site-bool"),
+        pytest.param(
+            lambda m: expect_two_site(m, SZ, False, SZ, 3), ValidationError, "site False is not an integer", id="two-site-bool",
+        ),
         pytest.param(
             lambda m: expect_two_site(m, SZ, 0.5, SZ, 3),
             ValidationError, "site 0.5 is not an integer", id="two-site-float",
@@ -789,6 +793,10 @@ def _no_square_site():
         pytest.param(
             lambda m: mps_from_json(json.dumps({"phys_dim": 2, "sites": [{"shape": 3, "data_re": [], "data_im": []}]})),
             ValidationError, "tensor dump shape must be a list of integers, got 3", id="json-shape-not-a-list",
+        ),
+        pytest.param(
+            lambda m: mps_from_json(json.dumps({"phys_dim": 2, "sites": [{"shape": [1, 2, 1], "data_re": ["1", "0"], "data_im": [0, 0]}]})),
+            ValidationError, "tensor dump data must be lists of numbers", id="json-data-numeric-text",
         ),
         pytest.param(
             lambda m: mps_from_json(json.dumps(dict(json.loads(mps_to_json(m)), phys_dim="x"))),

@@ -152,6 +152,10 @@ def test_dump_load_round_trip():
     "call, match",
     [
         pytest.param(lambda t: DenseTensor((2, 0), []), "extents must be >= 1", id="zero-extent"),
+        pytest.param(lambda t: DenseTensor((2.5, 2), np.arange(4.0)), r"extents must be integers, got \(2.5, 2\)", id="extent-float"),
+        pytest.param(lambda t: DenseTensor((True, 2), [1.0, 2.0]), r"extents must be integers, got \(True, 2\)", id="extent-bool"),
+        pytest.param(lambda t: DenseTensor.zeros((2.0,)), r"extents must be integers, got \(2.0,\)", id="zeros-extent-float"),
+        pytest.param(lambda t: reshape(t, (12.0,)), r"extents must be integers, got \(12.0,\)", id="reshape-extent-float"),
         pytest.param(lambda t: t[0, 1], "expected 3 indices, got 2", id="index-count"),
         pytest.param(lambda t: t[0, 3, 0], r"index \(0, 3, 0\) out of bounds", id="index-past-end"),
         pytest.param(lambda t: t[-1, 0, 0], r"index \(-1, 0, 0\) out of bounds", id="index-negative"),
@@ -172,6 +176,18 @@ def test_dump_load_round_trip():
         pytest.param(
             lambda t: DenseTensor.load('{"shape": [2], "data_re": ["a", "b"], "data_im": [0, 0]}'),
             "tensor dump data must be lists of numbers", id="load-data-text",
+        ),
+        pytest.param(
+            lambda t: DenseTensor.load('{"shape": [2], "data_re": ["1.5", "2"], "data_im": [0, 0]}'),
+            r"tensor dump data must be lists of numbers, got \['1.5', '2'\]", id="load-data-numeric-text",
+        ),
+        pytest.param(
+            lambda t: DenseTensor.load('{"shape": [2], "data_re": [1, 2], "data_im": [false, 0]}'),
+            r"tensor dump data must be lists of numbers, got \[False, 0\]", id="load-data-bool",
+        ),
+        pytest.param(
+            lambda t: DenseTensor.load('{"shape": [1], "data_re": 1.5, "data_im": 0}'),
+            "tensor dump data must be lists of numbers, got 1.5", id="load-data-not-a-list",
         ),
         pytest.param(
             lambda t: DenseTensor.load('{"shape": [2], "data_re": [1, 2], "data_im": [0]}'),

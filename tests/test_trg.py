@@ -299,6 +299,19 @@ def test_a_sketched_scan_keeps_its_trajectory():
     assert max(max(pair) for pair in rep.discarded_weights) == pytest.approx(7.659610712225012e-06, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "beta, lnz, weight",
+    [(0.2, 0.734530812274664, 1.7046416309863926e-11), (0.44, 0.929956195601104, 0.0004063276366630986), (0.8, 1.6031647917639211, 3.83791284637745e-10)],
+)
+def test_the_benchmark_scan_keeps_its_trajectory(beta, lnz, weight):
+    # perfbench's trg_scan config, pinned on numpy 2.4, OpenBLAS, x86-64. ln Z is the same at one
+    # and two BLAS threads; the largest weight at beta 0.2 moves by 1.3e-14 relative between them.
+    rep = free_energy_per_site(beta, 1.0, steps=8, spec=TruncationSpec(chi_max=32, cutoff=1e-12))
+    assert rep.lnz_per_site == lnz
+    assert rep.chi_history == ((4, 4), (4, 4), (16, 16), (16, 16)) + ((32, 32),) * 4
+    assert max(max(pair) for pair in rep.discarded_weights) == pytest.approx(weight, rel=5e-14, abs=0.0)
+
+
 def test_a_step_holds_one_chi4_tensor_at_a_time():
     # each split reads the old tensor in place, and it is dropped before the contraction, whose
     # largest arrays are p2 and the parity blocks gathered from p1 and p2: 2.17 chi^4 doubles. A
