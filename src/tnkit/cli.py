@@ -42,6 +42,7 @@ from .ed import solve_dense, solve_iterative
 from .errors import NoConvergence, NumericalFailure, TnkitError, TooLarge, ValidationError
 from .mpo import MODELS, SZ, build_model
 from .mps import (
+    _FIT_ZERO,
     bond_entropies,
     connected_correlation,
     fit_exponential_decay,
@@ -51,6 +52,7 @@ from .mps import (
     random_mps,
 )
 from .tebd import SWEEPABLE, evolve_real_time, find_ground_state, initial_product_state
+from .tensors import _FLOAT_LIMIT
 from .trg import free_energy_per_site
 from .verify import SUITES, run_suite
 
@@ -63,7 +65,6 @@ class UsageError(Exception):
 # config checking: a checker takes (value, path) and returns the checked value
 
 
-_FLOAT_LIMIT = 2**1024 - 2**970  # float(x) is finite exactly when |x| is below this (so NaN fails too)
 _BOUNDS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"), "le": (operator.le, "<="), "lt": (operator.lt, "<")}
 
 
@@ -295,13 +296,17 @@ def _run_corr(cfg: dict):
     i0 = cfg["model"]["n"] // 2 - (x_max + 1) // 2
     xs = list(range(x_min, x_max + 1))
     cs = [connected_correlation(rep.state, SZ, i0, i0 + x) for x in xs]
-    xi_fit, log_amp = fit_exponential_decay(np.array(xs), np.array(cs))
+    if max(map(abs, cs)) <= _FIT_ZERO:  # no correlations to fit: flagged zero-range, as CorrelationReport does
+        xi_fit, log_amp, gamma_fit = 0.0, None, None
+    else:
+        xi_fit, log_amp = fit_exponential_decay(np.array(xs), np.array(cs))
+        gamma_fit = fit_power_law(np.array(xs), np.array(cs))[0]
     metrics = {
         "converged": bool(rep.converged),
         "energy": rep.energy,
         "xi_fit": xi_fit,
         "log_amplitude": log_amp,
-        "gamma_fit": fit_power_law(np.array(xs), np.array(cs))[0],
+        "gamma_fit": gamma_fit,
         "anchor_site": i0,
     }
     return metrics, [{"x": x, "connected_szsz": c} for x, c in zip(xs, cs)]

@@ -21,13 +21,13 @@ sector at a time and cut on the merged spectrum (Singh, Pfeifer and Vidal, arXiv
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NumericalFailure, ValidationError
+from .tensors import _is_integer
 
 _ZERO_CLAMP = 1e-14  # relative to the largest singular value
 _HERMITIAN_TOL = 1e-10
@@ -52,7 +52,7 @@ class TruncationSpec:
     cutoff: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.chi_max is not None and (not isinstance(self.chi_max, numbers.Integral) or isinstance(self.chi_max, bool)):
+        if self.chi_max is not None and not _is_integer(self.chi_max):
             raise ValidationError(f"chi_max must be an integer, got {self.chi_max!r}")
         if self.chi_max is not None and self.chi_max < 1:
             raise ValidationError(f"chi_max must be >= 1, got {self.chi_max}")

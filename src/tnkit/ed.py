@@ -33,6 +33,7 @@ import numpy as np
 from .decomp import eig_hermitian
 from .errors import NoConvergence, TooLarge, ValidationError
 from .mpo import MPO, mpo_to_dense
+from .tensors import _is_integer
 
 _ITER_DIM_CAP = 2**20
 # Leading sites are fused until their physical extent reaches this: below it
@@ -92,11 +93,18 @@ def mpo_matvec(op: MPO, psi: np.ndarray) -> np.ndarray:
     return y.reshape(psi.shape)
 
 
+def _check_state_count(n_states, dim: int) -> None:
+    """ValidationError unless ``n_states`` is an integer >= 1; TooLarge if it exceeds ``dim``."""
+    if not _is_integer(n_states) or n_states < 1:
+        raise ValidationError(f"n_states must be an integer >= 1, got {n_states!r}")
+    if n_states > dim:
+        raise TooLarge(f"asked for {n_states} states in a {dim}-dim space")
+
+
 def solve_dense(op: MPO, n_states: int = 1) -> EDResult:
     """Full spectrum route: densify the MPO and diagonalize; TooLarge if n_states > dim."""
     dim = op.phys_dim**op.n_sites
-    if n_states > dim:
-        raise TooLarge(f"asked for {n_states} states in a {dim}-dim space")
+    _check_state_count(n_states, dim)
     res = eig_hermitian(mpo_to_dense(op))
     return EDResult(
         energies=res.omega[:n_states].copy(),
@@ -133,8 +141,7 @@ def solve_iterative(
     dim = op.phys_dim**op.n_sites
     if dim > _ITER_DIM_CAP:
         raise TooLarge(f"iterative route needs dim <= {_ITER_DIM_CAP}, got {dim}")
-    if n_states > dim:
-        raise TooLarge(f"asked for {n_states} states in a {dim}-dim space")
+    _check_state_count(n_states, dim)
     rng = np.random.default_rng(seed)
     p = n_states
     dtype = np.result_type(np.float64, *op.sites)

@@ -34,8 +34,9 @@ unlabels the state before it acts. ``correlation_length`` drops them too,
 so its transfer matrix sees both links in descending Schmidt-value order.
 
 Operations never mutate: each returns a fresh :class:`MPS`, and every site
-an :class:`MPS` holds is a read-only view. Operators and gates are passed in
-as arrays and shape-checked once, where they enter. ``gauge_insert``
+an :class:`MPS` holds is a read-only view. Operators, gates and gauge matrices
+are passed in as arrays and checked once, where they enter, by :func:`_operator`;
+site and bond indices by :func:`~tnkit.tensors._index`. ``gauge_insert``
 deliberately breaks canonical structure (it is a test hook for gauge
 invariance). ``mps_to_json`` writes each site in
 :meth:`~tnkit.tensors.DenseTensor.dump` form, and no center or labels.
@@ -45,14 +46,13 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .decomp import UNTRUNCATED, TruncationSpec, block_svd, entanglement_entropy, truncated_svd
 from .errors import NumericalFailure, TooLarge, ValidationError
-from .tensors import _fields, _from_record, _inexact, _is_integer, _json_object, _read_only, _to_record
+from .tensors import _fields, _from_record, _index, _inexact, _is_integer, _json_object, _read_only, _to_record
 
 _DENSE_SITE_CAP = 20  # to_state_vector guard: d**N grows fast
 _NORM_TOL = 1e-8  # how far from 1 an input vector's norm may be
@@ -307,8 +307,7 @@ def move_center(m: MPS, target: int) -> MPS:
     A state with ``center=None`` is canonicalized instead, and a state whose
     center is already ``target`` is returned as it is.
     """
-    if not 0 <= target < m.n_sites:
-        raise ValidationError(f"target {target} out of range")
+    target = _index(target, m.n_sites, "target")
     if m.center == target:
         return m
     chain = _Chain(m)
@@ -322,8 +321,7 @@ def canonicalize(m: MPS, target: int, spec: TruncationSpec = UNTRUNCATED) -> MPS
     Makes no assumption about the input gauge: one full left-to-right pass
     followed by a right-to-left pass down to ``target``.
     """
-    if not 0 <= target < m.n_sites:
-        raise ValidationError(f"target {target} out of range")
+    target = _index(target, m.n_sites, "target")
     chain = _Chain(m)
     chain.center = None
     _move(chain, target, spec)
@@ -338,12 +336,9 @@ def gauge_insert(m: MPS, bond: int, x) -> MPS:
     unchanged, but the canonical structure is destroyed and X mixes charge
     sectors, so the result is ``MPS(sites)``: ``center=None`` and unlabelled.
     """
-    if not 0 <= bond < m.n_sites - 1:
-        raise ValidationError(f"bond {bond} out of range")
+    bond = _index(bond, m.n_sites - 1, "bond")
     chi = m.sites[bond].shape[2]
-    x = np.asarray(x)
-    if x.shape != (chi, chi):
-        raise ValidationError(f"gauge matrix must be ({chi}, {chi}), got {x.shape}")
+    x = _operator(x, (chi, chi), "gauge matrix")
     svals = np.linalg.svd(x, compute_uv=False)
     if svals[-1] <= 0.0 or svals[0] / svals[-1] > 1e12:
         raise ValidationError("gauge matrix is singular or too ill-conditioned")
@@ -392,12 +387,8 @@ def norm_squared(m: MPS) -> float:
 
 def expect_local(m: MPS, op, site: int) -> complex:
     """<psi| O_site |psi> / <psi|psi>, each a zipper over the whole chain; any gauge."""
-    site = _site_index(site)
-    if not 0 <= site < m.n_sites:
-        raise ValidationError(f"site {site} out of range")
-    op = np.asarray(op)
-    if op.shape != (m.phys_dim, m.phys_dim):
-        raise ValidationError(f"operator must be ({m.phys_dim}, {m.phys_dim})")
+    site = _index(site, m.n_sites, "site")
+    op = _operator(op, (m.phys_dim, m.phys_dim), "operator")
     return _sandwich(m, m, {site: op[None, :, :, None]}) / norm_squared(m)
 
 
@@ -419,28 +410,23 @@ def _normalizable(nrm2: float) -> float:
     return nrm2
 
 
-def _site_index(site) -> int:
-    """``site`` as an int; ValidationError for a bool, a float, or anything else that is not an integer."""
-    if not isinstance(site, bool):
-        try:
-            return operator.index(site)
-        except TypeError:
-            pass
-    raise ValidationError(f"site {site!r} is not an integer")
+def _operator(op, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``op`` as an array; ValidationError, naming ``what``, unless it has ``shape`` and finite numbers only."""
+    op = np.asarray(op)
+    if op.shape != shape:
+        raise ValidationError(f"{what} must be {shape}, got {op.shape}")
+    if op.dtype.kind not in "biufc" or not np.isfinite(op).all():
+        raise ValidationError(f"{what} must hold finite numbers only")
+    return op
 
 
 def _two_site_ops(m: MPS, op_i, i: int, op_j, j: int) -> dict[int, np.ndarray]:
-    """``{i: op_i, j: op_j}`` as :func:`_sandwich` tensors, once the sites and shapes are checked for ``m``."""
-    i, j = _site_index(i), _site_index(j)
-    if not (0 <= i < m.n_sites and 0 <= j < m.n_sites):
-        raise ValidationError(f"sites ({i}, {j}) out of range")
+    """``{i: op_i, j: op_j}`` as :func:`_sandwich` tensors, once the sites and operators are checked for ``m``."""
+    i, j = _index(i, m.n_sites, "site"), _index(j, m.n_sites, "site")
     if i >= j:
         raise ValidationError(f"need i < j, got i={i}, j={j}")
-    ops, d = {i: np.asarray(op_i), j: np.asarray(op_j)}, m.phys_dim
-    for name, op in zip(("op_i", "op_j"), ops.values()):
-        if op.shape != (d, d):
-            raise ValidationError(f"{name} must be ({d}, {d})")
-    return {s: op[None, :, :, None] for s, op in ops.items()}
+    d = m.phys_dim
+    return {i: _operator(op_i, (d, d), "op_i")[None, :, :, None], j: _operator(op_j, (d, d), "op_j")[None, :, :, None]}
 
 
 def apply_two_site_gate(
@@ -458,8 +444,7 @@ def apply_two_site_gate(
     center on site+1 (forward sweeps), ``"left"`` on site (backward sweeps).
     Returns the new state and the absolute discarded weight of the split.
     """
-    if not 0 <= site < m.n_sites - 1:
-        raise ValidationError(f"gate needs sites ({site}, {site + 1}) in range")
+    site = _index(site, m.n_sites - 1, "site")
     chain = _Chain(m)
     g = _gate_matrix(gate, chain, direction)
     _move(chain, site if direction == "right" else site + 1)
@@ -474,9 +459,7 @@ def _gate_matrix(gate, chain: _Chain, direction: str) -> np.ndarray:
     with a nonzero entry between pair states of different total charge unlabels the chain.
     """
     d = chain.sites[0].shape[1]
-    gate = np.asarray(gate)
-    if gate.shape != (d * d, d * d):
-        raise ValidationError(f"gate must be ({d * d}, {d * d}), got {gate.shape}")
+    gate = _operator(gate, (d * d, d * d), "gate")
     if direction not in ("right", "left"):
         raise ValidationError(f"direction must be 'right' or 'left', got {direction!r}")
     pair_q = (chain.phys_charges[:, None] + chain.phys_charges[None, :]).ravel(order="F")
@@ -585,20 +568,12 @@ def connected_correlation(m: MPS, op, i: int, j: int) -> float:
 
 
 def fit_exponential_decay(xs, values) -> tuple[float, float]:
-    """Least-squares fit of |values| ~ A * exp(-x / xi).
+    """Least-squares fit of |values| ~ A * exp(-x / xi); returns (xi, log A), xi inf for no decay.
 
-    Returns (xi, log A). Entries with |value| <= 1e-14 (rounding noise) are
-    excluded; fewer than two usable points raise ValidationError.
+    Entries with |value| <= 1e-14 (rounding noise) are excluded; ValidationError if fewer than two remain.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    vals = np.abs(np.asarray(values, dtype=np.float64))
-    keep = vals > _FIT_ZERO
-    if keep.sum() < 2:
-        raise ValidationError("need at least two samples above 1e-14 in magnitude to fit a decay rate")
-    slope, intercept = np.polyfit(xs[keep], np.log(vals[keep]), 1)
-    if slope >= 0.0:
-        return math.inf, float(intercept)
-    return -1.0 / float(slope), float(intercept)
+    slope, intercept = _log_fit(xs, values, False, "a decay rate")
+    return (math.inf if slope >= 0.0 else -1.0 / slope), intercept
 
 
 def fit_power_law(xs, values) -> tuple[float, float]:
@@ -606,13 +581,23 @@ def fit_power_law(xs, values) -> tuple[float, float]:
 
     Excludes x <= 0 and |value| <= 1e-14; ValidationError if fewer than two points remain.
     """
+    slope, intercept = _log_fit(xs, values, True, "a power law")
+    return -slope, intercept
+
+
+def _log_fit(xs, values, log_x: bool, what: str) -> tuple[float, float]:
+    """(slope, intercept) of the least-squares line of ln|value| against x, or ln x if ``log_x``.
+
+    Samples with |value| <= ``_FIT_ZERO``, and with x <= 0 if ``log_x``, are left out;
+    ValidationError, naming the fit ``what``, if fewer than two remain.
+    """
     xs = np.asarray(xs, dtype=np.float64)
     vals = np.abs(np.asarray(values, dtype=np.float64))
-    keep = (vals > _FIT_ZERO) & (xs > 0.0)
+    keep = (vals > _FIT_ZERO) & (xs > 0.0 if log_x else True)
     if keep.sum() < 2:
-        raise ValidationError("need at least two samples above 1e-14 in magnitude to fit a power law")
-    slope, intercept = np.polyfit(np.log(xs[keep]), np.log(vals[keep]), 1)
-    return -float(slope), float(intercept)
+        raise ValidationError(f"need at least two samples above {_FIT_ZERO:g} in magnitude to fit {what}")
+    slope, intercept = np.polyfit(np.log(xs[keep]) if log_x else xs[keep], np.log(vals[keep]), 1)
+    return float(slope), float(intercept)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ import numpy as np
 
 from .errors import ValidationError
 
+_FLOAT_LIMIT = 2**1024 - 2**970  # float(x) is finite exactly when |x| is below this (so NaN fails too)
+
 
 def _as_shape(shape: Iterable[int]) -> tuple[int, ...]:
     out = tuple(shape)
@@ -50,6 +52,15 @@ def _as_shape(shape: Iterable[int]) -> tuple[int, ...]:
 def _is_integer(x) -> bool:
     """True for an integer that is not a bool: a Python int, a numpy integer, or a JSON integer once parsed."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _index(value, stop: int, what: str) -> int:
+    """``value`` as an int if it is an integer (not a bool) in ``range(stop)``; else ValidationError naming ``what``."""
+    if not _is_integer(value):
+        raise ValidationError(f"{what} {value!r} is not an integer")
+    if not 0 <= value < stop:
+        raise ValidationError(f"{what} {value} out of range [0, {stop})")
+    return int(value)
 
 
 def _inexact(a: np.ndarray) -> np.ndarray:
@@ -132,14 +143,10 @@ class DenseTensor:
         return flat
 
     def __getitem__(self, multi_index) -> complex:
-        if np.isscalar(multi_index):
-            multi_index = (multi_index,)
-        idx = tuple(int(i) for i in multi_index)
-        if len(idx) != self.rank:
-            raise ValidationError(f"expected {self.rank} indices, got {len(idx)}")
-        for i, w in zip(idx, self.shape):
-            if not 0 <= i < w:
-                raise ValidationError(f"index {idx} out of bounds for shape {self.shape}")
+        multi_index = (multi_index,) if np.isscalar(multi_index) else tuple(multi_index)
+        if len(multi_index) != self.rank:
+            raise ValidationError(f"expected {self.rank} indices, got {len(multi_index)}")
+        idx = tuple(_index(i, w, f"axis {k} index") for k, (i, w) in enumerate(zip(multi_index, self.shape)))
         return self._arr[idx].item()
 
     def to_ndarray(self) -> np.ndarray:
@@ -178,10 +185,9 @@ def _from_record(record) -> DenseTensor:
     for part in (data_re, data_im):  # numpy would also read numeric strings and bools
         if not isinstance(part, list) or not all(type(x) in (int, float) for x in part):
             raise ValidationError(f"tensor dump data must be lists of numbers, got {part!r:.60}")
-    try:
-        re, im = (np.asarray(part, dtype=np.float64) for part in (data_re, data_im))
-    except OverflowError as exc:
-        raise ValidationError(f"tensor dump data must be lists of numbers: {exc}") from None
+        if not all(abs(x) < _FLOAT_LIMIT for x in part):  # json reads NaN, Infinity, 1e400 and 400-digit integers
+            raise ValidationError(f"tensor dump data must be finite within the float range, got {part!r:.60}")
+    re, im = (np.asarray(part, dtype=np.float64) for part in (data_re, data_im))
     if re.shape != im.shape:
         raise ValidationError(f"tensor dump data_re and data_im differ in shape: {re.shape} != {im.shape}")
     return DenseTensor(shape, re + 1j * im if np.any(im) else re)
@@ -225,21 +231,17 @@ def permute(t: DenseTensor, perm: Sequence[int]) -> DenseTensor:
     axis ``k`` of the output is axis ``perm[k]`` of the input. For example
     ``perm=(3, 0, 1, 2)`` on a rank-4 tensor makes the fourth index the first.
     """
-    p = tuple(int(x) for x in perm)
+    p = tuple(_index(x, t.rank, "permutation entry") for x in perm)
     if sorted(p) != list(range(t.rank)):
         raise ValidationError(f"{p} is not a permutation of 0..{t.rank - 1}")
     return DenseTensor._wrap(t.to_ndarray().transpose(p))
 
 
 def _check_axes(t: DenseTensor, axes: Sequence[int], name: str) -> tuple[int, ...]:
-    ax = tuple(int(a) for a in axes)
-    seen = set()
-    for a in ax:
-        if not 0 <= a < t.rank:
-            raise ValidationError(f"{name}: axis {a} out of range for rank {t.rank}")
-        if a in seen:
+    ax = tuple(_index(a, t.rank, f"{name}: axis") for a in axes)
+    for k, a in enumerate(ax):
+        if a in ax[:k]:
             raise ValidationError(f"{name}: axis {a} repeated")
-        seen.add(a)
     return ax
 
 

@@ -572,18 +572,21 @@ def test_corr_metrics_depend_on_the_state_not_its_gauge(monkeypatch, rng):
         np.testing.assert_allclose(got[key], want[key], rtol=1e-10, atol=0.0, err_msg=key)
 
 
-def test_corr_without_correlations_is_a_config_error(tmp_path, capsys):
-    # at J = 0 every connected correlation is exactly 0 (heisenberg) or ~1e-31 (ising_nn)
+def test_corr_without_correlations_reports_a_zero_range_state(tmp_path):
+    # at J = 0 every connected correlation is exactly 0 (heisenberg) or ~1e-31 (ising_nn):
+    # nothing to fit, so xi_fit carries CorrelationReport's zero-range flag and the fits are null
     for model in ("heisenberg", "ising_nn"):
+        out = tmp_path / f"{model}.out.json"
         cfg = {
             "command": "corr",
             "model": {"model": model, "n": 8, "j": 0.0},
             "algorithm": {"chi_max": 4, "fit_range": [1, 3]},
-            "output": {"path": str(tmp_path / f"{model}.out.json")},
+            "output": {"path": str(out)},
         }
-        assert main(["--config", write_cfg(tmp_path, cfg, f"{model}.json")]) == 2
-        assert "to fit a decay rate" in capsys.readouterr().err
-        assert not (tmp_path / f"{model}.out.json").exists()
+        assert main(["--config", write_cfg(tmp_path, cfg, f"{model}.json")]) == 0
+        metrics = json.loads(out.read_text())["metrics"]
+        assert metrics["xi_fit"] == 0.0
+        assert metrics["log_amplitude"] is None and metrics["gamma_fit"] is None
 
 
 def test_trg_record_reports_the_truncation_per_beta():

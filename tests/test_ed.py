@@ -294,5 +294,12 @@ def test_iterative_stops_once_the_basis_spans_the_space():
     np.testing.assert_allclose(res.energies, solve_dense(op, n_states=2).energies, atol=1e-12)
 
 
+@pytest.mark.parametrize("solve", [solve_dense, solve_iterative], ids=["dense", "iterative"])
+@pytest.mark.parametrize("n_states", [-1, 0, True, 1.5], ids=["negative", "zero", "bool", "float"])
+def test_ed_guards(solve, n_states):
+    with pytest.raises(ValidationError, match=f"n_states must be an integer >= 1, got {n_states!r}"):
+        solve(build_model("ising_nn", 4), n_states=n_states)
+
+
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])

@@ -5,6 +5,7 @@ same computation done on the full 2^N state vector.
 """
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -735,11 +736,11 @@ def _no_square_site():
         ),
         pytest.param(
             lambda m: expect_two_site(m, SZ, -1, SZ, 2),
-            ValidationError, r"sites \(-1, 2\) out of range", id="two-site-i",
+            ValidationError, r"site -1 out of range \[0, 5\)", id="two-site-i",
         ),
         pytest.param(
             lambda m: expect_two_site(m, SZ, 0, SZ, 5),
-            ValidationError, r"sites \(0, 5\) out of range", id="two-site-j",
+            ValidationError, r"site 5 out of range \[0, 5\)", id="two-site-j",
         ),
         pytest.param(
             lambda m: expect_two_site(m, np.eye(3), 0, SZ, 1),
@@ -751,7 +752,7 @@ def _no_square_site():
         ),
         pytest.param(
             lambda m: apply_two_site_gate(m, np.eye(4), 4),
-            ValidationError, r"gate needs sites \(4, 5\) in range", id="gate-site",
+            ValidationError, r"site 4 out of range \[0, 4\)", id="gate-site",
         ),
         pytest.param(
             lambda m: apply_two_site_gate(m, np.eye(2), 0),
@@ -773,6 +774,41 @@ def _no_square_site():
         pytest.param(
             lambda m: connected_correlation(m, SZ, 1.5, 4),
             ValidationError, "site 1.5 is not an integer", id="correlation-float",
+        ),
+        pytest.param(lambda m: move_center(m, 1.0), ValidationError, "target 1.0 is not an integer", id="move-center-float"),
+        pytest.param(lambda m: move_center(m, True), ValidationError, "target True is not an integer", id="move-center-bool"),
+        pytest.param(lambda m: canonicalize(m, 2.0), ValidationError, "target 2.0 is not an integer", id="canonicalize-float"),
+        pytest.param(lambda m: canonicalize(m, True), ValidationError, "target True is not an integer", id="canonicalize-bool"),
+        pytest.param(lambda m: gauge_insert(m, 1.0, np.eye(4)), ValidationError, "bond 1.0 is not an integer", id="gauge-bond-float"),
+        pytest.param(lambda m: gauge_insert(m, True, np.eye(4)), ValidationError, "bond True is not an integer", id="gauge-bond-bool"),
+        pytest.param(
+            lambda m: apply_two_site_gate(m, np.eye(4), 1.0), ValidationError, "site 1.0 is not an integer", id="gate-site-float",
+        ),
+        pytest.param(
+            lambda m: apply_two_site_gate(m, np.eye(4), True), ValidationError, "site True is not an integer", id="gate-site-bool",
+        ),
+        pytest.param(
+            lambda m: expect_local(m, np.full((2, 2), np.nan), 0),
+            ValidationError, "operator must hold finite numbers only", id="local-op-nan",
+        ),
+        pytest.param(
+            lambda m: expect_local(m, [["a", "b"], ["c", "d"]], 0),
+            ValidationError, "operator must hold finite numbers only", id="local-op-text",
+        ),
+        pytest.param(
+            lambda m: expect_two_site(m, SZ, 0, np.diag([0.5, np.nan]), 1),
+            ValidationError, "op_j must hold finite numbers only", id="two-site-op-nan",
+        ),
+        pytest.param(
+            lambda m: gauge_insert(m, 1, np.diag([1.0, 2.0, np.nan, 1.0])),
+            ValidationError, "gauge matrix must hold finite numbers only", id="gauge-nan",
+        ),
+        pytest.param(
+            lambda m: apply_two_site_gate(m, np.diag([1.0, np.inf, 1.0, 1.0]), 0),
+            ValidationError, "gate must hold finite numbers only", id="gate-inf",
+        ),
+        pytest.param(
+            lambda m: sweep(m, np.diag([1.0, 1.0, -np.inf, 1.0])), ValidationError, "gate must hold finite numbers only", id="sweep-gate-inf",
         ),
         pytest.param(lambda m: mps_from_json(mps_to_json(m)[:-1]), ValidationError, "MPS text is not valid JSON", id="json-malformed"),
         pytest.param(
@@ -797,6 +833,10 @@ def _no_square_site():
         pytest.param(
             lambda m: mps_from_json(json.dumps({"phys_dim": 2, "sites": [{"shape": [1, 2, 1], "data_re": ["1", "0"], "data_im": [0, 0]}]})),
             ValidationError, "tensor dump data must be lists of numbers", id="json-data-numeric-text",
+        ),
+        pytest.param(
+            lambda m: mps_from_json(json.dumps({"phys_dim": 2, "sites": [{"shape": [1, 2, 1], "data_re": [math.nan, 1], "data_im": [0, 0]}]})),
+            ValidationError, r"tensor dump data must be finite within the float range, got \[nan, 1\]", id="json-data-nan",
         ),
         pytest.param(
             lambda m: mps_from_json(json.dumps(dict(json.loads(mps_to_json(m)), phys_dim="x"))),

@@ -104,7 +104,7 @@ def test_contract_extent_mismatch():
     for fn in (contract, contract_flops):
         with pytest.raises(ValidationError, match="contracted axes 1,0 have extents 3 != 4"):
             fn(a, [1], b, [0])
-        with pytest.raises(ValidationError, match="axis 2 out of range for rank 2"):
+        with pytest.raises(ValidationError, match=r"axes_a: axis 2 out of range \[0, 2\)"):
             fn(a, [2], b, [0])
 
 
@@ -157,8 +157,17 @@ def test_dump_load_round_trip():
         pytest.param(lambda t: DenseTensor.zeros((2.0,)), r"extents must be integers, got \(2.0,\)", id="zeros-extent-float"),
         pytest.param(lambda t: reshape(t, (12.0,)), r"extents must be integers, got \(12.0,\)", id="reshape-extent-float"),
         pytest.param(lambda t: t[0, 1], "expected 3 indices, got 2", id="index-count"),
-        pytest.param(lambda t: t[0, 3, 0], r"index \(0, 3, 0\) out of bounds", id="index-past-end"),
-        pytest.param(lambda t: t[-1, 0, 0], r"index \(-1, 0, 0\) out of bounds", id="index-negative"),
+        pytest.param(lambda t: t[0, 3, 0], r"axis 1 index 3 out of range \[0, 3\)", id="index-past-end"),
+        pytest.param(lambda t: t[-1, 0, 0], r"axis 0 index -1 out of range \[0, 2\)", id="index-negative"),
+        pytest.param(lambda t: reshape(t, (6, 2))[1.7, 0.2], "axis 0 index 1.7 is not an integer", id="index-float"),
+        pytest.param(lambda t: reshape(t, (6, 2))[True, False], "axis 0 index True is not an integer", id="index-bool"),
+        pytest.param(
+            lambda t: permute(reshape(t, (6, 2)), (1.9, 0.2)), "permutation entry 1.9 is not an integer", id="permute-float",
+        ),
+        pytest.param(lambda t: contract(t, [1.5], t, [1.2]), "axes_a: axis 1.5 is not an integer", id="axes-float"),
+        pytest.param(lambda t: contract(t, [True], t, [1]), "axes_a: axis True is not an integer", id="axes-bool"),
+        pytest.param(lambda t: contract_flops(t, [1.5], t, [1.2]), "axes_a: axis 1.5 is not an integer", id="flops-axes-float"),
+        pytest.param(lambda t: contract_flops(t, [1], t, [True]), "axes_b: axis True is not an integer", id="flops-axes-bool"),
         pytest.param(lambda t: contract(t, [0, 0], t, [0, 1]), "axes_a: axis 0 repeated", id="axes-repeated"),
         pytest.param(lambda t: contract(t, [0, 1], t, [0]), "axis lists differ in length: 2 vs 1", id="axes-unequal"),
         pytest.param(lambda t: DenseTensor.load(t.dump()[:-1]), "tensor dump is not valid JSON", id="load-malformed"),
@@ -188,6 +197,22 @@ def test_dump_load_round_trip():
         pytest.param(
             lambda t: DenseTensor.load('{"shape": [1], "data_re": 1.5, "data_im": 0}'),
             "tensor dump data must be lists of numbers, got 1.5", id="load-data-not-a-list",
+        ),
+        pytest.param(
+            lambda t: DenseTensor.load('{"shape": [3], "data_re": [NaN, 0, 0], "data_im": [0, 0, 0]}'),
+            r"tensor dump data must be finite within the float range, got \[nan, 0, 0\]", id="load-data-nan",
+        ),
+        pytest.param(
+            lambda t: DenseTensor.load('{"shape": [2], "data_re": [1, 2], "data_im": [0, -Infinity]}'),
+            r"tensor dump data must be finite within the float range, got \[0, -inf\]", id="load-data-infinity",
+        ),
+        pytest.param(
+            lambda t: DenseTensor.load('{"shape": [2], "data_re": [1e400, 2], "data_im": [0, 0]}'),
+            r"tensor dump data must be finite within the float range, got \[inf, 2\]", id="load-data-float-overflow",
+        ),
+        pytest.param(
+            lambda t: DenseTensor.load('{"shape": [1], "data_re": [' + "9" * 400 + '], "data_im": [0]}'),
+            r"tensor dump data must be finite within the float range, got \[9999", id="load-data-int-overflow",
         ),
         pytest.param(
             lambda t: DenseTensor.load('{"shape": [2], "data_re": [1, 2], "data_im": [0]}'),
