@@ -5,16 +5,18 @@ Two routes with very different cost profiles:
 * :func:`solve_dense` materializes the full matrix and calls the dense
   Hermitian eigensolver — exact reference values, at most 4096 basis states.
 * :func:`solve_iterative` runs block Lanczos as one Rayleigh–Ritz loop:
-  each block of matvecs extends one orthonormal basis, and the Ritz pairs
-  come from the block-tridiagonal projection of H on it (H maps each block
-  into the blocks up to the next one). A new block reads the basis twice,
-  in one full reorthogonalization pass that also removes the rounding left
-  along older blocks. The operator is never
-  densified: :func:`mpo_matvec` applies it to the whole block in one pass:
-  the leading sites are folded into one GEMM, then one matrix product per
-  remaining site on a state that is never transposed or copied, so the
-  cost per vector is O(N * 2^N * D^2 * d) instead of O(4^N). Capped at
-  2^20 basis states. The basis is one array of
+  each block of matvecs extends one basis, orthonormal to sqrt(eps), and
+  the Ritz pairs come from the block-tridiagonal projection of H on it (H
+  maps each block into the blocks up to the next one). A new block is
+  projected onto the current and the previous block only, and an
+  ω-recurrence estimates how far rounding has moved it off the older
+  blocks; only when that estimate passes sqrt(eps) do it and the next block
+  take a full reorthogonalization pass, which reads the whole basis twice.
+  The operator is never densified: :func:`mpo_matvec` applies it to the
+  whole block in one pass: the leading sites are folded into one GEMM,
+  then one matrix product per remaining site on a state that is never
+  transposed or copied, so the cost per vector is O(N * 2^N * D^2 * d)
+  instead of O(4^N). Capped at 2^20 basis states. The basis is one array of
   ``(max_iter + n_states) x 2^N`` elements, reserved once; resident memory
   grows only with the rows used, and a reservation the machine cannot make
   raises MemoryError.
@@ -33,7 +35,7 @@ import numpy as np
 from .decomp import eig_hermitian
 from .errors import NoConvergence, TooLarge, ValidationError
 from .mpo import MPO, mpo_to_dense
-from .tensors import _is_integer
+from .tensors import _count, _finite
 
 _ITER_DIM_CAP = 2**20
 # Leading sites are fused until their physical extent reaches this: below it
@@ -95,9 +97,7 @@ def mpo_matvec(op: MPO, psi: np.ndarray) -> np.ndarray:
 
 def _check_state_count(n_states, dim: int) -> None:
     """ValidationError unless ``n_states`` is an integer >= 1; TooLarge if it exceeds ``dim``."""
-    if not _is_integer(n_states) or n_states < 1:
-        raise ValidationError(f"n_states must be an integer >= 1, got {n_states!r}")
-    if n_states > dim:
+    if _count(n_states, "n_states") > dim:
         raise TooLarge(f"asked for {n_states} states in a {dim}-dim space")
 
 
@@ -113,6 +113,58 @@ def solve_dense(op: MPO, n_states: int = 1) -> EDResult:
     )
 
 
+def _extend(q: np.ndarray, k: int, w: np.ndarray, count: int, rng) -> None:
+    """Store ``count`` rows orthonormal to ``q[:k]`` in ``q[k : k + count]``: the full pass.
+
+    The rows of ``w`` are projected out of the whole basis and orthonormalized
+    by QR. A pivot below 1/sqrt(2) of its row's norm before the projection
+    means cancellation, which amplifies the rounding left along the basis, so
+    the normalized rows are projected again (Daniel, Gragg, Kaufman and
+    Stewart, Math. Comp. 30, 772 (1976)). Rows with nothing left are dropped,
+    and the shortfall is drawn at random from ``rng``.
+    """
+    end, dim = k + count, q.shape[1]
+    for _attempt in range(50):
+        if k == end:
+            return
+        if len(w) == 0:
+            w = rng.standard_normal((end - k, dim))
+        size = np.linalg.norm(w, axis=1)
+        w = w - (q[:k] @ w.conj().T).conj().T @ q[:k]
+        f, r = np.linalg.qr(w.T)
+        pivot = np.abs(np.diagonal(r))
+        live = pivot > 1e-13 * size
+        if np.all(live) and np.all(pivot >= np.sqrt(0.5) * size):
+            n_new = min(len(w), end - k)
+            q[k : k + n_new] = f.T[:n_new]
+            k += n_new
+            w = w[:0]
+        else:
+            w = f.T[live]
+    raise NoConvergence("could not extend the Krylov basis")
+
+
+def _overlap_estimate(proj, old, cur, c, r, rounding: float) -> np.ndarray:
+    """The block ω-recurrence: estimates of <q_i|q_b> for a new block's rows b and the rows i before it.
+
+    ``old`` and ``cur`` hold the estimates for the previous and the current
+    block, each against the rows before it; ``c`` holds the first pass's
+    coefficients for the current block (columns: the previous block, then the
+    current one), ``r`` the QR factor that normalized the new block, and
+    ``proj`` the lower triangle of T = QᴴHQ. The first pass leaves w = HQ -
+    Q c^T, and H maps each older row into its neighbor blocks, so <q_i|w_b> =
+    (T cur - [old, cur] c^T)_ib; the new rows are w r^-1. Each step's rounding
+    pushes the estimate away from 0 by ``rounding``, and the rows of the first
+    pass, which it has just removed, start from it.
+    """
+    prev, start = old.shape[0], cur.shape[0]
+    x = np.zeros((start + c.shape[0], r.shape[0]), dtype=r.dtype)
+    x[:prev] = np.tril(proj[:prev, :prev]) @ cur[:prev] + np.tril(proj[:start, :prev], -1).conj().T @ cur
+    x[:prev] -= old @ c[:, : start - prev].T + cur[:prev] @ c[:, start - prev :].T
+    x += rounding * np.where(x == 0, 1, np.sign(x))
+    return x @ np.linalg.inv(r)
+
+
 def solve_iterative(
     op: MPO,
     n_states: int = 1,
@@ -120,7 +172,7 @@ def solve_iterative(
     max_iter: int = 400,
     seed: int = 7,
 ) -> EDResult:
-    """Lowest eigenpairs by block Lanczos with full reorthogonalization.
+    """Lowest eigenpairs by block Lanczos with partial reorthogonalization.
 
     The block size equals ``n_states``, so degenerate levels are resolved up
     to that multiplicity (a single-vector iteration provably cannot see more
@@ -129,65 +181,49 @@ def solve_iterative(
     projection (Rayleigh–Ritz): H times a block lies in the blocks up to the
     next one (a random refill only adds directions there), so QᴴHQ vanishes
     between blocks two or more apart and the first pass projects a new block
-    onto itself and the previous one. The projection is variational up to
-    the rounding that the full reorthogonalization of each new block
-    removes. Each block costs one :func:`mpo_matvec` pass, and ``n_matvecs``
-    still counts vectors. Rank loss inside a block — an exhausted invariant
-    subspace — is repaired with random directions orthogonal to everything
-    built so far. Random directions are real (generic for complex Hermitian
-    H too). Deterministic for a fixed ``seed``. Raises NoConvergence if the
-    residuals have not dropped below ``tol`` after ``max_iter`` matvecs.
+    onto itself and the previous one. A new block is then normalized by QR
+    alone while an ω-recurrence (Simon, Math. Comp. 42, 115 (1984), in the
+    block form of Grimes, Lewis and Simon, SIAM J. Matrix Anal. Appl. 15,
+    228 (1994)) estimates its overlaps with the older blocks below sqrt(eps);
+    once an estimate passes that, this block and the next are
+    reorthogonalized against the whole basis, and the estimates start again
+    from eps. So the basis stays orthogonal to sqrt(eps), which keeps the
+    projection variational to rounding. Rank loss inside a block — an
+    exhausted invariant subspace — and cancellation in its QR also take the
+    full pass, which repairs rank loss with random directions orthogonal to
+    everything built so far. Random directions are real (generic for complex
+    Hermitian H too). Each block costs one :func:`mpo_matvec` pass, and
+    ``n_matvecs`` still counts vectors. Deterministic for a fixed ``seed``.
+    ValidationError unless ``tol`` is finite and > 0 and ``max_iter`` is an
+    integer >= 1. Raises NoConvergence if the residuals have not dropped
+    below ``tol`` after ``max_iter`` matvecs.
     """
     dim = op.phys_dim**op.n_sites
     if dim > _ITER_DIM_CAP:
         raise TooLarge(f"iterative route needs dim <= {_ITER_DIM_CAP}, got {dim}")
     _check_state_count(n_states, dim)
+    _count(max_iter, "max_iter")
+    if not (_finite(tol) and tol > 0):
+        raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
     rng = np.random.default_rng(seed)
     p = n_states
     dtype = np.result_type(np.float64, *op.sites)
+    eps = np.finfo(dtype).eps
     # basis vectors are rows; the pages of rows never written are never mapped
     q = np.empty((min(dim, max_iter + p), dim), dtype=dtype)
     proj = np.zeros((q.shape[0], q.shape[0]), dtype=dtype)
 
-    def extend(w: np.ndarray, k: int, count: int) -> None:
-        """Store ``count`` rows orthonormal to ``q[:k]`` in ``q[k : k + count]``.
-
-        The rows of ``w`` are projected out of the basis and orthonormalized
-        by QR. A pivot below 1/sqrt(2) of its row's norm before the projection
-        means cancellation, which amplifies the rounding left along the basis,
-        so the normalized rows are projected again (Daniel, Gragg, Kaufman
-        and Stewart, Math. Comp. 30, 772 (1976)). Rows with nothing left are
-        dropped, and the shortfall is drawn at random.
-        """
-        end = k + count
-        for _attempt in range(50):
-            if k == end:
-                return
-            if len(w) == 0:
-                w = rng.standard_normal((end - k, dim))
-            size = np.linalg.norm(w, axis=1)
-            w = w - (q[:k] @ w.conj().T).conj().T @ q[:k]
-            f, r = np.linalg.qr(w.T)
-            pivot = np.abs(np.diagonal(r))
-            live = pivot > 1e-13 * size
-            if np.all(live) and np.all(pivot >= np.sqrt(0.5) * size):
-                n_new = min(len(w), end - k)
-                q[k : k + n_new] = f.T[:n_new]
-                k += n_new
-                w = w[:0]
-            else:
-                w = f.T[live]
-        raise NoConvergence("could not extend the Krylov basis")
-
-    extend(rng.standard_normal((p, dim)), 0, p)
+    _extend(q, 0, rng.standard_normal((p, dim)), p, rng)
     prev, start, k, n_matvecs = 0, 0, p, 0
+    # estimated overlaps of the previous and the current block's rows with the rows before each
+    old, cur = np.zeros((0, 0), dtype=dtype), np.zeros((0, p), dtype=dtype)
+    full_next = False
     while True:
         w = mpo_matvec(op, q[start:k])
         n_matvecs += k - start
         # first pass, on this block and the previous one only: QᴴHQ is
-        # block-tridiagonal, and extend's full pass removes what rounding
-        # leaves along older blocks. The basis on the left conjugates w
-        # instead of a copy of the basis.
+        # block-tridiagonal. The basis on the left conjugates w instead of a
+        # copy of the basis.
         c = (q[prev:k] @ w.conj().T).conj().T
         w -= c @ q[prev:k]
         proj[start:k, prev:k] = c.conj()  # eigh reads the lower triangle
@@ -204,7 +240,24 @@ def solve_iterative(
             raise NoConvergence(
                 f"block Lanczos did not reach tol={tol} within {max_iter} matvecs"
             )
-        extend(w, k, p_next)
+
+        lost = full_next or p_next < len(w)
+        if not lost:  # rank loss and cancellation take the full pass too
+            size = np.linalg.norm(w, axis=1)
+            f, r = np.linalg.qr(w.T)
+            q[k : k + p_next] = f.T  # the full pass, if taken below, overwrites these rows
+            del f  # no factor outlives the block into the next matvec
+            pivot = np.abs(np.diagonal(r))
+            lost = not np.all((pivot > 0) & (pivot >= np.sqrt(0.5) * size))
+        if not lost:  # rounding per step: sqrt(dim)·eps/2 times |H|, read off the extreme Ritz values
+            rounding = 0.5 * np.sqrt(dim) * eps * max(abs(theta[0]), abs(theta[-1]))
+            new = _overlap_estimate(proj, old, cur, c, r, rounding)
+            lost = np.max(np.abs(new)) > np.sqrt(eps)
+        if lost:  # a full pass outside a forced one forces the next block's too
+            _extend(q, k, w, p_next, rng)
+            new = np.full((k, p_next), eps, dtype=dtype)
+            full_next = not full_next
+        old, cur = cur, new
         prev, start, k = start, k, k + p_next
 
     vectors = q[:k].T @ s[:, :p]

@@ -36,7 +36,9 @@ so its transfer matrix sees both links in descending Schmidt-value order.
 Operations never mutate: each returns a fresh :class:`MPS`, and every site
 an :class:`MPS` holds is a read-only view. Operators, gates and gauge matrices
 are passed in as arrays and checked once, where they enter, by :func:`_operator`;
-site and bond indices by :func:`~tnkit.tensors._index`. ``gauge_insert``
+site and bond indices by :func:`~tnkit.tensors._index`, counts by
+:func:`~tnkit.tensors._count`, and the sites of an MPS or MPO, finite entries
+included, by :func:`_chain_sites`. ``gauge_insert``
 deliberately breaks canonical structure (it is a test hook for gauge
 invariance). ``mps_to_json`` writes each site in
 :meth:`~tnkit.tensors.DenseTensor.dump` form, and no center or labels.
@@ -52,7 +54,7 @@ import numpy as np
 
 from .decomp import UNTRUNCATED, TruncationSpec, block_svd, entanglement_entropy, truncated_svd
 from .errors import NumericalFailure, TooLarge, ValidationError
-from .tensors import _fields, _from_record, _index, _inexact, _is_integer, _json_object, _read_only, _to_record
+from .tensors import _count, _fields, _from_record, _index, _inexact, _is_integer, _json_object, _read_only, _to_record
 
 _DENSE_SITE_CAP = 20  # to_state_vector guard: d**N grows fast
 _NORM_TOL = 1e-8  # how far from 1 an input vector's norm may be
@@ -106,13 +108,16 @@ class MPS:
 def _chain_sites(sites, rank: int) -> tuple[np.ndarray, ...]:
     """Read-only views of the sites of an :class:`MPS` (``rank`` 3) or :class:`~tnkit.mpo.MPO` (4).
 
-    ValidationError unless each has ``rank`` axes, the first site's physical extent on every
-    axis between its links, links matching its neighbors', and extent-1 links at both ends.
+    ValidationError unless each has ``rank`` axes, finite entries, the first site's physical
+    extent on every axis between its links, links matching its neighbors', and extent-1 links
+    at both ends.
     """
     sites = tuple(_read_only(t) for t in sites)
     for i, t in enumerate(sites):
         if t.ndim != rank:
             raise ValidationError(f"site {i} has rank {t.ndim}, expected {rank}")
+        if not np.isfinite(t).all():
+            raise ValidationError(f"site {i} must hold finite numbers only")
         for e in t.shape[1:-1]:
             if e != sites[0].shape[1]:
                 raise ValidationError(f"site {i} physical extent {e} != {sites[0].shape[1]}")
@@ -172,8 +177,7 @@ def mps_from_state_vector(
     profile d, d^2, ..., capped by the distance to the nearer chain end. The
     returned state has its center at site N-1.
     """
-    if phys_dim < 2:
-        raise ValidationError(f"physical dimension must be >= 2, got {phys_dim}")
+    _count(phys_dim, "phys_dim", 2)
     flat = _inexact(np.array(psi)).reshape(-1)
     n = round(math.log(flat.size, phys_dim)) if flat.size > 1 else 1
     if phys_dim**n != flat.size:
@@ -232,7 +236,8 @@ def product_mps(site_vectors) -> MPS:
 
 
 def random_mps(n_sites: int, phys_dim: int, chi_max: int, rng) -> MPS:
-    """Normalized random MPS with links capped at ``chi_max``."""
+    """Normalized random MPS with links capped at ``chi_max``, an integer >= 1."""
+    _count(chi_max, "chi_max")
     dims = [min(chi_max, phys_dim**i, phys_dim ** (n_sites - i)) for i in range(n_sites + 1)]  # 1 at both ends
     shapes = [(dims[i], phys_dim, dims[i + 1]) for i in range(n_sites)]
     chain = _Chain(MPS(tuple(rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes)))
@@ -412,7 +417,10 @@ def _normalizable(nrm2: float) -> float:
 
 def _operator(op, shape: tuple[int, ...], what: str) -> np.ndarray:
     """``op`` as an array; ValidationError, naming ``what``, unless it has ``shape`` and finite numbers only."""
-    op = np.asarray(op)
+    try:
+        op = np.asarray(op)
+    except ValueError:  # a ragged nested sequence
+        raise ValidationError(f"{what} must be {shape}, got a ragged sequence") from None
     if op.shape != shape:
         raise ValidationError(f"{what} must be {shape}, got {op.shape}")
     if op.dtype.kind not in "biufc" or not np.isfinite(op).all():

@@ -29,6 +29,7 @@ from .errors import NumericalFailure, ValidationError
 from .mpo import MPO, build_model, mpo_expectation, mpo_to_dense
 from .mps import MPS, _Chain, _center_norm_squared, _gate_matrix, _gate_pair, _move, _normalizable, _recorded
 from .mps import norm_squared, product_mps
+from .tensors import _count, _finite
 
 _UP = np.array([1.0, 0.0])
 _DOWN = np.array([0.0, 1.0])
@@ -54,6 +55,8 @@ def bond_gate(model: str, j: float, step: float, mode: str) -> np.ndarray:
     """
     if mode not in ("imaginary", "real"):
         raise ValidationError(f"mode must be 'imaginary' or 'real', got {mode!r}")
+    if not (_finite(step) and _finite(j)):
+        raise ValidationError(f"step and j must be finite, got step={step!r}, j={j!r}")
     res = eig_hermitian(pair_hamiltonian(model, j))
     factor = -step if mode == "imaginary" else -1j * step
     gate = (res.u * np.exp(factor * res.omega)[None, :]) @ res.u.conj().T
@@ -201,6 +204,7 @@ def find_ground_state(
     gate exp(-tau*h) overflows float64 (for the Heisenberg AFM, once tau*|j|
     exceeds about 946) or an energy is not finite.
     """
+    _count(max_sweeps_per_tau, "max_sweeps_per_tau", 0)
     pair = pair_hamiltonian(model, j)
     chain = _Chain(initial_product_state(model, n_sites))
 
@@ -260,6 +264,7 @@ def evolve_real_time(
     never rescaled, so ``norm_trace`` exposes cumulative truncation loss.
     Energies and norms come from :func:`_bond_energy`.
     """
+    _count(n_steps, "n_steps", 0)
     pair = pair_hamiltonian(model, j)
     chain = _Chain(state)
     g = _gate_matrix(bond_gate(model, j, dt, "real"), chain, "right")

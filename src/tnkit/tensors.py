@@ -54,6 +54,18 @@ def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _finite(x) -> bool:
+    """True for a finite real number: a Python or numpy int or float, not NaN or infinite."""
+    return isinstance(x, numbers.Real) and math.isfinite(x)
+
+
+def _count(value, what: str, least: int = 1) -> int:
+    """``value`` as an int if it is an integer (not a bool) >= ``least``; else ValidationError naming ``what``."""
+    if not _is_integer(value) or value < least:
+        raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _index(value, stop: int, what: str) -> int:
     """``value`` as an int if it is an integer (not a bool) in ``range(stop)``; else ValidationError naming ``what``."""
     if not _is_integer(value):

@@ -67,7 +67,7 @@ import numpy as np
 
 from .decomp import TruncationSpec, _gather, block_svd
 from .errors import NumericalFailure, TooLarge, ValidationError
-from .tensors import _is_integer
+from .tensors import _count, _is_integer
 
 _BRUTE_SPIN_CAP = 20
 _STEP_ELEMENT_CAP = 100**4
@@ -301,8 +301,7 @@ def free_energy_per_site(
     partition function of the 2^(steps+1)-spin periodic patch; with a finite
     chi_max it approximates the thermodynamic limit as steps grow.
     """
-    if not _is_integer(steps) or steps < 0:
-        raise ValidationError(f"steps must be an integer >= 0, got {steps!r}")
+    _count(steps, "steps", 0)
     state = initial_state(beta, j)
     chis: list[tuple[int, int]] = []
     weights: list[tuple[float, float]] = []

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import tnkit.ed
 from conftest import SX as REF_SX
 from conftest import SY as REF_SY
 from conftest import dense_hamiltonian, kron_site
@@ -287,9 +288,9 @@ def test_size_caps():
 
 
 def test_iterative_stops_once_the_basis_spans_the_space():
-    # tol = 0 is never met, so only the exhausted space ends the loop, after dim matvecs
+    # tol = 1e-300 is never met, so only the exhausted space ends the loop, after dim matvecs
     op = build_heisenberg(3, j=-1.0)
-    res = solve_iterative(op, n_states=2, tol=0.0, max_iter=400, seed=3)
+    res = solve_iterative(op, n_states=2, tol=1e-300, max_iter=400, seed=3)
     assert res.n_matvecs == 8
     np.testing.assert_allclose(res.energies, solve_dense(op, n_states=2).energies, atol=1e-12)
 
@@ -299,6 +300,58 @@ def test_iterative_stops_once_the_basis_spans_the_space():
 def test_ed_guards(solve, n_states):
     with pytest.raises(ValidationError, match=f"n_states must be an integer >= 1, got {n_states!r}"):
         solve(build_model("ising_nn", 4), n_states=n_states)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        pytest.param(dict(tol=np.nan), "tol must be finite and > 0, got nan", id="tol-nan"),
+        pytest.param(dict(tol=np.inf), "tol must be finite and > 0, got inf", id="tol-inf"),
+        pytest.param(dict(tol=-1.0), "tol must be finite and > 0, got -1.0", id="tol-negative"),
+        pytest.param(dict(tol=0.0), "tol must be finite and > 0, got 0.0", id="tol-zero"),
+        pytest.param(dict(tol="1e-10"), "tol must be finite and > 0, got '1e-10'", id="tol-text"),
+        pytest.param(dict(max_iter=2.5), "max_iter must be an integer >= 1, got 2.5", id="max-iter-float"),
+        pytest.param(dict(max_iter=0), "max_iter must be an integer >= 1, got 0", id="max-iter-zero"),
+        pytest.param(dict(max_iter=True), "max_iter must be an integer >= 1, got True", id="max-iter-bool"),
+    ],
+)
+def test_iterative_guards(kwargs, match):
+    with pytest.raises(ValidationError, match=match):
+        solve_iterative(build_model("ising_nn", 4), n_states=2, **kwargs)
+
+
+def count_full_passes(monkeypatch) -> list:
+    """Patch the full reorthogonalization pass to record the first row of each block it builds."""
+    calls, real = [], tnkit.ed._extend
+
+    def counted(q, k, *args):
+        calls.append(k)
+        return real(q, k, *args)
+
+    monkeypatch.setattr(tnkit.ed, "_extend", counted)
+    return calls
+
+
+def test_benchmark_config_takes_the_full_pass_on_few_blocks(monkeypatch):
+    # perfbench's ed_lanczos config: the ω-recurrence keeps all but a few
+    # blocks off the full pass, and the energies do not move
+    calls = count_full_passes(monkeypatch)
+    got = solve_iterative(build_heisenberg(14, j=-1.0), n_states=2, tol=1e-10, seed=1)
+    np.testing.assert_allclose(got.energies, [-6.026724661862168, -5.780492604462411], rtol=0, atol=1e-12)
+    assert calls[0] == 0  # the random start block
+    assert 1 <= len(calls) - 1 < (got.n_matvecs // 2) / 4
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_basis_near_exhaustion_still_takes_the_full_pass(monkeypatch, seed):
+    # dim 32 and blocks of 5: orthogonality is lost within a few blocks, and
+    # without the full pass ghost copies would enter the projection
+    calls = count_full_passes(monkeypatch)
+    op = build_heisenberg(5, j=-1.0)
+    got = solve_iterative(op, n_states=5, seed=seed)
+    assert len(calls) > 1
+    np.testing.assert_allclose(got.energies, solve_dense(op, n_states=5).energies, atol=1e-9, rtol=0)
+    np.testing.assert_allclose(got.vectors.conj().T @ got.vectors, np.eye(5), atol=1e-10)
 
 
 if __name__ == "__main__":

@@ -149,6 +149,16 @@ def _mpo(*shapes):
         pytest.param(lambda: _mpo((3, 2, 2, 3), (3, 2, 2, 1)), "boundary links must have extent 1", id="left-end"),
         pytest.param(lambda: _mpo((1, 2, 2, 3), (3, 2, 2, 3)), "boundary links must have extent 1", id="right-end"),
         pytest.param(
+            lambda: MPO((np.full((1, 2, 2, 1), np.inf), np.zeros((1, 2, 2, 1)))),
+            "site 0 must hold finite numbers only",
+            id="site-inf",
+        ),
+        pytest.param(
+            lambda: MPO((np.zeros((1, 2, 2, 1)), np.full((1, 2, 2, 1), np.nan))),
+            "site 1 must hold finite numbers only",
+            id="site-nan",
+        ),
+        pytest.param(
             lambda: build_model("potts", 4), r"unknown model 'potts'; expected one of \('ising_nn'", id="unknown-model"
         ),
         pytest.param(

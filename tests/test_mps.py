@@ -705,7 +705,27 @@ def _no_square_site():
         ),
         pytest.param(
             lambda m: mps_from_state_vector([1.0], 1),
-            ValidationError, "physical dimension must be >= 2, got 1", id="from-vector-d1",
+            ValidationError, "phys_dim must be an integer >= 2, got 1", id="from-vector-d1",
+        ),
+        pytest.param(
+            lambda m: mps_from_state_vector([0.6, 0.8], 2.0),
+            ValidationError, "phys_dim must be an integer >= 2, got 2.0", id="from-vector-float-d",
+        ),
+        pytest.param(
+            lambda m: random_mps(4, 2, 2.5, np.random.default_rng(0)),
+            ValidationError, "chi_max must be an integer >= 1, got 2.5", id="random-chi-float",
+        ),
+        pytest.param(
+            lambda m: random_mps(4, 2, 0, np.random.default_rng(0)),
+            ValidationError, "chi_max must be an integer >= 1, got 0", id="random-chi-zero",
+        ),
+        pytest.param(
+            lambda m: MPS(m.sites[:2] + (m.sites[2] * np.nan,) + m.sites[3:]),
+            ValidationError, "site 2 must hold finite numbers only", id="site-nan",
+        ),
+        pytest.param(
+            lambda m: MPS(m.sites[:4] + (np.where(m.sites[4] == m.sites[4].flat[0], np.inf, m.sites[4]),)),
+            ValidationError, "site 4 must hold finite numbers only", id="site-inf",
         ),
         pytest.param(
             lambda m: to_state_vector(product_mps([[1.0, 0.0]] * 21)),
@@ -790,6 +810,10 @@ def _no_square_site():
         pytest.param(
             lambda m: expect_local(m, np.full((2, 2), np.nan), 0),
             ValidationError, "operator must hold finite numbers only", id="local-op-nan",
+        ),
+        pytest.param(
+            lambda m: expect_local(m, [[1, 2], [3]], 0),
+            ValidationError, r"operator must be \(2, 2\), got a ragged sequence", id="local-op-ragged",
         ),
         pytest.param(
             lambda m: expect_local(m, [["a", "b"], ["c", "d"]], 0),

@@ -239,12 +239,13 @@ def test_measure_energy_normalizes():
 
 
 def test_non_finite_energy_is_a_numerical_failure():
-    # an infinite coupling makes <H> NaN; a NaN energy would never meet the
-    # convergence test, so the ground search must stop here instead
-    with np.errstate(invalid="ignore"):
-        h = build_heisenberg(4, j=np.inf)  # inf * 0 puts NaN into the site tensors
+    # a coupling near the float limit makes <H> overflow, though every site
+    # tensor is finite; a non-finite energy would never meet the convergence
+    # test, so the ground search must stop here instead (MPO sites with an
+    # infinite entry are refused where they are built)
+    h = build_heisenberg(8, j=1.5e308)
     with pytest.raises(NumericalFailure, match="energy"):
-        measure_energy(initial_product_state("heisenberg", 4), h)
+        measure_energy(initial_product_state("heisenberg", 8), h)
 
 
 def sweeps(state, gate, spec, n_sweeps):
@@ -332,10 +333,10 @@ def test_strong_coupling_ground_search_stays_finite():
 def test_zero_or_nan_norm_is_a_numerical_failure():
     state = initial_product_state("heisenberg", 4)
     h = build_heisenberg(4, j=-1.0)
-    for bad in (0.0, np.nan):
+    for bad in (0.0, 1e200):  # 1e200 overflows the norm; MPS refuses a NaN site itself
         sites = list(state.sites)
         sites[state.center] = sites[state.center] * bad
-        with pytest.raises(NumericalFailure):
+        with np.errstate(over="ignore"), pytest.raises(NumericalFailure):
             measure_energy(MPS(tuple(sites)), h)
 
 
@@ -381,11 +382,10 @@ def test_bond_energy_keeps_the_two_sites_of_the_pair_term_apart():
 
 
 def test_non_finite_bond_energy_is_a_numerical_failure():
-    with np.errstate(invalid="ignore"):
-        pair = pair_hamiltonian("heisenberg", np.inf)  # inf * 0 puts NaN into the pair term
-    for center in (0, 3):
+    pair = pair_hamiltonian("heisenberg", 1.5e308)  # finite, but seven bond terms overflow
+    for center in (0, 7):
         with pytest.raises(NumericalFailure, match="energy"):
-            _bond_energy(move_center(initial_product_state("heisenberg", 4), center), pair)
+            _bond_energy(move_center(initial_product_state("heisenberg", 8), center), pair)
 
 
 def test_small_ground_search_and_quench_keep_their_trajectory():
@@ -414,6 +414,29 @@ def test_small_ground_search_and_quench_keep_their_trajectory():
     "call, match",
     [
         pytest.param(lambda: initial_product_state("ising_nnn", 6), "no default seed for model 'ising_nnn'", id="initial-state"),
+        pytest.param(lambda: bond_gate("heisenberg", -1.0, np.nan, "real"), "step and j must be finite", id="gate-step-nan"),
+        pytest.param(lambda: bond_gate("heisenberg", np.inf, 0.1, "imaginary"), "step and j must be finite", id="gate-j-inf"),
+        pytest.param(lambda: bond_gate("heisenberg", -1.0, "0.1", "real"), "step and j must be finite", id="gate-step-text"),
+        pytest.param(
+            lambda: evolve_real_time(initial_product_state("heisenberg", 4), "heisenberg", -1.0, 0.05, -1),
+            "n_steps must be an integer >= 0, got -1",
+            id="real-time-steps-negative",
+        ),
+        pytest.param(
+            lambda: evolve_real_time(initial_product_state("heisenberg", 4), "heisenberg", -1.0, 0.05, 1.5),
+            "n_steps must be an integer >= 0, got 1.5",
+            id="real-time-steps-float",
+        ),
+        pytest.param(
+            lambda: find_ground_state("heisenberg", 4, j=-1.0, max_sweeps_per_tau=-1),
+            "max_sweeps_per_tau must be an integer >= 0, got -1",
+            id="ground-sweeps-negative",
+        ),
+        pytest.param(
+            lambda: find_ground_state("heisenberg", 4, j=-1.0, max_sweeps_per_tau=2.5),
+            "max_sweeps_per_tau must be an integer >= 0, got 2.5",
+            id="ground-sweeps-float",
+        ),
     ],
 )
 def test_tebd_guards(call, match):
