@@ -26,7 +26,6 @@ import csv
 import io
 import json
 import math
-import operator
 import os
 import sys
 import tempfile
@@ -36,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, tensors
 from .decomp import TruncationSpec
 from .ed import solve_dense, solve_iterative
 from .errors import NoConvergence, NumericalFailure, TnkitError, TooLarge, ValidationError
@@ -52,7 +51,6 @@ from .mps import (
     random_mps,
 )
 from .tebd import SWEEPABLE, evolve_real_time, find_ground_state, initial_product_state
-from .tensors import _FLOAT_LIMIT
 from .trg import free_energy_per_site
 from .verify import SUITES, run_suite
 
@@ -65,25 +63,9 @@ class UsageError(Exception):
 # config checking: a checker takes (value, path) and returns the checked value
 
 
-_BOUNDS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"), "le": (operator.le, "<="), "lt": (operator.lt, "<")}
-
-
 def _number(kind, **bounds):
-    """Checker of an integer (``kind=int``) or a finite float within bounds, e.g. ``_number(float, gt=0, lt=10)``."""
-
-    def check(val, path):
-        if isinstance(val, bool) or not isinstance(val, (kind, int)):
-            raise ValidationError(f"{path}: expected {'an integer' if kind is int else 'a number'}, got {val!r}")
-        if kind is float and not -_FLOAT_LIMIT < val < _FLOAT_LIMIT:
-            raise ValidationError(f"{path}: must be a finite number within the float range")
-        val = kind(val)
-        for name, bound in bounds.items():
-            test, sign = _BOUNDS[name]
-            if not test(val, bound):
-                raise ValidationError(f"{path}: must be {sign} {bound}, got {val}")
-        return val
-
-    return check
+    """Checker of an integer (``kind=int``) or a finite number within bounds, e.g. ``_number(float, gt=0, lt=10)``."""
+    return lambda val, path: tensors._number(val, f"{path}:", kind, **bounds)
 
 
 def _choice(*options, note="", error=ValidationError):

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalFailure, ValidationError
-from .tensors import _is_integer
+from .tensors import _number
 
 _ZERO_CLAMP = 1e-14  # relative to the largest singular value
 _HERMITIAN_TOL = 1e-10
@@ -52,12 +52,9 @@ class TruncationSpec:
     cutoff: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.chi_max is not None and not _is_integer(self.chi_max):
-            raise ValidationError(f"chi_max must be an integer, got {self.chi_max!r}")
-        if self.chi_max is not None and self.chi_max < 1:
-            raise ValidationError(f"chi_max must be >= 1, got {self.chi_max}")
-        if not 0.0 <= self.cutoff < 1.0:
-            raise ValidationError(f"cutoff must lie in [0, 1), got {self.cutoff}")
+        if self.chi_max is not None:
+            _number(self.chi_max, "chi_max", int, ge=1)
+        _number(self.cutoff, "cutoff", ge=0, lt=1)
 
 
 #: keep everything — the identity truncation

@@ -35,7 +35,7 @@ import numpy as np
 from .decomp import eig_hermitian
 from .errors import NoConvergence, TooLarge, ValidationError
 from .mpo import MPO, mpo_to_dense
-from .tensors import _count, _finite
+from .tensors import _number
 
 _ITER_DIM_CAP = 2**20
 # Leading sites are fused until their physical extent reaches this: below it
@@ -97,7 +97,7 @@ def mpo_matvec(op: MPO, psi: np.ndarray) -> np.ndarray:
 
 def _check_state_count(n_states, dim: int) -> None:
     """ValidationError unless ``n_states`` is an integer >= 1; TooLarge if it exceeds ``dim``."""
-    if _count(n_states, "n_states") > dim:
+    if _number(n_states, "n_states", int, ge=1) > dim:
         raise TooLarge(f"asked for {n_states} states in a {dim}-dim space")
 
 
@@ -193,7 +193,9 @@ def solve_iterative(
     full pass, which repairs rank loss with random directions orthogonal to
     everything built so far. Random directions are real (generic for complex
     Hermitian H too). Each block costs one :func:`mpo_matvec` pass, and
-    ``n_matvecs`` still counts vectors. Deterministic for a fixed ``seed``.
+    ``n_matvecs`` still counts vectors. The Ritz vectors returned are made
+    orthonormal by one QR that keeps each one's phase. Deterministic for a
+    fixed ``seed``.
     ValidationError unless ``tol`` is finite and > 0 and ``max_iter`` is an
     integer >= 1. Raises NoConvergence if the residuals have not dropped
     below ``tol`` after ``max_iter`` matvecs.
@@ -202,9 +204,8 @@ def solve_iterative(
     if dim > _ITER_DIM_CAP:
         raise TooLarge(f"iterative route needs dim <= {_ITER_DIM_CAP}, got {dim}")
     _check_state_count(n_states, dim)
-    _count(max_iter, "max_iter")
-    if not (_finite(tol) and tol > 0):
-        raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
+    _number(max_iter, "max_iter", int, ge=1)
+    _number(tol, "tol", gt=0)
     rng = np.random.default_rng(seed)
     p = n_states
     dtype = np.result_type(np.float64, *op.sites)
@@ -260,6 +261,6 @@ def solve_iterative(
         old, cur = cur, new
         prev, start, k = start, k, k + p_next
 
-    vectors = q[:k].T @ s[:, :p]
-    vectors /= np.linalg.norm(vectors, axis=0, keepdims=True)
+    vectors, r = np.linalg.qr(q[:k].T @ s[:, :p])  # the basis is orthogonal to sqrt(eps) only
+    vectors *= np.diagonal(r) / np.abs(np.diagonal(r))  # each column in the phase of its Ritz vector
     return EDResult(energies=theta[:p].copy(), vectors=vectors, n_matvecs=n_matvecs)

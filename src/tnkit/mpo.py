@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import TooLarge, ValidationError
 from .mps import _chain_sites, _sandwich
+from .tensors import _number
 
 # spin-1/2 operator library (factor 1/2 included); only SY is complex
 ID2 = np.eye(2)
@@ -78,8 +79,7 @@ class MPO:
 
 def _uniform_mpo(blocks: dict[tuple[int, int], np.ndarray], dim: int, n: int) -> MPO:
     """Translation-invariant MPO of a block matrix W (promoted dtype): last row, W, ..., W, first column."""
-    if n < 2:
-        raise ValidationError(f"need at least 2 sites, got {n}")
+    n = _number(n, "n", int, ge=2)
     w = np.zeros((dim, 2, 2, dim), dtype=np.result_type(*blocks.values()))
     for (row, col), mat in blocks.items():
         w[row, :, :, col] = mat
@@ -88,6 +88,7 @@ def _uniform_mpo(blocks: dict[tuple[int, int], np.ndarray], dim: int, n: int) ->
 
 def build_ising_nn(n: int, j: float = 1.0) -> MPO:
     """H = -J sum_i Sz_i Sz_{i+1} on an open chain (bond dimension 3)."""
+    j = _number(j, "j")
     blocks = {
         (0, 0): ID2,
         (1, 0): SZ,
@@ -103,6 +104,7 @@ def build_ising_nnn(n: int, j1: float = 1.0, j2: float = 0.5) -> MPO:
     The extra channel carries a pending Sz across one identity step before
     it lands, producing the next-nearest-neighbor term.
     """
+    j1, j2 = _number(j1, "j1"), _number(j2, "j2")
     blocks = {
         (0, 0): ID2,
         (1, 0): SZ,
@@ -121,8 +123,7 @@ def build_exp_decay(n: int, xi: float, j: float = 1.0) -> MPO:
     exponential profile exactly; the emission entry carries one factor of
     kappa so the nearest-neighbor coefficient is exp(-1/xi) rather than 1.
     """
-    if not (xi > 0.0) or not math.isfinite(xi):
-        raise ValidationError(f"decay length must be positive and finite, got {xi}")
+    j, xi = _number(j, "j"), _number(xi, "xi", gt=0)
     kappa = math.exp(-1.0 / xi)
     blocks = {
         (0, 0): ID2,
@@ -141,6 +142,7 @@ def build_heisenberg(n: int, j: float = 1.0) -> MPO:
     tensors stay real. With j < 0 this is the antiferromagnet; e.g. two
     sites at j = -1 have ground energy -3/4 (the singlet).
     """
+    j = _number(j, "j")
     blocks = {
         (0, 0): ID2,
         (1, 0): SP,

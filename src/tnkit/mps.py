@@ -37,7 +37,7 @@ Operations never mutate: each returns a fresh :class:`MPS`, and every site
 an :class:`MPS` holds is a read-only view. Operators, gates and gauge matrices
 are passed in as arrays and checked once, where they enter, by :func:`_operator`;
 site and bond indices by :func:`~tnkit.tensors._index`, counts by
-:func:`~tnkit.tensors._count`, and the sites of an MPS or MPO, finite entries
+:func:`~tnkit.tensors._number`, and the sites of an MPS or MPO, finite entries
 included, by :func:`_chain_sites`. ``gauge_insert``
 deliberately breaks canonical structure (it is a test hook for gauge
 invariance). ``mps_to_json`` writes each site in
@@ -54,7 +54,7 @@ import numpy as np
 
 from .decomp import UNTRUNCATED, TruncationSpec, block_svd, entanglement_entropy, truncated_svd
 from .errors import NumericalFailure, TooLarge, ValidationError
-from .tensors import _count, _fields, _from_record, _index, _inexact, _is_integer, _json_object, _read_only, _to_record
+from .tensors import _fields, _from_record, _index, _inexact, _is_integer, _json_object, _number, _read_only, _to_record
 
 _DENSE_SITE_CAP = 20  # to_state_vector guard: d**N grows fast
 _NORM_TOL = 1e-8  # how far from 1 an input vector's norm may be
@@ -177,7 +177,7 @@ def mps_from_state_vector(
     profile d, d^2, ..., capped by the distance to the nearer chain end. The
     returned state has its center at site N-1.
     """
-    _count(phys_dim, "phys_dim", 2)
+    _number(phys_dim, "phys_dim", int, ge=2)
     flat = _inexact(np.array(psi)).reshape(-1)
     n = round(math.log(flat.size, phys_dim)) if flat.size > 1 else 1
     if phys_dim**n != flat.size:
@@ -236,8 +236,9 @@ def product_mps(site_vectors) -> MPS:
 
 
 def random_mps(n_sites: int, phys_dim: int, chi_max: int, rng) -> MPS:
-    """Normalized random MPS with links capped at ``chi_max``, an integer >= 1."""
-    _count(chi_max, "chi_max")
+    """Normalized random MPS with links capped at ``chi_max``; all three counts are integers >= 1."""
+    n_sites, phys_dim = _number(n_sites, "n_sites", int, ge=1), _number(phys_dim, "phys_dim", int, ge=1)
+    _number(chi_max, "chi_max", int, ge=1)
     dims = [min(chi_max, phys_dim**i, phys_dim ** (n_sites - i)) for i in range(n_sites + 1)]  # 1 at both ends
     shapes = [(dims[i], phys_dim, dims[i + 1]) for i in range(n_sites)]
     chain = _Chain(MPS(tuple(rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes)))
@@ -405,7 +406,8 @@ def expect_two_site(m: MPS, op_i, i: int, op_j, j: int) -> complex:
 def _center_norm_squared(state: MPS | _Chain) -> float:
     """<psi|psi> of a state whose sites off its center are isometries, from the center site alone."""
     c = state.sites[state.center]
-    return _normalizable(float(np.tensordot(c.conj(), c, axes=([0, 1, 2], [0, 1, 2])).real))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        return _normalizable(float(np.tensordot(c.conj(), c, axes=([0, 1, 2], [0, 1, 2])).real))
 
 
 def _normalizable(nrm2: float) -> float:

@@ -29,7 +29,7 @@ from .errors import NumericalFailure, ValidationError
 from .mpo import MPO, build_model, mpo_expectation, mpo_to_dense
 from .mps import MPS, _Chain, _center_norm_squared, _gate_matrix, _gate_pair, _move, _normalizable, _recorded
 from .mps import norm_squared, product_mps
-from .tensors import _count, _finite
+from .tensors import _number
 
 _UP = np.array([1.0, 0.0])
 _DOWN = np.array([0.0, 1.0])
@@ -55,8 +55,7 @@ def bond_gate(model: str, j: float, step: float, mode: str) -> np.ndarray:
     """
     if mode not in ("imaginary", "real"):
         raise ValidationError(f"mode must be 'imaginary' or 'real', got {mode!r}")
-    if not (_finite(step) and _finite(j)):
-        raise ValidationError(f"step and j must be finite, got step={step!r}, j={j!r}")
+    step, j = _number(step, "step"), _number(j, "j")
     res = eig_hermitian(pair_hamiltonian(model, j))
     factor = -step if mode == "imaginary" else -1j * step
     gate = (res.u * np.exp(factor * res.omega)[None, :]) @ res.u.conj().T
@@ -101,8 +100,8 @@ def measure_energy(state: MPS, h: MPO) -> float:
     NumericalFailure if the norm squared is 0 or not finite, or if <H> is
     not finite.
     """
-    den = _normalizable(norm_squared(state))
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        den = _normalizable(norm_squared(state))
         energy = mpo_expectation(state, h).real / den
     if not np.isfinite(energy):
         raise NumericalFailure(f"energy is {energy}")
@@ -145,6 +144,7 @@ def initial_product_state(model: str, n_sites: int) -> MPS:
     diagonal in the z basis, so an alignment eigenstate would never move.
     Unlabelled.
     """
+    n_sites = _number(n_sites, "n_sites", int, ge=1)
     if model == "heisenberg":
         kets = [_UP if i % 2 == 0 else _DOWN for i in range(n_sites)]
         spins = [1 if i % 2 == 0 else -1 for i in range(n_sites)]
@@ -202,9 +202,12 @@ def find_ground_state(
     only polish the bias left by earlier ones. Energies are sums of bond
     terms (:func:`_bond_energy`). Raises NumericalFailure when a stage's
     gate exp(-tau*h) overflows float64 (for the Heisenberg AFM, once tau*|j|
-    exceeds about 946) or an energy is not finite.
+    exceeds about 946) or an energy is not finite; ValidationError unless
+    every schedule step and ``energy_tol`` is a finite number > 0.
     """
-    _count(max_sweeps_per_tau, "max_sweeps_per_tau", 0)
+    _number(max_sweeps_per_tau, "max_sweeps_per_tau", int, ge=0)
+    schedule = [_number(tau, "schedule step", gt=0) for tau in schedule]
+    energy_tol = _number(energy_tol, "energy_tol", gt=0)
     pair = pair_hamiltonian(model, j)
     chain = _Chain(initial_product_state(model, n_sites))
 
@@ -264,7 +267,8 @@ def evolve_real_time(
     never rescaled, so ``norm_trace`` exposes cumulative truncation loss.
     Energies and norms come from :func:`_bond_energy`.
     """
-    _count(n_steps, "n_steps", 0)
+    _number(n_steps, "n_steps", int, ge=0)
+    dt = _number(dt, "dt")
     pair = pair_hamiltonian(model, j)
     chain = _Chain(state)
     g = _gate_matrix(bond_gate(model, j, dt, "real"), chain, "right")

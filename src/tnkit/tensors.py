@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -54,16 +55,25 @@ def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-def _finite(x) -> bool:
-    """True for a finite real number: a Python or numpy int or float, not NaN or infinite."""
-    return isinstance(x, numbers.Real) and math.isfinite(x)
+_BOUNDS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"), "le": (operator.le, "<="), "lt": (operator.lt, "<")}
 
 
-def _count(value, what: str, least: int = 1) -> int:
-    """``value`` as an int if it is an integer (not a bool) >= ``least``; else ValidationError naming ``what``."""
-    if not _is_integer(value) or value < least:
-        raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
-    return int(value)
+def _number(value, what: str, kind=float, **bounds):
+    """``kind(value)`` if ``value`` is an integer (``kind=int``) or a finite real, not a bool, within ``bounds``.
+
+    ``bounds`` name ``ge``, ``gt``, ``le`` or ``lt``, e.g. ``_number(cutoff, "cutoff", ge=0, lt=1)``;
+    otherwise ValidationError naming ``what``. A Python int is finite when a float can hold it.
+    """
+    if kind is int:
+        ok = _is_integer(value)
+    elif isinstance(value, int):  # math.isfinite(10**400) raises OverflowError, as does np.float64(1) < _FLOAT_LIMIT
+        ok = not isinstance(value, bool) and abs(value) < _FLOAT_LIMIT
+    else:
+        ok = isinstance(value, numbers.Real) and math.isfinite(value)
+    if not (ok and all(_BOUNDS[name][0](kind(value), bound) for name, bound in bounds.items())):
+        rule = " and".join(f" {_BOUNDS[name][1]} {bound}" for name, bound in bounds.items())
+        raise ValidationError(f"{what} must be {'an integer' if kind is int else 'a finite number'}{rule}, got {value!r}")
+    return kind(value)
 
 
 def _index(value, stop: int, what: str) -> int:

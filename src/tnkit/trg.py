@@ -66,8 +66,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import TruncationSpec, _gather, block_svd
-from .errors import NumericalFailure, TooLarge, ValidationError
-from .tensors import _count, _is_integer
+from .errors import NumericalFailure, TooLarge
+from .tensors import _number
 
 _BRUTE_SPIN_CAP = 20
 _STEP_ELEMENT_CAP = 100**4
@@ -75,17 +75,9 @@ _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 _SPIN_PARITY = np.array([0, 1], dtype=np.int8)  # of the Hadamard-rotated spin index
 
 
-def _check_couplings(beta: float, j: float) -> None:
-    """ValidationError unless ``beta`` is positive and finite and ``j`` finite."""
-    if not (beta > 0.0) or not math.isfinite(beta):
-        raise ValidationError(f"inverse temperature must be positive and finite, got {beta}")
-    if not math.isfinite(j):
-        raise ValidationError(f"coupling must be finite, got {j}")
-
-
 def _plaquette_exponent(beta: float, j: float) -> np.ndarray:
     """bJ(su+sd)(sl+sr) over the 16 corner-spin configurations of a face."""
-    _check_couplings(beta, j)
+    beta, j = _number(beta, "beta", gt=0), _number(j, "j")
     s = np.array([1.0, -1.0])
     pair_sum = np.add.outer(s, s)  # [u, d] -> su + sd, and likewise for l, r
     return beta * j * pair_sum[:, None, :, None] * pair_sum[None, :, None, :]
@@ -301,7 +293,7 @@ def free_energy_per_site(
     partition function of the 2^(steps+1)-spin periodic patch; with a finite
     chi_max it approximates the thermodynamic limit as steps grow.
     """
-    _count(steps, "steps", 0)
+    _number(steps, "steps", int, ge=0)
     state = initial_state(beta, j)
     chis: list[tuple[int, int]] = []
     weights: list[tuple[float, float]] = []
@@ -331,11 +323,8 @@ def brute_force_lnz(beta: float, j: float, lx: int, ly: int) -> float:
     e.g. the 1x2 torus has Z = 2 exp(2 b J) + 2 exp(-2 b J). Configurations
     are binned by their total bond alignment, then summed in log space.
     """
-    _check_couplings(beta, j)
-    if not (_is_integer(lx) and _is_integer(ly)):
-        raise ValidationError(f"torus extents must be integers, got {lx!r} x {ly!r}")
-    if lx < 1 or ly < 1:
-        raise ValidationError(f"torus extents must be >= 1, got {lx} x {ly}")
+    beta, j = _number(beta, "beta", gt=0), _number(j, "j")
+    lx, ly = _number(lx, "lx", int, ge=1), _number(ly, "ly", int, ge=1)
     n = lx * ly
     if n > _BRUTE_SPIN_CAP:
         raise TooLarge(f"{n} spins exceeds the enumeration cap {_BRUTE_SPIN_CAP}")

@@ -394,13 +394,15 @@ def test_mera_update_maximizes_the_trace():
 @pytest.mark.parametrize(
     "call, match",
     [
-        pytest.param(lambda: TruncationSpec(chi_max=0), "chi_max must be >= 1, got 0", id="chi-max-zero"),
-        pytest.param(lambda: TruncationSpec(cutoff=-0.1), r"cutoff must lie in \[0, 1\), got -0.1", id="cutoff-negative"),
-        pytest.param(lambda: TruncationSpec(cutoff=1.0), r"cutoff must lie in \[0, 1\), got 1.0", id="cutoff-one"),
-        pytest.param(lambda: TruncationSpec(cutoff=float("nan")), r"cutoff must lie in \[0, 1\), got nan", id="cutoff-nan"),
+        pytest.param(lambda: TruncationSpec(chi_max=0), "chi_max must be an integer >= 1, got 0", id="chi-max-zero"),
+        pytest.param(lambda: TruncationSpec(cutoff=-0.1), "cutoff must be a finite number >= 0 and < 1, got -0.1", id="cutoff-negative"),
+        pytest.param(lambda: TruncationSpec(cutoff=1.0), "cutoff must be a finite number >= 0 and < 1, got 1.0", id="cutoff-one"),
+        pytest.param(lambda: TruncationSpec(cutoff=float("nan")), "cutoff must be a finite number >= 0 and < 1, got nan", id="cutoff-nan"),
+        pytest.param(lambda: TruncationSpec(cutoff=False), "cutoff must be a finite number >= 0 and < 1, got False", id="cutoff-bool"),
+        pytest.param(lambda: TruncationSpec(cutoff="0.1"), "cutoff must be a finite number >= 0 and < 1, got '0.1'", id="cutoff-text"),
         pytest.param(lambda: mera_update(np.ones((2, 3))), r"environment is \(2, 3\), not square", id="mera-non-square"),
-        pytest.param(lambda: TruncationSpec(chi_max=2.5), "chi_max must be an integer, got 2.5", id="chi-max-float"),
-        pytest.param(lambda: TruncationSpec(chi_max=True), "chi_max must be an integer, got True", id="chi-max-bool"),
+        pytest.param(lambda: TruncationSpec(chi_max=2.5), "chi_max must be an integer >= 1, got 2.5", id="chi-max-float"),
+        pytest.param(lambda: TruncationSpec(chi_max=True), "chi_max must be an integer >= 1, got True", id="chi-max-bool"),
         pytest.param(lambda: entanglement_entropy([np.nan, 1.0]), "singular values must be finite", id="entropy-nan"),
         pytest.param(lambda: entanglement_entropy([np.nan, np.nan]), "singular values must be finite", id="entropy-all-nan"),
         pytest.param(lambda: entanglement_entropy([np.inf, 1.0]), "singular values must be finite", id="entropy-inf"),

@@ -124,14 +124,26 @@ def test_dense_cap_counts_basis_states_not_sites():
 
 
 def test_bad_arguments():
-    with pytest.raises(ValidationError, match="decay length must be positive and finite, got 0.0"):
+    with pytest.raises(ValidationError, match="xi must be a finite number > 0, got 0.0"):
         build_exp_decay(6, xi=0.0)
-    with pytest.raises(ValidationError, match="decay length must be positive and finite, got -2.0"):
+    with pytest.raises(ValidationError, match="xi must be a finite number > 0, got -2.0"):
         build_exp_decay(6, xi=-2.0)
-    with pytest.raises(ValidationError, match="need at least 2 sites, got 1"):
+    with pytest.raises(ValidationError, match="xi must be a finite number > 0, got True"):
+        build_exp_decay(6, xi=True)
+    with pytest.raises(ValidationError, match="xi must be a finite number > 0, got '2'"):
+        build_exp_decay(6, xi="2")
+    with pytest.raises(ValidationError, match="n must be an integer >= 2, got 1"):
         build_ising_nn(1)
-    with pytest.raises(ValidationError, match="need at least 2 sites, got 0"):
+    with pytest.raises(ValidationError, match="n must be an integer >= 2, got 0"):
         build_heisenberg(0)
+    with pytest.raises(ValidationError, match="n must be an integer >= 2, got 2.5"):
+        build_ising_nn(2.5)
+    with pytest.raises(ValidationError, match="j must be a finite number, got True"):
+        build_heisenberg(4, j=True)
+    with pytest.raises(ValidationError, match="j2 must be a finite number, got 'x'"):
+        build_ising_nnn(4, j2="x")
+    with pytest.raises(ValidationError, match="j must be a finite number, got nan"):
+        build_ising_nn(4, j=np.nan)
 
 
 

@@ -720,6 +720,14 @@ def _no_square_site():
             ValidationError, "chi_max must be an integer >= 1, got 0", id="random-chi-zero",
         ),
         pytest.param(
+            lambda m: random_mps(4, 2.5, 2, np.random.default_rng(0)),
+            ValidationError, "phys_dim must be an integer >= 1, got 2.5", id="random-phys-dim-float",
+        ),
+        pytest.param(
+            lambda m: random_mps(True, 2, 2, np.random.default_rng(0)),
+            ValidationError, "n_sites must be an integer >= 1, got True", id="random-sites-bool",
+        ),
+        pytest.param(
             lambda m: MPS(m.sites[:2] + (m.sites[2] * np.nan,) + m.sites[3:]),
             ValidationError, "site 2 must hold finite numbers only", id="site-nan",
         ),

@@ -30,6 +30,7 @@ from tnkit import (
 )
 from tnkit.errors import NumericalFailure, ValidationError
 from tnkit.mpo import build_model, mpo_expectation
+from tnkit.mps import _Chain
 from tnkit.tebd import _bond_energy
 from tnkit.verify import off_block_max
 
@@ -332,12 +333,14 @@ def test_strong_coupling_ground_search_stays_finite():
 
 def test_zero_or_nan_norm_is_a_numerical_failure():
     state = initial_product_state("heisenberg", 4)
-    h = build_heisenberg(4, j=-1.0)
+    h, pair = build_heisenberg(4, j=-1.0), pair_hamiltonian("heisenberg", -1.0)
     for bad in (0.0, 1e200):  # 1e200 overflows the norm; MPS refuses a NaN site itself
-        sites = list(state.sites)
-        sites[state.center] = sites[state.center] * bad
-        with np.errstate(over="ignore"), pytest.raises(NumericalFailure):
-            measure_energy(MPS(tuple(sites)), h)
+        chain = _Chain(state)
+        chain.sites[chain.center] = chain.sites[chain.center] * bad
+        with pytest.raises(NumericalFailure, match="norm squared"):
+            measure_energy(MPS(tuple(chain.sites)), h)
+        with pytest.raises(NumericalFailure, match="norm squared"):
+            _bond_energy(chain, pair)
 
 
 def end_centred_states(n=7):
@@ -414,9 +417,25 @@ def test_small_ground_search_and_quench_keep_their_trajectory():
     "call, match",
     [
         pytest.param(lambda: initial_product_state("ising_nnn", 6), "no default seed for model 'ising_nnn'", id="initial-state"),
-        pytest.param(lambda: bond_gate("heisenberg", -1.0, np.nan, "real"), "step and j must be finite", id="gate-step-nan"),
-        pytest.param(lambda: bond_gate("heisenberg", np.inf, 0.1, "imaginary"), "step and j must be finite", id="gate-j-inf"),
-        pytest.param(lambda: bond_gate("heisenberg", -1.0, "0.1", "real"), "step and j must be finite", id="gate-step-text"),
+        pytest.param(lambda: initial_product_state("ising_nn", True), "n_sites must be an integer >= 1, got True", id="initial-state-bool"),
+        pytest.param(lambda: initial_product_state("heisenberg", 2.5), "n_sites must be an integer >= 1, got 2.5", id="initial-state-float"),
+        pytest.param(lambda: bond_gate("heisenberg", -1.0, np.nan, "real"), "step must be a finite number, got nan", id="gate-step-nan"),
+        pytest.param(lambda: bond_gate("heisenberg", np.inf, 0.1, "imaginary"), "j must be a finite number, got inf", id="gate-j-inf"),
+        pytest.param(lambda: bond_gate("heisenberg", -1.0, "0.1", "real"), "step must be a finite number, got '0.1'", id="gate-step-text"),
+        pytest.param(lambda: bond_gate("heisenberg", True, 0.1, "real"), "j must be a finite number, got True", id="gate-j-bool"),
+        pytest.param(
+            lambda: bond_gate("heisenberg", -1.0, 10**400, "real"), f"step must be a finite number, got {10**400}", id="gate-step-huge-int"
+        ),
+        pytest.param(
+            lambda: find_ground_state("heisenberg", 4, j=-1.0, schedule=(-0.1,)),
+            "schedule step must be a finite number > 0, got -0.1",
+            id="ground-tau-negative",
+        ),
+        pytest.param(
+            lambda: find_ground_state("heisenberg", 4, j=-1.0, energy_tol=np.nan),
+            "energy_tol must be a finite number > 0, got nan",
+            id="ground-energy-tol-nan",
+        ),
         pytest.param(
             lambda: evolve_real_time(initial_product_state("heisenberg", 4), "heisenberg", -1.0, 0.05, -1),
             "n_steps must be an integer >= 0, got -1",
@@ -426,6 +445,11 @@ def test_small_ground_search_and_quench_keep_their_trajectory():
             lambda: evolve_real_time(initial_product_state("heisenberg", 4), "heisenberg", -1.0, 0.05, 1.5),
             "n_steps must be an integer >= 0, got 1.5",
             id="real-time-steps-float",
+        ),
+        pytest.param(
+            lambda: evolve_real_time(initial_product_state("heisenberg", 4), "heisenberg", -1.0, True, 1),
+            "dt must be a finite number, got True",
+            id="real-time-dt-bool",
         ),
         pytest.param(
             lambda: find_ground_state("heisenberg", 4, j=-1.0, max_sweeps_per_tau=-1),

@@ -13,6 +13,7 @@ from tnkit import (
     truncated_svd,
 )
 from tnkit.errors import ValidationError
+from tnkit.tensors import _number
 
 rng = np.random.default_rng(42)
 
@@ -223,6 +224,50 @@ def test_dump_load_round_trip():
 def test_tensor_guards(call, match):
     with pytest.raises(ValidationError, match=match):
         call(DenseTensor((2, 3, 2), np.arange(12.0)))
+
+
+_HUGE = 10**400  # an integer no float can hold
+
+
+@pytest.mark.parametrize(
+    "value, kind, bounds, want",
+    [
+        pytest.param(True, float, {}, "x must be a finite number, got True", id="bool-as-number"),
+        pytest.param(False, int, {}, "x must be an integer, got False", id="bool-as-integer"),
+        pytest.param("0.5", float, {}, "x must be a finite number, got '0.5'", id="text"),
+        pytest.param(None, int, {"ge": 1}, "x must be an integer >= 1, got None", id="none"),
+        pytest.param(float("nan"), float, {}, "x must be a finite number, got nan", id="nan"),
+        pytest.param(np.float64("nan"), float, {}, f"x must be a finite number, got {np.float64('nan')!r}", id="numpy-nan"),
+        pytest.param(float("inf"), float, {}, "x must be a finite number, got inf", id="inf"),
+        pytest.param(-np.inf, float, {}, "x must be a finite number, got -inf", id="minus-inf"),
+        pytest.param(_HUGE, float, {}, f"x must be a finite number, got {_HUGE}", id="huge-int-as-number"),
+        pytest.param(-_HUGE, float, {"lt": 0}, f"x must be a finite number < 0, got {-_HUGE}", id="minus-huge-int"),
+        pytest.param(2.5, int, {}, "x must be an integer, got 2.5", id="float-as-integer"),
+        pytest.param(2.0, int, {}, "x must be an integer, got 2.0", id="integral-float-as-integer"),
+        pytest.param(0, int, {"ge": 1}, "x must be an integer >= 1, got 0", id="below-ge"),
+        pytest.param(0.0, float, {"gt": 0}, "x must be a finite number > 0, got 0.0", id="at-gt"),
+        pytest.param(65, int, {"ge": 2, "le": 64}, "x must be an integer >= 2 and <= 64, got 65", id="above-le"),
+        pytest.param(1, float, {"ge": 0, "lt": 1}, "x must be a finite number >= 0 and < 1, got 1", id="at-lt"),
+        pytest.param(np.float64(0.5), float, {"gt": 0}, 0.5, id="numpy-float"),
+        pytest.param(np.int64(3), int, {"ge": 1}, 3, id="numpy-integer"),
+        pytest.param(np.int64(3), float, {}, 3.0, id="numpy-integer-as-number"),
+        pytest.param(3, float, {}, 3.0, id="int-as-number"),
+        pytest.param(2**1023, float, {}, 2.0**1023, id="large-int-as-number"),
+        pytest.param(_HUGE, int, {"ge": 1}, _HUGE, id="huge-integer"),
+        pytest.param(1, int, {"ge": 1}, 1, id="at-ge"),
+        pytest.param(64, int, {"ge": 2, "le": 64}, 64, id="at-le"),
+        pytest.param(0, float, {"ge": 0, "lt": 1}, 0.0, id="within-both"),
+    ],
+)
+def test_number_is_one_rule_with_one_message(value, kind, bounds, want):
+    # a str ``want`` is the whole message of the refusal; anything else is the value returned, as ``kind``
+    if isinstance(want, str):
+        with pytest.raises(ValidationError) as e:
+            _number(value, "x", kind, **bounds)
+        assert str(e.value) == want
+    else:
+        got = _number(value, "x", kind, **bounds)
+        assert got == want and type(got) is kind
 
 
 def test_a_vector_takes_a_scalar_index():

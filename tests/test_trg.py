@@ -123,9 +123,9 @@ def test_plaquette_cyclic_symmetry():
 
 def test_bad_beta_rejected():
     for bad in (0.0, -1.0, float("inf"), float("nan")):
-        with pytest.raises(ValidationError, match=f"inverse temperature must be positive and finite, got {bad}"):
+        with pytest.raises(ValidationError, match=f"beta must be a finite number > 0, got {bad}"):
             initial_state(bad)
-        with pytest.raises(ValidationError, match=f"inverse temperature must be positive and finite, got {bad}"):
+        with pytest.raises(ValidationError, match=f"beta must be a finite number > 0, got {bad}"):
             brute_force_lnz(bad, 1.0, 2, 2)
 
 
@@ -134,11 +134,14 @@ def test_bad_beta_rejected():
     [
         pytest.param(lambda: free_energy_per_site(0.44, steps=-3), "steps must be an integer >= 0, got -3", id="steps-negative"),
         pytest.param(lambda: free_energy_per_site(0.44, steps=2.0), "steps must be an integer >= 0, got 2.0", id="steps-float"),
-        pytest.param(lambda: brute_force_lnz(0.44, 1.0, -1, 2), "torus extents must be >= 1, got -1 x 2", id="torus-negative"),
-        pytest.param(lambda: brute_force_lnz(0.44, 1.0, 2, 0), "torus extents must be >= 1, got 2 x 0", id="torus-zero"),
-        pytest.param(lambda: brute_force_lnz(0.44, np.inf, 2, 2), "coupling must be finite, got inf", id="torus-coupling"),
-        pytest.param(lambda: brute_force_lnz(0.44, 1.0, 2.0, 2), "torus extents must be integers, got 2.0 x 2", id="torus-float"),
-        pytest.param(lambda: brute_force_lnz(0.44, 1.0, 2, True), "torus extents must be integers, got 2 x True", id="torus-bool"),
+        pytest.param(lambda: brute_force_lnz(0.44, 1.0, -1, 2), "lx must be an integer >= 1, got -1", id="torus-negative"),
+        pytest.param(lambda: brute_force_lnz(0.44, 1.0, 2, 0), "ly must be an integer >= 1, got 0", id="torus-zero"),
+        pytest.param(lambda: brute_force_lnz(0.44, np.inf, 2, 2), "j must be a finite number, got inf", id="torus-coupling"),
+        pytest.param(lambda: brute_force_lnz(0.44, 1.0, 2.0, 2), "lx must be an integer >= 1, got 2.0", id="torus-float"),
+        pytest.param(lambda: brute_force_lnz(0.44, 1.0, 2, True), "ly must be an integer >= 1, got True", id="torus-bool"),
+        pytest.param(lambda: brute_force_lnz(True, 1.0, 2, 2), "beta must be a finite number > 0, got True", id="torus-beta-bool"),
+        pytest.param(lambda: free_energy_per_site(True, steps=1), "beta must be a finite number > 0, got True", id="beta-bool"),
+        pytest.param(lambda: free_energy_per_site("0.44", steps=1), "beta must be a finite number > 0, got '0.44'", id="beta-text"),
     ],
 )
 def test_trg_guards(call, match):
@@ -411,7 +414,7 @@ def test_matches_onsager_solution():
 
 @pytest.mark.parametrize("j", [float("inf"), float("-inf"), float("nan")])
 def test_a_non_finite_coupling_is_rejected(j):
-    with pytest.raises(ValidationError, match=f"coupling must be finite, got {j}"):
+    with pytest.raises(ValidationError, match=f"j must be a finite number, got {j}"):
         initial_state(0.4, j)
 
 
