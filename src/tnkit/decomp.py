@@ -85,10 +85,13 @@ class EigResult:
     omega: np.ndarray
 
 
-def _as_matrix(m, op: str) -> np.ndarray:
+def _as_matrix(m, op: str, finite: bool = False) -> np.ndarray:
+    """``m`` as an array; ValidationError naming ``op`` unless it is a matrix, and, with ``finite``, of finite numbers."""
     arr = np.asarray(m)
     if arr.ndim != 2:
         raise ValidationError(f"{op} needs a rank-2 tensor, got rank {arr.ndim}")
+    if finite and (arr.dtype.kind not in "biufc" or not np.isfinite(arr).all()):
+        raise ValidationError(f"{op} needs finite numbers only")
     return arr
 
 
@@ -130,8 +133,10 @@ def partial_svd(m, rank: int) -> SVDResult:
     errors fall as (d[rank + SKETCH_OVERSAMPLING] / d[i])^(2q + 1). The sketch
     is drawn from ``default_rng(0)`` once per shape and cached read-only, so
     equal inputs give bit-identical results; ``discarded_weight`` is 0 (never computed).
+    ValidationError unless ``rank`` is an integer >= 1.
     """
     arr = _as_matrix(m, "partial_svd")
+    rank = _number(rank, "rank", int, ge=1)
     q = np.linalg.qr(arr @ _sketch(arr.shape[1], rank + SKETCH_OVERSAMPLING))[0]
     for _ in range(_POWER_ITERATIONS):
         q = np.linalg.qr(arr @ np.linalg.qr(arr.conj().T @ q)[0])[0]
@@ -174,9 +179,10 @@ def truncated_svd(m, spec: TruncationSpec) -> SVDResult:
 
     With ``chi_max >= min(a, b)`` and ``cutoff == 0`` this reproduces
     :func:`svd` exactly. The reported ``discarded_weight`` is absolute, i.e.
-    the plain sum of the dropped lambda^2.
+    the plain sum of the dropped lambda^2. ValidationError unless ``m`` is a
+    matrix of finite numbers.
     """
-    full = svd(m)
+    full = svd(_as_matrix(m, "truncated_svd", finite=True))
     k = select_rank(full.d, spec)
     if k == full.d.shape[0]:
         return full
@@ -315,8 +321,8 @@ def block_svd(
 
 
 def eig_hermitian(m) -> EigResult:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    arr = _as_matrix(m, "eig_hermitian")
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending; ValidationError unless its numbers are finite."""
+    arr = _as_matrix(m, "eig_hermitian", finite=True)
     if arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"matrix is {arr.shape}, not square")
     scale = max(1.0, float(np.abs(arr).max()))

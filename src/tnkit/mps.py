@@ -388,19 +388,37 @@ def inner_product(a: MPS, b: MPS) -> complex:
 
 
 def norm_squared(m: MPS) -> float:
-    return inner_product(m, m).real
+    """<psi|psi> by the zipper; NumericalFailure if it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        nrm2 = inner_product(m, m).real
+    if not math.isfinite(nrm2):
+        raise NumericalFailure(f"state norm squared is {nrm2}")
+    return nrm2
 
 
 def expect_local(m: MPS, op, site: int) -> complex:
     """<psi| O_site |psi> / <psi|psi>, each a zipper over the whole chain; any gauge."""
     site = _index(site, m.n_sites, "site")
     op = _operator(op, (m.phys_dim, m.phys_dim), "operator")
-    return _sandwich(m, m, {site: op[None, :, :, None]}) / norm_squared(m)
+    return _normalized(m, {site: op[None, :, :, None]})[0]
 
 
 def expect_two_site(m: MPS, op_i, i: int, op_j, j: int) -> complex:
     """<psi| O_i O_j |psi> / <psi|psi> for i < j, each a zipper over the whole chain; any gauge."""
-    return _sandwich(m, m, _two_site_ops(m, op_i, i, op_j, j)) / norm_squared(m)
+    return _normalized(m, _two_site_ops(m, op_i, i, op_j, j))[0]
+
+
+def _normalized(m: MPS, *ops: dict[int, np.ndarray]) -> list[complex]:
+    """<psi| W |psi> / <psi|psi> for each of ``ops``, one norm for all; NumericalFailure unless each is finite.
+
+    The norm squared must be positive and finite (:func:`_normalizable`).
+    """
+    nrm2 = _normalizable(norm_squared(m))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        values = [_sandwich(m, m, o) / nrm2 for o in ops]
+    if not np.isfinite(values).all():
+        raise NumericalFailure(f"expectation values are {values}")
+    return values
 
 
 def _center_norm_squared(state: MPS | _Chain) -> float:
@@ -572,8 +590,8 @@ def correlation_length(m: MPS) -> CorrelationReport:
 
 def connected_correlation(m: MPS, op, i: int, j: int) -> float:
     """<O_i O_j> - <O_i><O_j> (real part): three zippers, each divided by one norm_squared."""
-    ops, nrm2 = _two_site_ops(m, op, i, op, j), norm_squared(m)
-    raw, o_i, o_j = ((_sandwich(m, m, o) / nrm2).real for o in (ops, {i: ops[i]}, {j: ops[j]}))
+    ops = _two_site_ops(m, op, i, op, j)
+    raw, o_i, o_j = (v.real for v in _normalized(m, ops, {i: ops[i]}, {j: ops[j]}))
     return raw - o_i * o_j
 
 

@@ -406,6 +406,15 @@ def test_mera_update_maximizes_the_trace():
         pytest.param(lambda: entanglement_entropy([np.nan, 1.0]), "singular values must be finite", id="entropy-nan"),
         pytest.param(lambda: entanglement_entropy([np.nan, np.nan]), "singular values must be finite", id="entropy-all-nan"),
         pytest.param(lambda: entanglement_entropy([np.inf, 1.0]), "singular values must be finite", id="entropy-inf"),
+        pytest.param(lambda: partial_svd(np.eye(40), -3), "rank must be an integer >= 1, got -3", id="partial-rank-negative"),
+        pytest.param(lambda: partial_svd(np.eye(40), True), "rank must be an integer >= 1, got True", id="partial-rank-bool"),
+        pytest.param(lambda: partial_svd(np.eye(40), 2.5), "rank must be an integer >= 1, got 2.5", id="partial-rank-float"),
+        pytest.param(lambda: eig_hermitian([[np.nan, 0], [0, 1]]), "eig_hermitian needs finite numbers only", id="eig-nan"),
+        pytest.param(lambda: eig_hermitian([[np.inf, 0], [0, 1]]), "eig_hermitian needs finite numbers only", id="eig-inf"),
+        pytest.param(lambda: truncated_svd([[np.nan, 0], [0, 1]], UNTRUNCATED), "truncated_svd needs finite numbers only", id="truncated-nan"),
+        pytest.param(
+            lambda: truncated_svd([[np.inf, 0], [0, 1]], TruncationSpec(chi_max=1)), "truncated_svd needs finite numbers only", id="truncated-inf"
+        ),
     ],
 )
 def test_decomp_guards(call, match):

@@ -81,6 +81,15 @@ def test_mpo_matvec_rejects_a_wrong_length_vector():
         mpo_matvec(build_heisenberg(4, j=-1.0), np.ones(2**4 + 1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("shape", [(2**6,), (3, 2**6)], ids=["vector", "block"])
+def test_mpo_matvec_refuses_non_finite_numbers(bad, shape):
+    psi = np.ones(shape)
+    psi.flat[5] = bad
+    with pytest.raises(ValidationError, match="psi must hold finite numbers only"):
+        mpo_matvec(build_heisenberg(6, j=-1.0), psi)
+
+
 def xx_dm_mpo(n, j, dm):
     """H = sum_i J Sx_i Sx_{i+1} + D (Sx_i Sy_{i+1} - Sy_i Sx_{i+1}): complex Hermitian."""
     w = np.zeros((4, 2, 2, 4), dtype=complex)
@@ -123,11 +132,12 @@ def test_mpo_matvec_applies_a_vector_or_a_block_of_rows(name):
     assert mpo_matvec(op, block.real).dtype == (np.complex128 if np.iscomplexobj(h) else np.float64)
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(2, 11))
 @pytest.mark.parametrize("name", [*MODELS, "xx_dm"])
 def test_mpo_matvec_matches_the_dense_matrix_whatever_the_fold(name, n):
-    # n <= 4 folds the whole chain, n = 5 folds all but the last site, and
-    # n >= 6 runs loop sites after the fold
+    # n <= 4 folds the whole chain, n = 5 folds all but a single last site;
+    # after the 4-site fold, n = 6 applies one pair, 7 a pair and a single
+    # site, 8 two pairs, 9 two pairs and a single site, 10 three pairs
     if name == "xx_dm":
         op = xx_dm_mpo(n, j=1.0, dm=0.7)
     else:
@@ -141,6 +151,30 @@ def test_mpo_matvec_matches_the_dense_matrix_whatever_the_fold(name, n):
         rows = mpo_matvec(op, block)
         np.testing.assert_allclose(rows, block @ h.T, atol=1e-10)
         np.testing.assert_allclose(rows, [mpo_matvec(op, v) for v in block], atol=1e-13, rtol=0)
+
+
+def test_iterative_applies_the_operator_as_mpo_matvec_does(monkeypatch):
+    # a solve builds the factors once, and each block gets mpo_matvec's bits
+    factors, apply = tnkit.ed._factors, tnkit.ed._apply
+    for op in (build_heisenberg(9, j=-1.0), xx_dm_mpo(8, j=1.0, dm=0.7)):
+        built, blocks = [], []
+
+        def counted_factors(op):
+            built.append(op)
+            return factors(op)
+
+        def recorded_apply(f, psi):
+            blocks.append((psi.copy(), apply(f, psi)))
+            return blocks[-1][1].copy()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tnkit.ed, "_factors", counted_factors)
+            patch.setattr(tnkit.ed, "_apply", recorded_apply)
+            res = solve_iterative(op, n_states=3, seed=2)
+        assert len(built) == 1 and len(blocks) > 2
+        assert sum(len(psi) for psi, _ in blocks) == res.n_matvecs
+        for psi, got in blocks:
+            assert np.array_equal(got, mpo_matvec(op, psi))
 
 
 def test_complex_iterative_matches_dense_with_orthonormal_vectors():

@@ -6,6 +6,7 @@ same computation done on the full 2^N state vector.
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -610,6 +611,40 @@ def test_measurements_never_factorize(monkeypatch, rng):
     monkeypatch.setattr(np.linalg, "svd", refuse)
     for name, measure in measurements.items():
         assert abs(measure() - want[name]) <= 1e-12, name
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        norm_squared,
+        lambda m: expect_local(m, SZ, 0),
+        lambda m: expect_two_site(m, SZ, 0, SZ, 3),
+        lambda m: connected_correlation(m, SZ, 0, 3),
+    ],
+    ids=["norm_squared", "expect_local", "expect_two_site", "connected_correlation"],
+)
+def test_an_overflowing_norm_is_a_numerical_failure(measure):
+    # finite entries whose norm squared overflows: no numpy overflow warning
+    # comes first, and no inf or NaN comes back
+    neel = initial_product_state("heisenberg", 4)
+    big = MPS(neel.sites[:1] + (neel.sites[1] * 1e200,) + neel.sites[2:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match=r"norm squared is (inf|nan)"):
+            measure(big)
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [lambda m: expect_local(m, SZ, 0), lambda m: expect_two_site(m, SZ, 0, SZ, 3), lambda m: connected_correlation(m, SZ, 0, 3)],
+    ids=["expect_local", "expect_two_site", "connected_correlation"],
+)
+def test_a_zero_norm_is_a_numerical_failure(measure):
+    neel = initial_product_state("heisenberg", 4)
+    zero = MPS(neel.sites[:1] + (neel.sites[1] * 0.0,) + neel.sites[2:])
+    assert norm_squared(zero) == 0.0
+    with pytest.raises(NumericalFailure, match="norm squared is 0.0; cannot normalize"):
+        measure(zero)
 
 
 def test_connected_correlation_takes_one_norm(monkeypatch, rng):
