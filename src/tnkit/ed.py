@@ -4,23 +4,23 @@ Two routes with very different cost profiles:
 
 * :func:`solve_dense` materializes the full matrix and calls the dense
   Hermitian eigensolver — exact reference values, at most 4096 basis states.
-* :func:`solve_iterative` runs block Lanczos as one Rayleigh–Ritz loop:
-  each block of matvecs extends one basis, orthonormal to sqrt(eps), and
-  the Ritz pairs come from the block-tridiagonal projection of H on it (H
-  maps each block into the blocks up to the next one). A new block is
-  projected onto the current and the previous block only, and an
-  ω-recurrence estimates how far rounding has moved it off the older
-  blocks; only when that estimate passes sqrt(eps) do it and the next block
-  take a full reorthogonalization pass, which reads the whole basis twice.
-  The operator is never densified: :func:`mpo_matvec` applies it to the
-  whole block in one pass: the leading sites are folded into one GEMM,
-  then one matrix product per remaining pair of sites on a state that is
-  never transposed or copied, so the cost per vector is O(N * 2^N * D^2 *
-  d^2 / 2) instead of O(4^N). A solve fuses the sites once and reuses them
-  for every block. Capped at 2^20 basis states. The basis is one array of
-  ``(max_iter + n_states) x 2^N`` elements, reserved once; resident memory
-  grows only with the rows used, and a reservation the machine cannot make
-  raises MemoryError.
+* :func:`solve_iterative` runs thick-restart block Lanczos as one
+  Rayleigh–Ritz loop: each block of matvecs extends one basis, and the Ritz
+  pairs come from the projection of H on it. A new block is projected onto
+  the current and the previous block (H maps each block into the blocks up
+  to the next one), then takes one full pass against the whole basis, so
+  the basis stays orthonormal to rounding. The basis holds at most m + p
+  rows, p = ``n_states`` and m = max(32, 16p, the rows 4 MiB hold); when it
+  is full, the m/2 lowest Ritz vectors are kept and the residual block
+  continues from them. The operator is never densified: :func:`mpo_matvec`
+  applies it to the whole block in one pass: the leading sites are folded
+  into one GEMM, then one matrix product per remaining pair of sites on a
+  state that is never transposed or copied, so the cost per vector is
+  O(N * 2^N * D^2 * d^2 / 2) instead of O(4^N). A solve fuses the sites
+  once and reuses them for every block. Capped at 2^20 basis states. The
+  basis is one array of ``min(2^N, m + p) x 2^N`` elements, reserved once,
+  so ``max_iter`` bounds the work and not the memory; a reservation the
+  machine cannot make raises MemoryError.
 
 Both return energies in ascending order and the matching column
 eigenvectors in the package's little-endian basis. Dtypes follow numpy
@@ -44,6 +44,8 @@ _ITER_DIM_CAP = 2**20
 # runs near GEMM rate, and the fused operator's D·d^k multiply-adds per
 # amplitude would outgrow those of the sites it replaces.
 _FOLD_EXTENT = 16
+# A Lanczos basis smaller than this many bytes is never restarted.
+_BASIS_FLOOR = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -170,27 +172,6 @@ def _extend(q: np.ndarray, k: int, w: np.ndarray, count: int, rng) -> None:
     raise NoConvergence("could not extend the Krylov basis")
 
 
-def _overlap_estimate(proj, old, cur, c, r, rounding: float) -> np.ndarray:
-    """The block ω-recurrence: estimates of <q_i|q_b> for a new block's rows b and the rows i before it.
-
-    ``old`` and ``cur`` hold the estimates for the previous and the current
-    block, each against the rows before it; ``c`` holds the first pass's
-    coefficients for the current block (columns: the previous block, then the
-    current one), ``r`` the QR factor that normalized the new block, and
-    ``proj`` the lower triangle of T = QᴴHQ. The first pass leaves w = HQ -
-    Q c^T, and H maps each older row into its neighbor blocks, so <q_i|w_b> =
-    (T cur - [old, cur] c^T)_ib; the new rows are w r^-1. Each step's rounding
-    pushes the estimate away from 0 by ``rounding``, and the rows of the first
-    pass, which it has just removed, start from it.
-    """
-    prev, start = old.shape[0], cur.shape[0]
-    x = np.zeros((start + c.shape[0], r.shape[0]), dtype=r.dtype)
-    x[:prev] = np.tril(proj[:prev, :prev]) @ cur[:prev] + np.tril(proj[:start, :prev], -1).conj().T @ cur
-    x[:prev] -= old @ c[:, : start - prev].T + cur[:prev] @ c[:, start - prev :].T
-    x += rounding * np.where(x == 0, 1, np.sign(x))
-    return x @ np.linalg.inv(r)
-
-
 def solve_iterative(
     op: MPO,
     n_states: int = 1,
@@ -198,33 +179,34 @@ def solve_iterative(
     max_iter: int = 400,
     seed: int = 7,
 ) -> EDResult:
-    """Lowest eigenpairs by block Lanczos with partial reorthogonalization.
+    """Lowest eigenpairs by thick-restart block Lanczos.
 
     The block size equals ``n_states``, so degenerate levels are resolved up
     to that multiplicity (a single-vector iteration provably cannot see more
     than one copy per starting vector). Each block of matvecs extends one
-    orthonormal basis, and the Ritz pairs come from a block-tridiagonal
-    projection (Rayleigh–Ritz): H times a block lies in the blocks up to the
-    next one (a random refill only adds directions there), so QᴴHQ vanishes
-    between blocks two or more apart and the first pass projects a new block
-    onto itself and the previous one. A new block is then normalized by QR
-    alone while an ω-recurrence (Simon, Math. Comp. 42, 115 (1984), in the
-    block form of Grimes, Lewis and Simon, SIAM J. Matrix Anal. Appl. 15,
-    228 (1994)) estimates its overlaps with the older blocks below sqrt(eps);
-    once an estimate passes that, this block and the next are
-    reorthogonalized against the whole basis, and the estimates start again
-    from eps. So the basis stays orthogonal to sqrt(eps), which keeps the
-    projection variational to rounding. Rank loss inside a block — an
-    exhausted invariant subspace — and cancellation in its QR also take the
-    full pass, which repairs rank loss with random directions orthogonal to
-    everything built so far. Random directions are real (generic for complex
-    Hermitian H too). Each block costs one :func:`mpo_matvec` pass, on
-    operator factors fused once per solve, and ``n_matvecs`` still counts
-    vectors. The Ritz vectors returned are made orthonormal by one QR that
-    keeps each one's phase. Deterministic for a fixed ``seed``.
-    ValidationError unless ``tol`` is finite and > 0 and ``max_iter`` is an
-    integer >= 1. Raises NoConvergence if the residuals have not dropped
-    below ``tol`` after ``max_iter`` matvecs.
+    orthonormal basis, and the Ritz pairs come from the projection QᴴHQ
+    (Rayleigh–Ritz). H times a block lies in the blocks up to the next one (a
+    random refill only adds directions there), so the first pass projects a
+    new block onto itself and the previous one only. Every block then takes
+    the full pass of :func:`_extend` against the whole basis, which also
+    repairs rank loss — an exhausted invariant subspace — with random
+    directions, real ones (generic for complex Hermitian H too).
+
+    The basis holds at most m + p rows, with p = ``n_states`` and m =
+    max(32, 16p, the rows of 4 MiB), so a basis under 4 MiB never restarts.
+    When the next block would not fit, the ``m // 2`` lowest Ritz vectors
+    become the first rows, the projection becomes diag(θ) there, and the
+    residual block continues from them; its first pass projects onto every
+    kept row, which H couples it to (Wu and Simon, SIAM J. Matrix Anal. Appl.
+    22, 602 (2000)). So ``max_iter`` bounds the work and not the memory; a
+    restart drops Krylov directions, and a slowly converging, degenerate
+    spectrum can take more matvecs than an unrestarted basis would.
+
+    Each block costs one :func:`mpo_matvec` pass, on operator factors fused
+    once per solve, and ``n_matvecs`` counts vectors. Deterministic for a
+    fixed ``seed``. ValidationError unless ``tol`` is finite and > 0 and
+    ``max_iter`` is an integer >= 1. Raises NoConvergence if the residuals
+    have not dropped below ``tol`` after ``max_iter`` matvecs.
     """
     dim = op.phys_dim**op.n_sites
     if dim > _ITER_DIM_CAP:
@@ -235,23 +217,22 @@ def solve_iterative(
     rng = np.random.default_rng(seed)
     p = n_states
     dtype = np.result_type(np.float64, *op.sites)
-    eps = np.finfo(dtype).eps
+    # the budget: m + p rows, m at least what _BASIS_FLOOR bytes hold, so a small basis never restarts
+    m = max(32, 16 * p, _BASIS_FLOOR // (np.dtype(dtype).itemsize * dim))
+    keep = m // 2
     # basis vectors are rows; the pages of rows never written are never mapped
-    q = np.empty((min(dim, max_iter + p), dim), dtype=dtype)
-    proj = np.zeros((q.shape[0], q.shape[0]), dtype=dtype)
+    q = np.empty((min(dim, m + p), dim), dtype=dtype)
+    proj = np.zeros((len(q), len(q)), dtype=dtype)
 
     _extend(q, 0, rng.standard_normal((p, dim)), p, rng)
     prev, start, k, n_matvecs = 0, 0, p, 0
-    # estimated overlaps of the previous and the current block's rows with the rows before each
-    old, cur = np.zeros((0, 0), dtype=dtype), np.zeros((0, p), dtype=dtype)
-    full_next = False
     factors = _factors(op)
     while True:
         w = _apply(factors, q[start:k])
         n_matvecs += k - start
-        # first pass, on this block and the previous one only: QᴴHQ is
-        # block-tridiagonal. The basis on the left conjugates w instead of a
-        # copy of the basis.
+        # first pass, onto this block and the previous one (every kept row
+        # after a restart): QᴴHQ vanishes elsewhere. The basis on the left
+        # conjugates w instead of a copy of the basis.
         c = (q[prev:k] @ w.conj().T).conj().T
         w -= c @ q[prev:k]
         proj[start:k, prev:k] = c.conj()  # eigh reads the lower triangle
@@ -268,26 +249,13 @@ def solve_iterative(
             raise NoConvergence(
                 f"block Lanczos did not reach tol={tol} within {max_iter} matvecs"
             )
-
-        lost = full_next or p_next < len(w)
-        if not lost:  # rank loss and cancellation take the full pass too
-            size = np.linalg.norm(w, axis=1)
-            f, r = np.linalg.qr(w.T)
-            q[k : k + p_next] = f.T  # the full pass, if taken below, overwrites these rows
-            del f  # no factor outlives the block into the next matvec
-            pivot = np.abs(np.diagonal(r))
-            lost = not np.all((pivot > 0) & (pivot >= np.sqrt(0.5) * size))
-        if not lost:  # rounding per step: sqrt(dim)·eps/2 times |H|, read off the extreme Ritz values
-            rounding = 0.5 * np.sqrt(dim) * eps * max(abs(theta[0]), abs(theta[-1]))
-            new = _overlap_estimate(proj, old, cur, c, r, rounding)
-            lost = np.max(np.abs(new)) > np.sqrt(eps)
-        if lost:  # a full pass outside a forced one forces the next block's too
-            _extend(q, k, w, p_next, rng)
-            new = np.full((k, p_next), eps, dtype=dtype)
-            full_next = not full_next
-        old, cur = cur, new
+        if k + p_next > len(q):  # thick restart: the lowest Ritz vectors, on which H is diag(theta)
+            for j in range(0, dim, 4096):  # in column slices, so no copy of the kept rows is made
+                q[:keep, j : j + 4096] = s[:, :keep].T @ q[:k, j : j + 4096]
+            proj[:k, :k] = 0
+            proj[:keep, :keep] = np.diag(theta[:keep])
+            start, k = 0, keep
+        _extend(q, k, w, p_next, rng)
         prev, start, k = start, k, k + p_next
 
-    vectors, r = np.linalg.qr(q[:k].T @ s[:, :p])  # the basis is orthogonal to sqrt(eps) only
-    vectors *= np.diagonal(r) / np.abs(np.diagonal(r))  # each column in the phase of its Ritz vector
-    return EDResult(energies=theta[:p].copy(), vectors=vectors, n_matvecs=n_matvecs)
+    return EDResult(energies=theta[:p].copy(), vectors=q[:k].T @ s[:, :p], n_matvecs=n_matvecs)

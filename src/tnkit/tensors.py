@@ -90,6 +90,14 @@ def _inexact(a: np.ndarray) -> np.ndarray:
     return a if a.dtype.kind in "fc" else a.astype(np.float64)
 
 
+def _finite(a: np.ndarray) -> np.ndarray:
+    """``a`` made inexact; ValidationError unless every entry is finite."""
+    a = _inexact(a)
+    if not np.isfinite(a).all():
+        raise ValidationError("tensor data must hold finite numbers only")
+    return a
+
+
 def _read_only(a) -> np.ndarray:
     """A read-only view of ``a`` (made inexact); ``a`` itself stays writeable."""
     view = _inexact(np.asarray(a)).view()
@@ -106,14 +114,14 @@ class DenseTensor:
         Extent of each index; every extent is at least 1. ``()`` is a scalar.
     data : array-like
         Flat data of length ``prod(shape)`` in first-index-fastest order. It
-        is copied.
+        is copied; NaN or infinite entries are a ValidationError.
     """
 
     __slots__ = ("_arr",)
 
     def __init__(self, shape: Sequence[int], data) -> None:
         shp = _as_shape(shape)
-        flat = _inexact(np.array(data)).reshape(-1)
+        flat = _finite(np.array(data)).reshape(-1)
         if flat.size != math.prod(shp):
             raise ValidationError(
                 f"shape {shp} holds {math.prod(shp)} elements, data has {flat.size}"
@@ -133,8 +141,8 @@ class DenseTensor:
 
     @classmethod
     def from_ndarray(cls, arr) -> "DenseTensor":
-        """Build from a copy of an n-dimensional array (axis order preserved)."""
-        return cls._wrap(_inexact(np.array(arr)))
+        """Build from a copy of an n-dimensional array (axis order preserved); ValidationError on NaN or inf."""
+        return cls._wrap(_finite(np.array(arr)))
 
     @classmethod
     def zeros(cls, shape: Sequence[int]) -> "DenseTensor":

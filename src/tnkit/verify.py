@@ -427,7 +427,7 @@ def check_ed_iterative() -> tuple[bool, str]:
     cases = [("ising_nnn", 7, {"j1": 1.0, "j2": 0.5}, k, 5) for k in (3, 4)]
     cases += [("heisenberg", 6, {"j": 1.0}, 3, seed) for seed in range(6)]
     cases.append(("heisenberg", 8, {"j": -1.0}, 3, 7))
-    # a long run (126 matvecs): the most blocks for rounding along old ones to pile up on
+    # a long run (117 matvecs): the most blocks for rounding along old ones to pile up on
     cases.append(("heisenberg", 10, {"j": -1.0}, 3, 7))
     worst = 0.0
     for model, n, kw, k, seed in cases:

@@ -268,8 +268,9 @@ def test_iterative_agrees_with_dense_over_sizes_blocks_and_seeds(name):
 
 
 def test_iterative_vectors_are_orthonormal_to_rounding():
-    # the basis is orthogonal only to about sqrt(eps); on this run its Ritz
-    # vectors drift to 2.4e-11 from orthonormal unless they are orthonormalized
+    # every block takes the full pass, so the Ritz vectors are orthonormal to
+    # rounding as built; a basis kept orthogonal only to about sqrt(eps) gave
+    # vectors 2.4e-11 from orthonormal on this run
     got = solve_iterative(build_ising_nnn(10, j1=1.0, j2=0.5), n_states=4, seed=1)
     gram = got.vectors.conj().T @ got.vectors
     assert np.max(np.abs(gram - np.eye(4))) <= 1e-13
@@ -364,36 +365,65 @@ def test_iterative_guards(kwargs, match):
         solve_iterative(build_model("ising_nn", 4), n_states=2, **kwargs)
 
 
-def count_full_passes(monkeypatch) -> list:
-    """Patch the full reorthogonalization pass to record the first row of each block it builds."""
+def record_extends(monkeypatch) -> list:
+    """Patch the full pass to record (rows in the basis array, first row written, rows written) per call."""
     calls, real = [], tnkit.ed._extend
 
-    def counted(q, k, *args):
-        calls.append(k)
-        return real(q, k, *args)
+    def recorded(q, k, w, count, rng):
+        calls.append((len(q), k, count))
+        return real(q, k, w, count, rng)
 
-    monkeypatch.setattr(tnkit.ed, "_extend", counted)
+    monkeypatch.setattr(tnkit.ed, "_extend", recorded)
     return calls
 
 
-def test_benchmark_config_takes_the_full_pass_on_few_blocks(monkeypatch):
-    # perfbench's ed_lanczos config: the ω-recurrence keeps all but a few
-    # blocks off the full pass, and the energies do not move
-    calls = count_full_passes(monkeypatch)
+def restarts(calls) -> int:
+    """How often the full pass wrote below the rows of the call before, but not a new solve's first block."""
+    return sum(0 < b < a for (_, a, _), (_, b, _) in zip(calls, calls[1:]))
+
+
+def test_benchmark_config_keeps_the_basis_within_its_budget(monkeypatch):
+    # perfbench's ed_lanczos config: m = 32 rows (4 MiB of 2^14 float64 rows)
+    # plus one block of 2. The basis restarts instead of growing past them,
+    # and the energies do not move
+    calls = record_extends(monkeypatch)
     got = solve_iterative(build_heisenberg(14, j=-1.0), n_states=2, tol=1e-10, seed=1)
     np.testing.assert_allclose(got.energies, [-6.026724661862168, -5.780492604462411], rtol=0, atol=1e-12)
-    assert calls[0] == 0  # the random start block
-    assert 1 <= len(calls) - 1 < (got.n_matvecs // 2) / 4
+    assert {rows for rows, _, _ in calls} == {34}
+    assert max(k + count for _, k, count in calls) <= 34  # no row index reaches m + p
+    assert restarts(calls) >= 1
+
+
+@pytest.mark.parametrize("name, restarted", [("heisenberg_afm", True), ("ising_nn", False), ("xx_dm", True)])
+def test_restarted_solves_match_dense(monkeypatch, name, restarted):
+    # with no byte floor the budget is max(32, 16p) + p rows, so these solves
+    # restart. ising_nn's Krylov spaces close after a few blocks (its levels
+    # are domain-wall counts) and it converges inside the budget: it checks
+    # the random refill of a closed block under the small budget
+    monkeypatch.setattr(tnkit.ed, "_BASIS_FLOOR", 0)
+    calls = record_extends(monkeypatch)
+    for n in (6, 7, 8):
+        op = SWEEP_MODELS[name](n)
+        dense = solve_dense(op, n_states=3).energies
+        for n_states in (1, 2, 3):
+            for seed in range(2):
+                got = solve_iterative(op, n_states=n_states, seed=seed)
+                np.testing.assert_allclose(got.energies, dense[:n_states], atol=1e-9, rtol=0)
+                v = got.vectors
+                np.testing.assert_allclose(v.conj().T @ v, np.eye(n_states), atol=1e-10, rtol=0)
+    assert (restarts(calls) > 0) == restarted
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_a_basis_near_exhaustion_still_takes_the_full_pass(monkeypatch, seed):
-    # dim 32 and blocks of 5: orthogonality is lost within a few blocks, and
-    # without the full pass ghost copies would enter the projection
-    calls = count_full_passes(monkeypatch)
+    # dim 32 and blocks of 5: the basis grows to the whole space, its last
+    # block cut to 2 rows. Every block takes the full pass, so no ghost copy
+    # enters the projection, and the exhausted basis gives the dense spectrum
+    # with orthonormal vectors
+    calls = record_extends(monkeypatch)
     op = build_heisenberg(5, j=-1.0)
     got = solve_iterative(op, n_states=5, seed=seed)
-    assert len(calls) > 1
+    assert max(k + count for _, k, count in calls) == 32 and calls[-1][2] == 2
     np.testing.assert_allclose(got.energies, solve_dense(op, n_states=5).energies, atol=1e-9, rtol=0)
     np.testing.assert_allclose(got.vectors.conj().T @ got.vectors, np.eye(5), atol=1e-10)
 

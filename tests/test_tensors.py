@@ -157,6 +157,21 @@ def test_dump_load_round_trip():
         pytest.param(lambda t: DenseTensor((True, 2), [1.0, 2.0]), r"extents must be integers, got \(True, 2\)", id="extent-bool"),
         pytest.param(lambda t: DenseTensor.zeros((2.0,)), r"extents must be integers, got \(2.0,\)", id="zeros-extent-float"),
         pytest.param(lambda t: reshape(t, (12.0,)), r"extents must be integers, got \(12.0,\)", id="reshape-extent-float"),
+        pytest.param(lambda t: DenseTensor((2,), [np.nan, 1.0]), "tensor data must hold finite numbers only", id="data-nan"),
+        pytest.param(lambda t: DenseTensor((2,), [1.0, -np.inf]), "tensor data must hold finite numbers only", id="data-inf"),
+        pytest.param(
+            lambda t: DenseTensor((2,), [1.0, complex(0.0, np.nan)]), "tensor data must hold finite numbers only", id="data-complex-nan",
+        ),
+        pytest.param(
+            lambda t: DenseTensor.from_ndarray(np.full((2, 2), np.nan)), "tensor data must hold finite numbers only", id="from-ndarray-nan",
+        ),
+        pytest.param(
+            lambda t: DenseTensor.from_ndarray([[1.0, np.inf]]), "tensor data must hold finite numbers only", id="from-ndarray-inf",
+        ),
+        pytest.param(
+            lambda t: DenseTensor.from_ndarray(np.array([np.inf + 0j, 1j])),
+            "tensor data must hold finite numbers only", id="from-ndarray-complex-inf",
+        ),
         pytest.param(lambda t: t[0, 1], "expected 3 indices, got 2", id="index-count"),
         pytest.param(lambda t: t[0, 3, 0], r"axis 1 index 3 out of range \[0, 3\)", id="index-past-end"),
         pytest.param(lambda t: t[-1, 0, 0], r"axis 0 index -1 out of range \[0, 2\)", id="index-negative"),
