@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalFailure, ValidationError
-from .tensors import _number
+from .tensors import _array, _number
 
 _ZERO_CLAMP = 1e-14  # relative to the largest singular value
 _HERMITIAN_TOL = 1e-10
@@ -85,24 +85,18 @@ class EigResult:
     omega: np.ndarray
 
 
-def _as_matrix(m, op: str, finite: bool = False) -> np.ndarray:
-    """``m`` as an array; ValidationError naming ``op`` unless it is a matrix, and, with ``finite``, of finite numbers."""
-    arr = np.asarray(m)
-    if arr.ndim != 2:
-        raise ValidationError(f"{op} needs a rank-2 tensor, got rank {arr.ndim}")
-    if finite and (arr.dtype.kind not in "biufc" or not np.isfinite(arr).all()):
-        raise ValidationError(f"{op} needs finite numbers only")
-    return arr
-
-
 def svd(m) -> SVDResult:
-    """Full thin SVD of a matrix; never forms M·M†.
+    """Full thin SVD of a matrix of finite numbers (:func:`~tnkit.tensors._array`); never forms M·M†.
 
     If LAPACK does not converge, it is retried once on R of M = QR (of M† if
     M is wide), as Drmač and Veselić precondition their Jacobi SVD, before
     NumericalFailure.
     """
-    arr = _as_matrix(m, "svd")
+    return _svd(_array(m, "svd matrix", 2))
+
+
+def _svd(arr: np.ndarray) -> SVDResult:
+    """:func:`svd` of a checked matrix."""
     try:
         u, s, vdag = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError:
@@ -133,14 +127,17 @@ def partial_svd(m, rank: int) -> SVDResult:
     errors fall as (d[rank + SKETCH_OVERSAMPLING] / d[i])^(2q + 1). The sketch
     is drawn from ``default_rng(0)`` once per shape and cached read-only, so
     equal inputs give bit-identical results; ``discarded_weight`` is 0 (never computed).
-    ValidationError unless ``rank`` is an integer >= 1.
+    ValidationError unless ``m`` is a matrix of finite numbers and ``rank`` an integer >= 1.
     """
-    arr = _as_matrix(m, "partial_svd")
-    rank = _number(rank, "rank", int, ge=1)
+    return _partial_svd(_array(m, "partial_svd matrix", 2), _number(rank, "rank", int, ge=1))
+
+
+def _partial_svd(arr: np.ndarray, rank: int) -> SVDResult:
+    """:func:`partial_svd` of a checked matrix and rank."""
     q = np.linalg.qr(arr @ _sketch(arr.shape[1], rank + SKETCH_OVERSAMPLING))[0]
     for _ in range(_POWER_ITERATIONS):
         q = np.linalg.qr(arr @ np.linalg.qr(arr.conj().T @ q)[0])[0]
-    small = svd(q.conj().T @ arr)
+    small = _svd(q.conj().T @ arr)
     u = q @ small.u[:, :rank]
     u.flags.writeable = False
     return SVDResult(u=u, d=small.d[:rank], v_dag=small.v_dag[:rank], discarded_weight=0.0)
@@ -182,7 +179,7 @@ def truncated_svd(m, spec: TruncationSpec) -> SVDResult:
     the plain sum of the dropped lambda^2. ValidationError unless ``m`` is a
     matrix of finite numbers.
     """
-    full = svd(_as_matrix(m, "truncated_svd", finite=True))
+    full = _svd(_array(m, "truncated_svd matrix", 2))
     k = select_rank(full.d, spec)
     if k == full.d.shape[0]:
         return full
@@ -268,10 +265,10 @@ def block_svd(
     own, sectors of equal shape in one stacked ``numpy.linalg.svd`` call laid
     out by :func:`_layout`, and the merged spectrum is cut by
     :func:`select_rank` as one SVD's would be. If LAPACK does not converge,
-    each sector is redone by :func:`svd`, which retries on a QR-preconditioned
+    each sector is redone by :func:`_svd`, which retries on a QR-preconditioned
     matrix before NumericalFailure. With ``partial`` and a ``chi_max``, a
     sector at least 2 (chi_max + 17) wide gets only its chi_max + 1 largest
-    values from :func:`partial_svd`, whose sketch for each sector shape is
+    values from :func:`_partial_svd`, whose sketch for each sector shape is
     drawn once per process, and its residual ‖B - U_k S_k V_k†‖²_F
     counts as discarded; ‖M‖²_F is then summed over the sectors, since M
     vanishes off them.
@@ -288,10 +285,10 @@ def block_svd(
     try:
         factors = [np.linalg.svd(b, full_matrices=False) for b in blocks]
     except np.linalg.LinAlgError:
-        factors = [_each(b, svd) for b in blocks]
+        factors = [_each(b, _svd) for b in blocks]
     if sketched:
         wide = [_gather(mat, rows, cols) for rows, cols, _ in sketched]
-        factors += [_each(b, lambda m: partial_svd(m, sketch)) for b in wide]
+        factors += [_each(b, lambda m: _partial_svd(m, sketch)) for b in wide]
     d = np.empty(link_q.size, mat.real.dtype)
     u = np.zeros((n_rows, link_q.size), mat.dtype)  # the untruncated factors
     v = np.zeros((link_q.size, n_cols), mat.dtype)
@@ -322,7 +319,7 @@ def block_svd(
 
 def eig_hermitian(m) -> EigResult:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending; ValidationError unless its numbers are finite."""
-    arr = _as_matrix(m, "eig_hermitian", finite=True)
+    arr = _array(m, "eig_hermitian matrix", 2)
     if arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"matrix is {arr.shape}, not square")
     scale = max(1.0, float(np.abs(arr).max()))
@@ -346,11 +343,9 @@ def entanglement_entropy(d) -> float:
     gives S = 0; a maximally entangled pair such as (1/sqrt2, 1/sqrt2) gives
     S = 1.
     """
-    lam = np.asarray(d, dtype=np.float64).reshape(-1)
+    lam = np.asarray(_array(d, "singular values"), np.float64).reshape(-1)
     if lam.size == 0 or not np.any(lam):
         raise ValidationError("entropy of an all-zero spectrum is undefined")
-    if not np.all(np.isfinite(lam)):
-        raise ValidationError("singular values must be finite")
     if np.any(lam < 0):
         raise ValidationError("singular values must be non-negative")
     lam = np.where(lam < _ZERO_CLAMP * lam.max(), 0.0, lam)
@@ -365,8 +360,8 @@ def mera_update(gamma) -> np.ndarray:
     With Gamma = U D V†, the optimum satisfies Tr(W Gamma) = sum_i d_i (the
     trace of the singular spectrum); no other unitary does better.
     """
-    arr = _as_matrix(gamma, "mera_update")
+    arr = _array(gamma, "mera_update environment", 2)
     if arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"environment is {arr.shape}, not square")
-    res = svd(arr)
+    res = _svd(arr)
     return res.v_dag.conj().T @ res.u.conj().T

@@ -36,7 +36,7 @@ import numpy as np
 from .decomp import eig_hermitian
 from .errors import NoConvergence, TooLarge, ValidationError
 from .mpo import MPO, mpo_to_dense
-from .tensors import _number
+from .tensors import _array, _number
 
 _ITER_DIM_CAP = 2**20
 # Leading sites are fused until their physical extent reaches this: below it
@@ -78,11 +78,9 @@ def mpo_matvec(op: MPO, psi: np.ndarray) -> np.ndarray:
     multiply-adds of the two sites it replaces, in one pass instead of two.
     """
     dim = op.phys_dim**op.n_sites
-    psi = np.asarray(psi)
+    psi = _array(psi, "psi")
     if psi.ndim not in (1, 2) or psi.shape[-1] != dim:
         raise ValidationError(f"shape {psi.shape} does not end in {op.phys_dim}^{op.n_sites}")
-    if psi.dtype.kind not in "biufc" or not np.isfinite(psi).all():
-        raise ValidationError("psi must hold finite numbers only")
     return _apply(_factors(op), psi)
 
 
@@ -204,9 +202,10 @@ def solve_iterative(
 
     Each block costs one :func:`mpo_matvec` pass, on operator factors fused
     once per solve, and ``n_matvecs`` counts vectors. Deterministic for a
-    fixed ``seed``. ValidationError unless ``tol`` is finite and > 0 and
-    ``max_iter`` is an integer >= 1. Raises NoConvergence if the residuals
-    have not dropped below ``tol`` after ``max_iter`` matvecs.
+    fixed ``seed``. ValidationError unless ``tol`` is finite and > 0,
+    ``max_iter`` is an integer >= 1 and ``seed`` an integer >= 0. Raises
+    NoConvergence if the residuals have not dropped below ``tol`` after
+    ``max_iter`` matvecs.
     """
     dim = op.phys_dim**op.n_sites
     if dim > _ITER_DIM_CAP:
@@ -214,7 +213,7 @@ def solve_iterative(
     _check_state_count(n_states, dim)
     _number(max_iter, "max_iter", int, ge=1)
     _number(tol, "tol", gt=0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_number(seed, "seed", int, ge=0))
     p = n_states
     dtype = np.result_type(np.float64, *op.sites)
     # the budget: m + p rows, m at least what _BASIS_FLOOR bytes hold, so a small basis never restarts

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import TooLarge, ValidationError
 from .mps import _chain_sites, _sandwich
-from .tensors import _number
+from .tensors import _array, _number
 
 # spin-1/2 operator library (factor 1/2 included); only SY is complex
 ID2 = np.eye(2)
@@ -48,7 +48,7 @@ def two_site_matrix(op_left: np.ndarray, op_right: np.ndarray) -> np.ndarray:
     In the fused basis the left site is the faster index, so the left factor
     sits in the *inner* Kronecker slot.
     """
-    return np.kron(np.asarray(op_right), np.asarray(op_left))
+    return np.kron(_array(op_right, "op_right", 2), _array(op_left, "op_left", 2))
 
 
 @dataclass(frozen=True)

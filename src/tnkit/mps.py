@@ -34,11 +34,12 @@ unlabels the state before it acts. ``correlation_length`` drops them too,
 so its transfer matrix sees both links in descending Schmidt-value order.
 
 Operations never mutate: each returns a fresh :class:`MPS`, and every site
-an :class:`MPS` holds is a read-only view. Operators, gates and gauge matrices
-are passed in as arrays and checked once, where they enter, by :func:`_operator`;
-site and bond indices by :func:`~tnkit.tensors._index`, counts by
-:func:`~tnkit.tensors._number`, and the sites of an MPS or MPO, finite entries
-included, by :func:`_chain_sites`. ``gauge_insert``
+an :class:`MPS` holds is a read-only view. Every array passed in is checked
+once, where it enters, by :func:`~tnkit.tensors._array`: operators, gates and
+gauge matrices, state vectors and kets, the samples of the fits, and each site
+of an MPS or MPO, whose links :func:`_chain_sites` then matches; site and bond
+indices by :func:`~tnkit.tensors._index`, and counts by
+:func:`~tnkit.tensors._number`. ``gauge_insert``
 deliberately breaks canonical structure (it is a test hook for gauge
 invariance). ``mps_to_json`` writes each site in
 :meth:`~tnkit.tensors.DenseTensor.dump` form, and no center or labels.
@@ -54,7 +55,7 @@ import numpy as np
 
 from .decomp import UNTRUNCATED, TruncationSpec, block_svd, entanglement_entropy, truncated_svd
 from .errors import NumericalFailure, TooLarge, ValidationError
-from .tensors import _fields, _from_record, _index, _inexact, _is_integer, _json_object, _number, _read_only, _to_record
+from .tensors import _array, _fields, _from_record, _index, _is_integer, _json_object, _number, _to_record
 
 _DENSE_SITE_CAP = 20  # to_state_vector guard: d**N grows fast
 _NORM_TOL = 1e-8  # how far from 1 an input vector's norm may be
@@ -108,16 +109,13 @@ class MPS:
 def _chain_sites(sites, rank: int) -> tuple[np.ndarray, ...]:
     """Read-only views of the sites of an :class:`MPS` (``rank`` 3) or :class:`~tnkit.mpo.MPO` (4).
 
-    ValidationError unless each has ``rank`` axes, finite entries, the first site's physical
-    extent on every axis between its links, links matching its neighbors', and extent-1 links
-    at both ends.
+    ValidationError unless each is a rank-``rank`` array of finite numbers (:func:`~tnkit.tensors._array`)
+    with the first site's physical extent on every axis between its links, links matching its
+    neighbors', and extent-1 links at both ends.
     """
-    sites = tuple(_read_only(t) for t in sites)
+    sites = tuple(_array(t, f"site {i}", rank).view() for i, t in enumerate(sites))
     for i, t in enumerate(sites):
-        if t.ndim != rank:
-            raise ValidationError(f"site {i} has rank {t.ndim}, expected {rank}")
-        if not np.isfinite(t).all():
-            raise ValidationError(f"site {i} must hold finite numbers only")
+        t.flags.writeable = False  # the view only; the caller's array stays writeable
         for e in t.shape[1:-1]:
             if e != sites[0].shape[1]:
                 raise ValidationError(f"site {i} physical extent {e} != {sites[0].shape[1]}")
@@ -178,7 +176,7 @@ def mps_from_state_vector(
     returned state has its center at site N-1.
     """
     _number(phys_dim, "phys_dim", int, ge=2)
-    flat = _inexact(np.array(psi)).reshape(-1)
+    flat = _array(psi, "psi").flatten()
     n = round(math.log(flat.size, phys_dim)) if flat.size > 1 else 1
     if phys_dim**n != flat.size:
         raise ValidationError(f"length {flat.size} is not a power of d={phys_dim}")
@@ -211,10 +209,10 @@ def to_state_vector(m: MPS) -> np.ndarray:
 
 def product_state_vector(site_vectors) -> np.ndarray:
     """Dense vector of a product state from per-site kets (site 0 fastest)."""
-    out = _inexact(np.asarray(site_vectors[0])).reshape(-1)
-    for v in site_vectors[1:]:
+    out, *later = (_array(v, f"site {i} ket").reshape(-1) for i, v in enumerate(site_vectors))
+    for v in later:
         # earlier sites vary fastest, so the new site becomes the slow index
-        out = np.kron(_inexact(np.asarray(v)).reshape(-1), out)
+        out = np.kron(v, out)
     return out
 
 
@@ -227,7 +225,7 @@ def product_mps(site_vectors) -> MPS:
     """
     sites = []
     for i, v in enumerate(site_vectors):
-        ket = _inexact(np.array(v)).reshape(-1)
+        ket = _array(v, f"site {i} ket").flatten()
         nrm = float(np.linalg.norm(ket))
         if not abs(nrm - 1.0) <= _NORM_TOL:  # NaN fails this too
             raise ValidationError(f"site {i} ket has norm {nrm}")
@@ -344,7 +342,7 @@ def gauge_insert(m: MPS, bond: int, x) -> MPS:
     """
     bond = _index(bond, m.n_sites - 1, "bond")
     chi = m.sites[bond].shape[2]
-    x = _operator(x, (chi, chi), "gauge matrix")
+    x = _array(x, "gauge matrix", shape=(chi, chi))
     svals = np.linalg.svd(x, compute_uv=False)
     if svals[-1] <= 0.0 or svals[0] / svals[-1] > 1e12:
         raise ValidationError("gauge matrix is singular or too ill-conditioned")
@@ -399,7 +397,7 @@ def norm_squared(m: MPS) -> float:
 def expect_local(m: MPS, op, site: int) -> complex:
     """<psi| O_site |psi> / <psi|psi>, each a zipper over the whole chain; any gauge."""
     site = _index(site, m.n_sites, "site")
-    op = _operator(op, (m.phys_dim, m.phys_dim), "operator")
+    op = _array(op, "operator", shape=(m.phys_dim, m.phys_dim))
     return _normalized(m, {site: op[None, :, :, None]})[0]
 
 
@@ -408,16 +406,16 @@ def expect_two_site(m: MPS, op_i, i: int, op_j, j: int) -> complex:
     return _normalized(m, _two_site_ops(m, op_i, i, op_j, j))[0]
 
 
-def _normalized(m: MPS, *ops: dict[int, np.ndarray]) -> list[complex]:
+def _normalized(m: MPS, *ops: dict[int, np.ndarray], what: str = "expectation values") -> list[complex]:
     """<psi| W |psi> / <psi|psi> for each of ``ops``, one norm for all; NumericalFailure unless each is finite.
 
-    The norm squared must be positive and finite (:func:`_normalizable`).
+    The norm squared must be positive and finite (:func:`_normalizable`); a refusal of the values names ``what``.
     """
     nrm2 = _normalizable(norm_squared(m))
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         values = [_sandwich(m, m, o) / nrm2 for o in ops]
     if not np.isfinite(values).all():
-        raise NumericalFailure(f"expectation values are {values}")
+        raise NumericalFailure(f"{what} not finite: {values}")
     return values
 
 
@@ -435,26 +433,14 @@ def _normalizable(nrm2: float) -> float:
     return nrm2
 
 
-def _operator(op, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """``op`` as an array; ValidationError, naming ``what``, unless it has ``shape`` and finite numbers only."""
-    try:
-        op = np.asarray(op)
-    except ValueError:  # a ragged nested sequence
-        raise ValidationError(f"{what} must be {shape}, got a ragged sequence") from None
-    if op.shape != shape:
-        raise ValidationError(f"{what} must be {shape}, got {op.shape}")
-    if op.dtype.kind not in "biufc" or not np.isfinite(op).all():
-        raise ValidationError(f"{what} must hold finite numbers only")
-    return op
-
-
 def _two_site_ops(m: MPS, op_i, i: int, op_j, j: int) -> dict[int, np.ndarray]:
     """``{i: op_i, j: op_j}`` as :func:`_sandwich` tensors, once the sites and operators are checked for ``m``."""
     i, j = _index(i, m.n_sites, "site"), _index(j, m.n_sites, "site")
     if i >= j:
         raise ValidationError(f"need i < j, got i={i}, j={j}")
     d = m.phys_dim
-    return {i: _operator(op_i, (d, d), "op_i")[None, :, :, None], j: _operator(op_j, (d, d), "op_j")[None, :, :, None]}
+    op_i, op_j = _array(op_i, "op_i", shape=(d, d)), _array(op_j, "op_j", shape=(d, d))
+    return {i: op_i[None, :, :, None], j: op_j[None, :, :, None]}
 
 
 def apply_two_site_gate(
@@ -487,7 +473,7 @@ def _gate_matrix(gate, chain: _Chain, direction: str) -> np.ndarray:
     with a nonzero entry between pair states of different total charge unlabels the chain.
     """
     d = chain.sites[0].shape[1]
-    gate = _operator(gate, (d * d, d * d), "gate")
+    gate = _array(gate, "gate", shape=(d * d, d * d))
     if direction not in ("right", "left"):
         raise ValidationError(f"direction must be 'right' or 'left', got {direction!r}")
     pair_q = (chain.phys_charges[:, None] + chain.phys_charges[None, :]).ravel(order="F")
@@ -619,8 +605,8 @@ def _log_fit(xs, values, log_x: bool, what: str) -> tuple[float, float]:
     Samples with |value| <= ``_FIT_ZERO``, and with x <= 0 if ``log_x``, are left out;
     ValidationError, naming the fit ``what``, if fewer than two remain.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    vals = np.abs(np.asarray(values, dtype=np.float64))
+    xs = np.asarray(_array(xs, "xs"), np.float64)
+    vals = np.abs(np.asarray(_array(values, "values"), np.float64))
     keep = (vals > _FIT_ZERO) & (xs > 0.0 if log_x else True)
     if keep.sum() < 2:
         raise ValidationError(f"need at least two samples above {_FIT_ZERO:g} in magnitude to fit {what}")

@@ -26,9 +26,8 @@ import numpy as np
 
 from .decomp import UNTRUNCATED, TruncationSpec, eig_hermitian
 from .errors import NumericalFailure, ValidationError
-from .mpo import MPO, build_model, mpo_expectation, mpo_to_dense
-from .mps import MPS, _Chain, _center_norm_squared, _gate_matrix, _gate_pair, _move, _normalizable, _recorded
-from .mps import norm_squared, product_mps
+from .mpo import MPO, build_model, mpo_to_dense
+from .mps import MPS, _Chain, _center_norm_squared, _gate_matrix, _gate_pair, _move, _normalized, _recorded, product_mps
 from .tensors import _number
 
 _UP = np.array([1.0, 0.0])
@@ -94,18 +93,15 @@ def _sweep(chain: _Chain, g: np.ndarray, spec: TruncationSpec, direction: str) -
 
 
 def measure_energy(state: MPS, h: MPO) -> float:
-    """<H> / <psi|psi>: the zipper :func:`~tnkit.mps._sandwich` with the MPO's sites, then with none; any gauge.
+    """<H> / <psi|psi> in any gauge: :func:`~tnkit.mps._normalized` over the MPO's sites.
 
     The TEBD drivers use :func:`_bond_energy` instead. Raises
     NumericalFailure if the norm squared is 0 or not finite, or if <H> is
     not finite.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        den = _normalizable(norm_squared(state))
-        energy = mpo_expectation(state, h).real / den
-    if not np.isfinite(energy):
-        raise NumericalFailure(f"energy is {energy}")
-    return energy
+    if state.n_sites != h.n_sites or state.phys_dim != h.phys_dim:
+        raise ValidationError("state and operator live on different site spaces")
+    return _normalized(state, dict(enumerate(h.sites)), what="energy")[0].real
 
 
 def _bond_energy(state: MPS | _Chain, pair: np.ndarray) -> tuple[float, float]:

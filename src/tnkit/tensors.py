@@ -5,7 +5,9 @@ any memory layout and any inexact dtype. Real input stays real; complex
 arithmetic appears only where a complex operand brings it in. The functions
 here validate every index they are given, which is what a reader working
 through the four operations wants; the algorithm modules do not go through
-them but hold read-only ndarrays and call numpy directly.
+them but hold read-only ndarrays and call numpy directly. The package's
+argument rules live here too: :func:`_index` for indices, :func:`_number`
+for scalars and :func:`_array` for every array a public function takes.
 
 Flat vectors follow one linearization: first index fastest (column-major).
 For a rank-3 tensor of shape ``(w_x, w_y, w_z)`` the element ``(x, y, z)``
@@ -85,24 +87,24 @@ def _index(value, stop: int, what: str) -> int:
     return int(value)
 
 
-def _inexact(a: np.ndarray) -> np.ndarray:
-    """Integer and boolean data becomes float64; inexact dtypes pass through."""
+def _array(value, what: str, ndim: int | None = None, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """``np.asarray(value)``, integer and bool data as float64, inexact data as it is (no copy).
+
+    ValidationError, naming ``what``, for a ragged sequence, a rank other than ``ndim``, a shape
+    other than ``shape``, a dtype that is not numeric (text, ``None``, objects) or a NaN or
+    infinite entry. Every array a public function takes goes through this once; internal steps do not.
+    """
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged nested sequence
+        raise ValidationError(f"{what} must be {shape or 'an array'}, got a ragged sequence") from None
+    if ndim is not None and a.ndim != ndim:
+        raise ValidationError(f"{what} has rank {a.ndim}, expected {ndim}")
+    if shape is not None and a.shape != shape:
+        raise ValidationError(f"{what} must be {shape}, got {a.shape}")
+    if a.dtype.kind not in "biufc" or not np.isfinite(a).all():
+        raise ValidationError(f"{what} must hold finite numbers only")
     return a if a.dtype.kind in "fc" else a.astype(np.float64)
-
-
-def _finite(a: np.ndarray) -> np.ndarray:
-    """``a`` made inexact; ValidationError unless every entry is finite."""
-    a = _inexact(a)
-    if not np.isfinite(a).all():
-        raise ValidationError("tensor data must hold finite numbers only")
-    return a
-
-
-def _read_only(a) -> np.ndarray:
-    """A read-only view of ``a`` (made inexact); ``a`` itself stays writeable."""
-    view = _inexact(np.asarray(a)).view()
-    view.flags.writeable = False
-    return view
 
 
 class DenseTensor:
@@ -114,14 +116,14 @@ class DenseTensor:
         Extent of each index; every extent is at least 1. ``()`` is a scalar.
     data : array-like
         Flat data of length ``prod(shape)`` in first-index-fastest order. It
-        is copied; NaN or infinite entries are a ValidationError.
+        is copied, and checked by :func:`_array`.
     """
 
     __slots__ = ("_arr",)
 
     def __init__(self, shape: Sequence[int], data) -> None:
         shp = _as_shape(shape)
-        flat = _finite(np.array(data)).reshape(-1)
+        flat = _array(data, "tensor data").flatten()
         if flat.size != math.prod(shp):
             raise ValidationError(
                 f"shape {shp} holds {math.prod(shp)} elements, data has {flat.size}"
@@ -141,8 +143,8 @@ class DenseTensor:
 
     @classmethod
     def from_ndarray(cls, arr) -> "DenseTensor":
-        """Build from a copy of an n-dimensional array (axis order preserved); ValidationError on NaN or inf."""
-        return cls._wrap(_finite(np.array(arr)))
+        """Build from a copy of an n-dimensional array (axis order preserved), checked by :func:`_array`."""
+        return cls._wrap(np.array(_array(arr, "tensor data")))
 
     @classmethod
     def zeros(cls, shape: Sequence[int]) -> "DenseTensor":

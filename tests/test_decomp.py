@@ -210,13 +210,13 @@ def sector_reference(mat, row_q, col_q, spec):
 
 
 def assert_matches_the_reference(mat, row_q, col_q, spec, sketches, monkeypatch):
-    calls = []
+    calls, real_partial_svd = [], decomp._partial_svd
 
     def counted_partial_svd(m, rank):
         calls.append(m.shape)
-        return partial_svd(m, rank)
+        return real_partial_svd(m, rank)
 
-    monkeypatch.setattr(decomp, "partial_svd", counted_partial_svd)
+    monkeypatch.setattr(decomp, "_partial_svd", counted_partial_svd)
     u, d, v, link_q, weight = block_svd(mat, row_q, col_q, spec, partial=True)
     assert calls == sketches
     want_d, want_q, want_weight = sector_reference(mat, row_q, col_q, spec)
@@ -349,10 +349,17 @@ def test_layouts_never_import_numpy_ma():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("op", [svd, lambda m: partial_svd(m, 1), mera_update], ids=["svd", "partial_svd", "mera_update"])
+@pytest.mark.parametrize(
+    "op, what",
+    [
+        pytest.param(svd, "svd matrix", id="svd"),
+        pytest.param(lambda m: partial_svd(m, 1), "partial_svd matrix", id="partial_svd"),
+        pytest.param(mera_update, "mera_update environment", id="mera_update"),
+    ],
+)
 @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)], ids=["rank1", "rank3"])
-def test_matrix_routines_refuse_other_ranks(op, shape):
-    with pytest.raises(ValidationError, match=f"rank-2 tensor, got rank {len(shape)}"):
+def test_matrix_routines_refuse_other_ranks(op, what, shape):
+    with pytest.raises(ValidationError, match=f"^{what} has rank {len(shape)}, expected 2$"):
         op(np.ones(shape))
 
 
@@ -403,18 +410,31 @@ def test_mera_update_maximizes_the_trace():
         pytest.param(lambda: mera_update(np.ones((2, 3))), r"environment is \(2, 3\), not square", id="mera-non-square"),
         pytest.param(lambda: TruncationSpec(chi_max=2.5), "chi_max must be an integer >= 1, got 2.5", id="chi-max-float"),
         pytest.param(lambda: TruncationSpec(chi_max=True), "chi_max must be an integer >= 1, got True", id="chi-max-bool"),
-        pytest.param(lambda: entanglement_entropy([np.nan, 1.0]), "singular values must be finite", id="entropy-nan"),
-        pytest.param(lambda: entanglement_entropy([np.nan, np.nan]), "singular values must be finite", id="entropy-all-nan"),
-        pytest.param(lambda: entanglement_entropy([np.inf, 1.0]), "singular values must be finite", id="entropy-inf"),
+        pytest.param(lambda: entanglement_entropy([np.nan, 1.0]), "singular values must hold finite numbers only", id="entropy-nan"),
+        pytest.param(lambda: entanglement_entropy([np.nan, np.nan]), "singular values must hold finite numbers only", id="entropy-all-nan"),
+        pytest.param(lambda: entanglement_entropy([np.inf, 1.0]), "singular values must hold finite numbers only", id="entropy-inf"),
         pytest.param(lambda: partial_svd(np.eye(40), -3), "rank must be an integer >= 1, got -3", id="partial-rank-negative"),
         pytest.param(lambda: partial_svd(np.eye(40), True), "rank must be an integer >= 1, got True", id="partial-rank-bool"),
         pytest.param(lambda: partial_svd(np.eye(40), 2.5), "rank must be an integer >= 1, got 2.5", id="partial-rank-float"),
-        pytest.param(lambda: eig_hermitian([[np.nan, 0], [0, 1]]), "eig_hermitian needs finite numbers only", id="eig-nan"),
-        pytest.param(lambda: eig_hermitian([[np.inf, 0], [0, 1]]), "eig_hermitian needs finite numbers only", id="eig-inf"),
-        pytest.param(lambda: truncated_svd([[np.nan, 0], [0, 1]], UNTRUNCATED), "truncated_svd needs finite numbers only", id="truncated-nan"),
+        pytest.param(lambda: eig_hermitian([[np.nan, 0], [0, 1]]), "eig_hermitian matrix must hold finite numbers only", id="eig-nan"),
+        pytest.param(lambda: eig_hermitian([[np.inf, 0], [0, 1]]), "eig_hermitian matrix must hold finite numbers only", id="eig-inf"),
         pytest.param(
-            lambda: truncated_svd([[np.inf, 0], [0, 1]], TruncationSpec(chi_max=1)), "truncated_svd needs finite numbers only", id="truncated-inf"
+            lambda: truncated_svd([[np.nan, 0], [0, 1]], UNTRUNCATED), "truncated_svd matrix must hold finite numbers only", id="truncated-nan"
         ),
+        pytest.param(
+            lambda: truncated_svd([[np.inf, 0], [0, 1]], TruncationSpec(chi_max=1)),
+            "truncated_svd matrix must hold finite numbers only", id="truncated-inf",
+        ),
+        pytest.param(lambda: svd([[1.0, 2.0], [3.0]]), "svd matrix must be an array, got a ragged sequence", id="svd-ragged"),
+        pytest.param(
+            lambda: eig_hermitian([[1.0, 0.0], [0.0]]), "eig_hermitian matrix must be an array, got a ragged sequence", id="eig-ragged"
+        ),
+        pytest.param(lambda: svd([["a", "b"], ["c", "d"]]), "svd matrix must hold finite numbers only", id="svd-text"),
+        pytest.param(lambda: partial_svd([["a", "b"], ["c", "d"]], 1), "partial_svd matrix must hold finite numbers only", id="partial-text"),
+        pytest.param(lambda: entanglement_entropy(["a", "b"]), "singular values must hold finite numbers only", id="entropy-text"),
+        pytest.param(lambda: svd(np.full((3, 3), np.nan)), "svd matrix must hold finite numbers only", id="svd-nan"),
+        pytest.param(lambda: partial_svd(np.full((40, 40), np.nan), 2), "partial_svd matrix must hold finite numbers only", id="partial-nan"),
+        pytest.param(lambda: mera_update(np.full((2, 2), np.nan)), "mera_update environment must hold finite numbers only", id="mera-nan"),
     ],
 )
 def test_decomp_guards(call, match):

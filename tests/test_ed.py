@@ -90,6 +90,11 @@ def test_mpo_matvec_refuses_non_finite_numbers(bad, shape):
         mpo_matvec(build_heisenberg(6, j=-1.0), psi)
 
 
+def test_mpo_matvec_refuses_a_ragged_block():
+    with pytest.raises(ValidationError, match="psi must be an array, got a ragged sequence"):
+        mpo_matvec(build_heisenberg(2, j=-1.0), [[1.0, 0.0, 0.0, 0.0], [1.0]])
+
+
 def xx_dm_mpo(n, j, dm):
     """H = sum_i J Sx_i Sx_{i+1} + D (Sx_i Sy_{i+1} - Sy_i Sx_{i+1}): complex Hermitian."""
     w = np.zeros((4, 2, 2, 4), dtype=complex)
@@ -358,6 +363,10 @@ def test_ed_guards(solve, n_states):
         pytest.param(dict(max_iter=2.5), "max_iter must be an integer >= 1, got 2.5", id="max-iter-float"),
         pytest.param(dict(max_iter=0), "max_iter must be an integer >= 1, got 0", id="max-iter-zero"),
         pytest.param(dict(max_iter=True), "max_iter must be an integer >= 1, got True", id="max-iter-bool"),
+        pytest.param(dict(seed=-1), "seed must be an integer >= 0, got -1", id="seed-negative"),
+        pytest.param(dict(seed=1.5), "seed must be an integer >= 0, got 1.5", id="seed-float"),
+        pytest.param(dict(seed="a"), "seed must be an integer >= 0, got 'a'", id="seed-text"),
+        pytest.param(dict(seed=True), "seed must be an integer >= 0, got True", id="seed-bool"),
     ],
 )
 def test_iterative_guards(kwargs, match):

@@ -171,6 +171,12 @@ def _mpo(*shapes):
             id="site-nan",
         ),
         pytest.param(
+            lambda: MPO((np.full((1, 2, 2, 1), "a"), np.zeros((1, 2, 2, 1)))), "site 0 must hold finite numbers only", id="site-text",
+        ),
+        pytest.param(
+            lambda: two_site_matrix([[0.5, 0.0], [0.0]], SZ), "op_left must be an array, got a ragged sequence", id="two-site-ragged",
+        ),
+        pytest.param(
             lambda: build_model("potts", 4), r"unknown model 'potts'; expected one of \('ising_nn'", id="unknown-model"
         ),
         pytest.param(

@@ -98,9 +98,9 @@ def test_product_state_vector_is_little_endian():
 
 
 def test_nan_input_is_not_normalized():
-    with pytest.raises(ValidationError, match="site 1 ket has norm nan"):
+    with pytest.raises(ValidationError, match="site 1 ket must hold finite numbers only"):
         product_mps([np.array([1.0, 0.0]), np.array([np.nan, 0.0])])
-    with pytest.raises(ValidationError, match=r"\|psi\| = nan, expected 1 within"):
+    with pytest.raises(ValidationError, match="psi must hold finite numbers only"):
         mps_from_state_vector(np.full(8, np.nan), 2)
 
 
@@ -769,6 +769,36 @@ def _no_square_site():
         pytest.param(
             lambda m: MPS(m.sites[:4] + (np.where(m.sites[4] == m.sites[4].flat[0], np.inf, m.sites[4]),)),
             ValidationError, "site 4 must hold finite numbers only", id="site-inf",
+        ),
+        pytest.param(
+            lambda m: MPS((np.ones((1, 2, 1)), [[[1.0], [0.0, 1.0]]])),
+            ValidationError, "site 1 must be an array, got a ragged sequence", id="site-ragged",
+        ),
+        pytest.param(
+            lambda m: MPS((np.array([[["a"], ["b"]]]),)), ValidationError, "site 0 must hold finite numbers only", id="site-text",
+        ),
+        pytest.param(
+            lambda m: mps_from_state_vector([[0.6], [0.0, 0.8]], 2),
+            ValidationError, "psi must be an array, got a ragged sequence", id="from-vector-ragged",
+        ),
+        pytest.param(
+            lambda m: mps_from_state_vector(np.array(["1", "0"]), 2),
+            ValidationError, "psi must hold finite numbers only", id="from-vector-numeric-text",
+        ),
+        pytest.param(
+            lambda m: product_mps([[1.0, 0.0], ["a", "b"]]), ValidationError, "site 1 ket must hold finite numbers only", id="product-text",
+        ),
+        pytest.param(
+            lambda m: product_state_vector([["a", "b"]]),
+            ValidationError, "site 0 ket must hold finite numbers only", id="product-vector-text",
+        ),
+        pytest.param(
+            lambda m: product_state_vector([[1.0, 0.0], [np.nan, 1.0]]),
+            ValidationError, "site 1 ket must hold finite numbers only", id="product-vector-nan",
+        ),
+        pytest.param(
+            lambda m: fit_exponential_decay([1.0, np.nan, 3.0], [0.5, 0.25, 0.125]),
+            ValidationError, "xs must hold finite numbers only", id="fit-xs-nan",
         ),
         pytest.param(
             lambda m: to_state_vector(product_mps([[1.0, 0.0]] * 21)),

@@ -3,17 +3,22 @@
 import numpy as np
 import pytest
 
+import tnkit
 from tnkit import (
     DenseTensor,
     TruncationSpec,
+    build_heisenberg,
     contract,
     contract_flops,
     permute,
     reshape,
+    solve_iterative,
+    tebd,
+    trg,
     truncated_svd,
 )
 from tnkit.errors import ValidationError
-from tnkit.tensors import _number
+from tnkit.tensors import _array, _number
 
 rng = np.random.default_rng(42)
 
@@ -172,6 +177,9 @@ def test_dump_load_round_trip():
             lambda t: DenseTensor.from_ndarray(np.array([np.inf + 0j, 1j])),
             "tensor data must hold finite numbers only", id="from-ndarray-complex-inf",
         ),
+        pytest.param(lambda t: DenseTensor((3,), [[1.0], [2.0, 3.0]]), "tensor data must be an array, got a ragged sequence", id="data-ragged"),
+        pytest.param(lambda t: DenseTensor((2,), ["a", "b"]), "tensor data must hold finite numbers only", id="data-text"),
+        pytest.param(lambda t: DenseTensor((2,), ["1", "2"]), "tensor data must hold finite numbers only", id="data-numeric-text"),
         pytest.param(lambda t: t[0, 1], "expected 3 indices, got 2", id="index-count"),
         pytest.param(lambda t: t[0, 3, 0], r"axis 1 index 3 out of range \[0, 3\)", id="index-past-end"),
         pytest.param(lambda t: t[-1, 0, 0], r"axis 0 index -1 out of range \[0, 2\)", id="index-negative"),
@@ -283,6 +291,63 @@ def test_number_is_one_rule_with_one_message(value, kind, bounds, want):
     else:
         got = _number(value, "x", kind, **bounds)
         assert got == want and type(got) is kind
+
+
+_FLOAT32 = np.arange(3, dtype=np.float32)
+_COMPLEX64 = np.ones((2, 2), np.complex64)
+
+
+@pytest.mark.parametrize(
+    "value, ndim, shape, want",
+    [
+        pytest.param([[1.0, 2.0], [3.0]], None, None, "x must be an array, got a ragged sequence", id="ragged"),
+        pytest.param([[1, 2], [3]], 2, (2, 2), "x must be (2, 2), got a ragged sequence", id="ragged-with-shape"),
+        pytest.param(["a", "b"], None, None, "x must hold finite numbers only", id="text"),
+        pytest.param(["1", "2"], None, None, "x must hold finite numbers only", id="numeric-text"),
+        pytest.param(None, None, None, "x must hold finite numbers only", id="none"),
+        pytest.param(np.array([1.0, 2.0], dtype=object), None, None, "x must hold finite numbers only", id="objects"),
+        pytest.param([1.0, np.nan], None, None, "x must hold finite numbers only", id="nan"),
+        pytest.param([[np.inf, 0.0]], None, None, "x must hold finite numbers only", id="inf"),
+        pytest.param(-np.inf, None, None, "x must hold finite numbers only", id="minus-inf"),
+        pytest.param([1.0, complex(0.0, np.nan)], None, None, "x must hold finite numbers only", id="complex-nan"),
+        pytest.param(np.ones(4), 2, None, "x has rank 1, expected 2", id="rank"),
+        pytest.param(np.ones((2, 3)), 2, (3, 2), "x must be (3, 2), got (2, 3)", id="shape"),
+        pytest.param([[1, 2]], 2, (1, 2), np.array([[1.0, 2.0]]), id="int-as-float64"),
+        pytest.param(np.array([True, False]), None, None, np.array([1.0, 0.0]), id="bool-as-float64"),
+        pytest.param(_FLOAT32, 1, (3,), _FLOAT32, id="float32-as-is"),
+        pytest.param(_COMPLEX64, 2, None, _COMPLEX64, id="complex64-as-is"),
+    ],
+)
+def test_array_is_one_rule_with_one_message(value, ndim, shape, want):
+    # a str ``want`` is the whole message of the refusal; a float64 array the values returned; any other the object itself
+    if isinstance(want, str):
+        with pytest.raises(ValidationError) as e:
+            _array(value, "x", ndim, shape)
+        assert str(e.value) == want
+    elif want.dtype == np.float64:
+        got = _array(value, "x", ndim, shape)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+    else:
+        assert _array(value, "x", ndim, shape) is want
+
+
+def test_internal_steps_check_no_arrays(monkeypatch):
+    # a public entry checks what it is given once; block_svd's splits, the Lanczos matvecs and the gate splits check nothing
+    op, tensor = build_heisenberg(8, j=-1.0), trg.initial_state(0.44)
+    state, gate = tebd.initial_product_state("heisenberg", 6), tebd.bond_gate("heisenberg", -1.0, 0.1, "imaginary")
+    checked = []
+
+    def spy(value, what, *args, **kwargs):
+        checked.append(what)
+        return _array(value, what, *args, **kwargs)
+
+    for module in (tnkit.tensors, tnkit.decomp, tnkit.mps, tnkit.mpo, tnkit.ed):
+        monkeypatch.setattr(module, "_array", spy)
+    trg.trg_step(tensor, TruncationSpec(chi_max=8))
+    solve_iterative(op, n_states=2)
+    assert checked == []
+    tebd.sweep(state, gate, TruncationSpec(chi_max=4))
+    assert checked == ["gate"] + [f"site {i}" for i in range(6)]  # the gate, and the sites of the MPS returned
 
 
 def test_a_vector_takes_a_scalar_index():

@@ -265,13 +265,13 @@ def test_partial_split_matches_the_full_split(case, monkeypatch):
             "rank_deficient": rank_deficient,
         }[case]
         mat, parity = block_matrix(spectra)
-    calls, real_partial_svd = [], decomp.partial_svd
+    calls, real_partial_svd = [], decomp._partial_svd
 
     def counted_partial_svd(m, rank):
         calls.append(rank)
         return real_partial_svd(m, rank)
 
-    monkeypatch.setattr(decomp, "partial_svd", counted_partial_svd)
+    monkeypatch.setattr(decomp, "_partial_svd", counted_partial_svd)
     left, right, link_parity, weight = trg._split(mat, parity, spec)
     assert calls == [spec.chi_max + 1] * 2  # both blocks took the partial path
     d, par, ref_weight = full_split(mat, parity, spec)
